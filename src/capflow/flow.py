@@ -224,6 +224,11 @@ def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
     return out
 
 
+def _max_bc_residual(rho: RadialField, theta: float) -> float:
+    bres = bc_residual(rho, theta)
+    return float(np.abs(bres).max()) if bres.size else 0.0
+
+
 def apply_bc(
     rho: RadialField, theta: float, tol: float = 1e-6, max_iter: int = 50
 ) -> RadialField:
@@ -498,14 +503,13 @@ def step(state: FlowState, cfg: FlowConfig) -> FlowState:
             raise InjectivityError(
                 "accepted step produced a nearly self-intersecting surface"
             )
-        bres = bc_residual(rho_new, cfg.theta)
         return FlowState(
             t=state.t + dt,
             rho=rho_new,
             dt=dt,
             step=state.step + 1,
             picard_iters=iters,
-            bc_residual_max=float(np.abs(bres).max()) if bres.size else 0.0,
+            bc_residual_max=_max_bc_residual(rho_new, cfg.theta),
         )
     if last_injective:
         # Halving dt cannot restore injectivity; report the true obstruction.
@@ -528,7 +532,9 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
     if grid.boundary_indices().size > 0:
         rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)
     traj = Trajectory(config=cfg, grid=grid)
-    state = FlowState(t=0.0, rho=rho, dt=cfg.dt)
+    state = FlowState(
+        t=0.0, rho=rho, dt=cfg.dt, bc_residual_max=_max_bc_residual(rho, cfg.theta)
+    )
     _record(traj, state, grid, cfg)
     horizon = cfg.horizon
     while state.t < horizon - 1e-12 * max(1.0, horizon):
@@ -546,7 +552,8 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
             traj.status, traj.message = "nonconvergence", str(exc)
             break
         _record(traj, state, grid, cfg)
-    if traj.saved[-1][0] != state.t and traj.status == "completed":
+    # Also on early termination: the last accepted state is the restart point.
+    if traj.saved[-1][0] != state.t:
         traj.saved.append((state.t, state.rho.values.copy()))
     return traj
 

@@ -79,11 +79,14 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class HomotopyRule:
-    """Gauss-Legendre rules for the homotopy variables t' and xi.
+    """Gauss-Legendre rule on [0, 1] for the homotopy variable.
 
-    t' runs over [0,1]; for each t' the inner variable xi runs over
-    [0, t'].  `order` points are used per axis (default 8); doubling the
-    order changes the remainder terms far below their quadrature error.
+    The remainders integrate over the triangle 0 <= xi <= t' <= 1 an
+    integrand that depends on xi alone, so the t'-integral is done in
+    closed form, int_0^1 int_0^t' f(xi) dxi dt' = int_0^1 (1 - xi) f(xi) dxi,
+    and one `order`-point rule (default 8) on [0, 1] serves both the
+    weighted xi-integral and plain t'-integrals.  Doubling the order
+    changes the remainder terms far below their quadrature error.
     """
 
     order: int = 8
@@ -96,12 +99,9 @@ class HomotopyRule:
         object.__setattr__(self, "_base", (x, w))
 
     def tprime(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the rule mapped to [0, 1]."""
         x, w = self._base
         return 0.5 * (x + 1.0), 0.5 * w
-
-    def xi(self, tp: float) -> tuple[np.ndarray, np.ndarray]:
-        x, w = self._base
-        return 0.5 * tp * (x + 1.0), 0.5 * tp * w
 
 
 # ----------------------------------------------------------------------
@@ -195,23 +195,29 @@ def _kernel_matrix(
     return _zero_target_cols(K, targets)
 
 
-def _kernel_dxi_matrix(
+def _kernel_and_dxi(
     r: np.ndarray,
     grid: SphereGrid,
     params: KernelParams,
     xi: float,
     targets: np.ndarray,
-) -> np.ndarray:
-    """d/dxi of [1 + xi*(rho(y)-1)]^n * K_xi(y, x), target rows."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """K_xi and d/dxi of [1 + xi*(rho(y)-1)]^n * K_xi(y, x), target rows.
+
+    One fractional power per call: D2^(-(p+2)/2) is formed as K / D2.  The
+    target columns of both matrices are zero.
+    """
     n, p = params.n, params.p
     a = 1.0 + xi * (r - 1.0)
     at = a[targets]
     rm = r - 1.0
     rt = rm[targets]
     D2 = _image_dist2(r, grid, xi, targets)
-    with np.errstate(divide="ignore"):
-        K = _zero_target_cols(D2 ** (-0.5 * p), targets)
-        Kp2 = _zero_target_cols(D2 ** (-0.5 * (p + 2.0)), targets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = D2 ** (-0.5 * p)
+        Kp2 = np.divide(K, D2, out=D2)
+    _zero_target_cols(K, targets)
+    _zero_target_cols(Kp2, targets)
     # (Phi(y) - Phi(x)) . ((rho(y)-1) y - (rho(x)-1) x)
     W = (
         a[None, :] * rm[None, :]
@@ -219,7 +225,8 @@ def _kernel_dxi_matrix(
         - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * grid.dots[targets]
     )
     Bn1 = a[None, :] ** (n - 1)
-    return n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
+    dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
+    return K, dK
 
 
 def kernel_K(xi: float, rho: RadialField, y: int, x: int, params: KernelParams) -> float:
@@ -239,7 +246,7 @@ def kernel_K_dxi(
     """Analytic xi-derivative of [1+xi(rho(y)-1)]^n K_xi(y,x) for one pair."""
     if y == x:
         raise ValueError("kernel derivative is singular at y = x")
-    row = _kernel_dxi_matrix(
+    _, row = _kernel_and_dxi(
         rho.values, rho.grid, params, xi, np.asarray([x], dtype=int)
     )
     return float(row[0, y])
@@ -402,18 +409,19 @@ def remainder_R1(
     targets: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """First homotopy remainder: the (rho(y)-rho(x)) moment of the kernel
-    xi-derivative, integrated over 0 <= xi <= t' <= 1."""
+    xi-derivative, integrated over 0 <= xi <= t' <= 1.
+
+    The t'-integral is done in closed form, leaving the 1-D integral of
+    (1 - xi) times the moment, taken with `rule` (one kernel pass per node).
+    """
     _guard_injectivity(rho)
     grid, r = rho.grid, rho.values
     tgt, single = _resolve_targets(grid, x) if targets is None else (targets, False)
     dr = r[None, :] - r[tgt, None]
-    tp_nodes, tp_w = rule.tprime()
     out = np.zeros(tgt.size)
-    for tp, wt in zip(tp_nodes, tp_w):
-        xi_nodes, xi_w = rule.xi(tp)
-        for xv, wx in zip(xi_nodes, xi_w):
-            dK = _kernel_dxi_matrix(r, grid, params, xv, tgt)
-            out += 2.0 * wt * wx * _corrected_sum(dr * dK, grid, tgt, params)
+    for xv, wv in zip(*rule.tprime()):
+        _, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
+        out += 2.0 * wv * (1.0 - xv) * _corrected_sum(dr * dK, grid, tgt, params)
     return float(out[0]) if single else out
 
 
@@ -427,8 +435,11 @@ def remainder_R2(
     """Second homotopy remainder (coefficient of rho(x) - 1).
 
     Three pieces: the absolutely convergent chord integral
-    int |y-x|^(-(n-1+s)), the |y-x|^2 moment of the kernel xi-derivative,
-    and the gradient coupling -2 int (y-x).t' grad rho(y) B^(n-1) K_t'.
+    int |y-x|^(-(n-1+s)), the |y-x|^2 moment of the kernel xi-derivative
+    over 0 <= xi <= t' <= 1, and the gradient coupling
+    -2 int_0^1 int (y-x).t' grad rho(y) B^(n-1) K_t' dt'.  The moment's
+    t'-integral is done in closed form (weight 1 - xi), so both homotopy
+    integrals share the nodes of `rule` and one kernel pass per node.
     """
     _guard_injectivity(rho)
     grid, r = rho.grid, rho.values
@@ -444,16 +455,12 @@ def remainder_R2(
     # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the gradient
     ydotg = -(grid.nodes[tgt] @ g.T)
 
-    tp_nodes, tp_w = rule.tprime()
-    for tp, wt in zip(tp_nodes, tp_w):
-        xi_nodes, xi_w = rule.xi(tp)
-        for xv, wx in zip(xi_nodes, xi_w):
-            dK = _kernel_dxi_matrix(r, grid, params, xv, tgt)
-            out += wt * wx * _corrected_sum(chord2 * dK, grid, tgt, params)
-        B = 1.0 + tp * (r - 1.0)
-        K = _kernel_matrix(r, grid, params, tp, tgt)
+    for xv, wv in zip(*rule.tprime()):
+        K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
+        out += wv * (1.0 - xv) * _corrected_sum(chord2 * dK, grid, tgt, params)
+        B = 1.0 + xv * (r - 1.0)
         F = ydotg * B[None, :] ** (params.n - 1) * K
-        out += -2.0 * wt * tp * _corrected_sum(F, grid, tgt, params)
+        out += -2.0 * wv * xv * _corrected_sum(F, grid, tgt, params)
     return float(out[0]) if single else out
 
 

@@ -406,6 +406,42 @@ def test_run_flow_stops_at_injectivity_floor():
     assert 0.09 < final_min < 0.12
 
 
+def test_run_flow_saves_last_accepted_state_on_failure():
+    cfg = _cfg(
+        dt=5e-4,
+        t_end=0.06,
+        homotopy_order=4,
+        refresh_remainders="per-step",
+        save_every=7,
+    )
+    traj = run_flow(cfg)
+    assert traj.status == "injectivity"
+    assert traj.saved[-1][0] == traj.diagnostics[-1]["t"]
+    assert np.array_equal(traj.saved[-1][1], traj.final_field.values)
+
+
+def test_run_flow_measures_frame_zero_bc_residual():
+    cfg = FlowConfig(
+        s=S,
+        theta=np.pi / 3,
+        dt=2e-4,
+        resolution=33,
+        topology="hemisphere",
+        t_end=2e-4,
+        initial="height:0.05",
+        homotopy_order=2,
+    )
+    traj = run_flow(cfg)
+    start = apply_bc(
+        initial_field(build_grid(1, 33, "hemisphere"), cfg.initial),
+        cfg.theta,
+        tol=cfg.bc_tol,
+    )
+    expect = np.abs(bc_residual(start, cfg.theta)).max()
+    assert expect > 0.0
+    assert traj.diagnostics[0]["max_bc_residual"] == expect
+
+
 def test_run_flow_save_every_still_records_last_frame():
     cfg = _cfg(resolution=64, dt=1e-3, t_end=7e-3, save_every=3, homotopy_order=4)
     traj = run_flow(cfg)

@@ -52,19 +52,22 @@ def test_zeta_pole_rejected():
 
 def test_homotopy_rule_weight_sums():
     rule = HomotopyRule(order=8)
-    _, wt = rule.tprime()
+    tn, wt = rule.tprime()
     assert wt.sum() == pytest.approx(1.0, abs=1e-14)
-    xn, xw = rule.xi(0.3)
-    assert xw.sum() == pytest.approx(0.3, abs=1e-14)
-    assert xn.min() > 0.0 and xn.max() < 0.3
+    assert tn.min() > 0.0 and tn.max() < 1.0
+    # area of the triangle 0 <= xi <= t' <= 1 under the (1 - xi) weight
+    assert (wt @ (1.0 - tn)) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_homotopy_rule_integrates_polynomials():
-    rule = HomotopyRule(order=4)
+    order = 4
+    rule = HomotopyRule(order=order)
     tn, tw = rule.tprime()
     assert (tw @ tn**5) == pytest.approx(1.0 / 6.0, rel=1e-13)
-    xn, xw = rule.xi(0.7)
-    assert (xw @ xn**2) == pytest.approx(0.7**3 / 3.0, rel=1e-13)
+    # int_0^1 int_0^t' xi^m dxi dt' = int_0^1 (1 - xi) xi^m dxi
+    for m in range(2 * order - 1):
+        expect = 1.0 / ((m + 1) * (m + 2))
+        assert (tw @ ((1.0 - tn) * tn**m)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_homotopy_rule_rejects_bad_order():
