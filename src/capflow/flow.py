@@ -25,6 +25,7 @@ the contact nodes and the half-ball reference mode may be preferable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,7 @@ from .geometry import (
 )
 from .diagnostics import volume
 from .nonlocal_ops import (
+    INJECTIVITY_RATIO_MIN,
     HomotopyRule,
     InjectivityError,
     KernelParams,
@@ -206,6 +208,14 @@ def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ----------------------------------------------------------------------
 
 
+def _contact_residual(
+    rho: RadialField, g: np.ndarray, b: int, theta: float
+) -> float:
+    """Contact-angle residual at boundary node b, given the gradient g."""
+    W = np.sqrt(rho.values[b] ** 2 + np.sum(g[b] * g[b]))
+    return np.cos(theta) - conormal_derivative(rho, b) / W
+
+
 def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
     """cos(theta) minus the achieved contact angle cosine, per boundary node.
 
@@ -213,15 +223,11 @@ def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
     conormal, so the angle condition <nu, wall normal> = -cos(theta)
     becomes cos(theta) - (d rho / d eta) / sqrt(rho^2 + |grad rho|^2) = 0.
     """
-    grid = rho.grid
-    bidx = grid.boundary_indices()
+    bidx = rho.grid.boundary_indices()
     if bidx.size == 0:
         return np.zeros(0)
-    W = _speed_factor(rho.values, grid)
-    out = np.empty(bidx.size)
-    for k, b in enumerate(bidx):
-        out[k] = np.cos(theta) - conormal_derivative(rho, int(b)) / W[b]
-    return out
+    g = gradient_values(rho.grid, rho.values)
+    return np.array([_contact_residual(rho, g, int(b), theta) for b in bidx])
 
 
 def _max_bc_residual(rho: RadialField, theta: float) -> float:
@@ -247,9 +253,7 @@ def apply_bc(
         old = vals[b]
         vals[b] = v
         trial = RadialField(grid, vals)
-        g = gradient_values(grid, vals)
-        W = np.sqrt(vals[b] ** 2 + np.sum(g[b] * g[b]))
-        r = np.cos(theta) - conormal_derivative(trial, int(b)) / W
+        r = _contact_residual(trial, gradient_values(grid, vals), b, theta)
         vals[b] = old
         return r
 
@@ -293,22 +297,32 @@ def apply_bc(
 
 
 class _Context:
-    """Grids, reference curvature, and matrices shared across steps."""
+    """Grids, reference curvature, and matrices shared across steps.
 
-    def __init__(self, cfg: FlowConfig):
-        # Only the fields in the cache key may be read off cfg here; per-run
-        # settings (theta, tolerances, refresh mode) travel with the caller.
-        self.grid = build_grid(cfg.n, cfg.resolution, cfg.topology)
-        self.params = cfg.params
-        self.rule = HomotopyRule(order=cfg.homotopy_order)
-        if cfg.topology == "hemisphere" and cfg.hs_ref_mode == "full-sphere":
+    Built from the config fields that fix them; per-run settings (theta,
+    tolerances, refresh mode) travel with the caller.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        s: float,
+        resolution: int,
+        topology: str,
+        hs_ref_mode: str,
+        homotopy_order: int,
+    ):
+        self.grid = build_grid(n, resolution, topology)
+        self.params = KernelParams(s=s, n=n)
+        self.rule = HomotopyRule(order=homotopy_order)
+        if topology == "hemisphere" and hs_ref_mode == "full-sphere":
             self.work, self.index_map = double_grid(self.grid)
             self.folded = True
         else:
             self.work, self.index_map = self.grid, np.arange(self.grid.size)
             self.folded = False
         self.rows = np.arange(self.grid.size)
-        self.hs_ref = hs_reference(self.work, self.params, cfg.hs_ref_mode)[
+        self.hs_ref = hs_reference(self.work, self.params, hs_ref_mode)[
             : self.grid.size
         ]
         M_work = frac_laplacian_matrix(self.work, self.params)[: self.grid.size]
@@ -333,11 +347,13 @@ class _Context:
         return lambda v: lu_solve(fac, v, check_finite=False)
 
 
-_CONTEXTS: dict[tuple, _Context] = {}
+# A context holds dense N x N matrices and one LU factorisation per dt,
+# so only the most recently used few are kept.
+_cached_context = lru_cache(maxsize=4)(_Context)
 
 
 def _get_context(cfg: FlowConfig) -> _Context:
-    key = (
+    return _cached_context(
         cfg.n,
         cfg.s,
         cfg.resolution,
@@ -345,10 +361,6 @@ def _get_context(cfg: FlowConfig) -> _Context:
         cfg.hs_ref_mode,
         cfg.homotopy_order,
     )
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _CONTEXTS[key] = _Context(cfg)
-    return ctx
 
 
 def _remainders(ctx: _Context, wf: RadialField) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +511,7 @@ def step(state: FlowState, cfg: FlowConfig) -> FlowState:
                 f"{state.t + dt:.6g}"
             )
         rho_new = RadialField(ctx.grid, new_vals)
-        if injectivity_ratio(rho_new) < 0.1:
+        if injectivity_ratio(rho_new) < INJECTIVITY_RATIO_MIN:
             raise InjectivityError(
                 "accepted step produced a nearly self-intersecting surface"
             )

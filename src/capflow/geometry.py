@@ -26,7 +26,7 @@ __all__ = [
     "build_grid",
     "double_grid",
     "reflect_field",
-    "tangential_gradient",
+    "gradient_values",
     "conormal_derivative",
     "quad_integrate",
 ]
@@ -62,6 +62,13 @@ class SphereGrid:
         Parameter-space neighbors of each node (used by the singular
         quadrature correction); -1 marks a missing neighbor.  All -1 for
         n=2, where the correction is not applied.
+    beta, gamma : ndarray or None
+        Colatitude and longitude of each node for n=2 grids.
+    dbeta, dgamma : float or None
+        Ring spacing in colatitude and node spacing in longitude (n=2).
+    ring_counts : ndarray of int or None
+        Nodes per latitude ring, pole to pole (n=2); nodes are stored ring
+        by ring in order of increasing gamma.
     """
 
     n: int
@@ -75,8 +82,11 @@ class SphereGrid:
     h: float | None = None
     phi: np.ndarray | None = None
     adjacent: np.ndarray | None = None
-    # n=2 bookkeeping: (number of latitude rings, nodes per ring)
-    shape2: tuple[int, int] | None = None
+    beta: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    dbeta: float | None = None
+    dgamma: float | None = None
+    ring_counts: np.ndarray | None = None
     _doubled: tuple["SphereGrid", np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -91,27 +101,26 @@ class SphereGrid:
 
 @dataclass(eq=False)
 class RadialField:
-    """Radial function rho sampled on a grid; rho > 0 node-wise."""
+    """Radial function rho sampled on a grid; rho > 0 node-wise.
+
+    The values are a read-only copy of the samples passed in, so values
+    derived from them and cached on the field cannot go stale.
+    """
 
     grid: SphereGrid
     values: np.ndarray
-    _gradient: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # min image/chord distance ratio, filled by nonlocal_ops.injectivity_ratio
+    _inj_ratio: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
+        self.values.setflags(write=False)
         if self.values.shape != (self.grid.size,):
             raise ValueError(
                 f"field has {self.values.shape} values for {self.grid.size} nodes"
             )
         if np.min(self.values) <= 0.0:
             raise ValueError("radial field must be strictly positive (star-shaped)")
-
-    @property
-    def gradient(self) -> np.ndarray:
-        """Tangential gradient, cached after the first evaluation."""
-        if self._gradient is None:
-            self._gradient = gradient_values(self.grid, self.values)
-        return self._gradient
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +253,7 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
     conormals = np.zeros_like(nodes)
     conormals[boundary] = (0.0, 0.0, -1.0)
     chord, dots = _pairwise(nodes)
-    grid = SphereGrid(
+    return SphereGrid(
         n=2,
         topology=topology,
         nodes=nodes,
@@ -256,14 +265,12 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
         h=None,
         phi=None,
         adjacent=np.full((nodes.shape[0], 2), -1, dtype=int),
-        shape2=(betas.size, n_gamma),
+        beta=np.asarray(betalist),
+        gamma=np.asarray(gammalist),
+        dbeta=dbeta,
+        dgamma=dgamma,
+        ring_counts=counts,
     )
-    grid._beta = np.asarray(betalist)  # type: ignore[attr-defined]
-    grid._gamma = np.asarray(gammalist)  # type: ignore[attr-defined]
-    grid._dbeta = dbeta  # type: ignore[attr-defined]
-    grid._dgamma = dgamma  # type: ignore[attr-defined]
-    grid._counts = counts  # type: ignore[attr-defined]
-    return grid
 
 
 # ----------------------------------------------------------------------
@@ -290,21 +297,16 @@ def double_grid(grid: SphereGrid) -> tuple[SphereGrid, np.ndarray]:
         k = np.arange(full.size)
         index_map = np.where(k < N, k, 2 * (N - 1) - k)
     else:
-        n_rings = grid.shape2[0]
+        n_rings = grid.ring_counts.size
         full = build_grid(2, n_rings, "full-sphere")
-        index_map = np.empty(full.size, dtype=int)
-        ring_of = np.rint(full._beta / full._dbeta).astype(int)  # type: ignore[attr-defined]
+        ring_of = np.rint(full.beta / full.dbeta).astype(int)
         mirrored = np.minimum(ring_of, 2 * (n_rings - 1) - ring_of)
         # Node ordering within a ring is by gamma in both grids, so the
         # hemisphere index is the ring offset plus the in-ring position.
-        offsets = np.concatenate([[0], np.cumsum(grid._counts)])  # type: ignore[attr-defined]
-        pos_in_ring = np.empty(full.size, dtype=int)
-        start = 0
-        for count in full._counts:  # type: ignore[attr-defined]
-            pos_in_ring[start : start + count] = np.arange(count)
-            start += count
+        offsets = np.concatenate([[0], np.cumsum(grid.ring_counts)])
+        pos_in_ring = np.concatenate([np.arange(c) for c in full.ring_counts])
         index_map = offsets[mirrored] + np.where(
-            grid._counts[mirrored] == 1, 0, pos_in_ring  # type: ignore[attr-defined]
+            grid.ring_counts[mirrored] == 1, 0, pos_in_ring
         )
     grid._doubled = (full, index_map)
     return grid._doubled
@@ -352,18 +354,16 @@ def _dphi(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
 
 def _ring_slices(grid: SphereGrid) -> list[slice]:
     out, start = [], 0
-    for count in grid._counts:  # type: ignore[attr-defined]
+    for count in grid.ring_counts:
         out.append(slice(start, start + count))
         start += count
     return out
 
 
 def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
-    beta = grid._beta  # type: ignore[attr-defined]
-    gamma = grid._gamma  # type: ignore[attr-defined]
-    dbeta = grid._dbeta  # type: ignore[attr-defined]
+    beta, gamma, dbeta = grid.beta, grid.gamma, grid.dbeta
     slices = _ring_slices(grid)
-    counts = grid._counts  # type: ignore[attr-defined]
+    counts = grid.ring_counts
     n_rings = len(slices)
     grad = np.zeros((grid.size, 3))
 
@@ -403,15 +403,10 @@ def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
                 3.0 * ring_val(r, pos) - 4.0 * ring_val(r - 1, pos) + ring_val(r - 2, pos)
             ) / (2.0 * dbeta)
         ring = u[s]
-        ug = (np.roll(ring, -1) - np.roll(ring, 1)) / (2.0 * grid._dgamma)  # type: ignore[attr-defined]
+        ug = (np.roll(ring, -1) - np.roll(ring, 1)) / (2.0 * grid.dgamma)
         sb = math.sin(beta[s][0])
         grad[s] = ub[:, None] * e_beta[s] + (ug / sb)[:, None] * e_gamma[s]
     return grad
-
-
-def tangential_gradient(rho: RadialField) -> np.ndarray:
-    """Tangential gradient of a radial field (ambient tangent vectors)."""
-    return rho.gradient
 
 
 def conormal_derivative(rho: RadialField, b: int) -> float:
@@ -434,8 +429,7 @@ def conormal_derivative(rho: RadialField, b: int) -> float:
         return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     # n = 2: derivative in beta at the equator ring, eta = e_beta there.
     slices = _ring_slices(grid)
-    counts = grid._counts  # type: ignore[attr-defined]
-    dbeta = grid._dbeta  # type: ignore[attr-defined]
+    counts, dbeta = grid.ring_counts, grid.dbeta
     last = slices[-1]
     j = b - last.start
     u0 = u[b]

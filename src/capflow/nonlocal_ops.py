@@ -38,10 +38,8 @@ __all__ = [
     "InjectivityError",
     "riemann_zeta",
     "kernel_K",
-    "kernel_K_dxi",
     "frac_laplacian",
     "frac_laplacian_matrix",
-    "first_moment_psi",
     "remainder_R1",
     "remainder_R2",
     "homotopy_derivative",
@@ -229,31 +227,30 @@ def _kernel_and_dxi(
     return K, dK
 
 
-def kernel_K(xi: float, rho: RadialField, y: int, x: int, params: KernelParams) -> float:
-    """Kernel |Phi_xi(y) - Phi_xi(x)|^(-(n+1+s)) for one node pair."""
-    if y == x:
+def kernel_K(
+    xi: float,
+    rho: RadialField,
+    y: int | np.ndarray,
+    x: int | np.ndarray,
+    params: KernelParams,
+) -> float | np.ndarray:
+    """Kernel |Phi_xi(y) - Phi_xi(x)|^(-(n+1+s)) for node pairs.
+
+    `y` and `x` are node indices or equal-shape index arrays; every pair
+    must be off the diagonal.
+    """
+    if np.any(np.asarray(y) == np.asarray(x)):
         raise ValueError("kernel is singular at y = x")
     r = rho.values
     a_y = 1.0 + xi * (r[y] - 1.0)
     a_x = 1.0 + xi * (r[x] - 1.0)
     d2 = a_y**2 + a_x**2 - 2.0 * a_y * a_x * rho.grid.dots[y, x]
-    return float(d2 ** (-0.5 * params.p))
-
-
-def kernel_K_dxi(
-    xi: float, rho: RadialField, y: int, x: int, params: KernelParams
-) -> float:
-    """Analytic xi-derivative of [1+xi(rho(y)-1)]^n K_xi(y,x) for one pair."""
-    if y == x:
-        raise ValueError("kernel derivative is singular at y = x")
-    _, row = _kernel_and_dxi(
-        rho.values, rho.grid, params, xi, np.asarray([x], dtype=int)
-    )
-    return float(row[0, y])
+    out = d2 ** (-0.5 * params.p)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ----------------------------------------------------------------------
-# fractional Laplacian and first moment
+# fractional Laplacian
 # ----------------------------------------------------------------------
 
 
@@ -263,98 +260,26 @@ def _chord_kernel(grid: SphereGrid, exponent: float, targets: np.ndarray) -> np.
     return _zero_target_cols(K, targets)
 
 
-def first_moment_psi(
-    grid: SphereGrid,
-    params: KernelParams,
-    x: int | None = None,
-    kernel_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Principal-value first moment psi(x) = PV int (y - x) K(y, x) dH_y.
-
-    Node pairs equidistant in parameter from x are summed jointly so their
-    diverging singular parts cancel before accumulation; leftover nodes
-    near a hemisphere boundary are a bounded distance from x and are added
-    plainly.  Returns one ambient vector (or an (N, n+1) array).
-    """
-    targets, single = _resolve_targets(grid, x)
-    if kernel_matrix is None:
-        kernel_matrix = _chord_kernel(grid, params.p, targets)
-    out = np.zeros((targets.size, grid.nodes.shape[1]))
-    N = grid.size
-    wK = kernel_matrix * grid.weights[None, :]
-    for t, i in enumerate(targets):
-        if grid.n != 1:
-            moments = wK[t, :, None] * (grid.nodes - grid.nodes[i])
-            out[t] = moments.sum(axis=0)
-            continue
-        if grid.topology == "full-sphere":
-            kmax = (N - 1) // 2
-            plus = (i + np.arange(1, kmax + 1)) % N
-            minus = (i - np.arange(1, kmax + 1)) % N
-            rest = np.asarray([(i + N // 2) % N]) if N % 2 == 0 else np.empty(0, int)
-        else:
-            kmax = min(i, N - 1 - i)
-            plus = i + np.arange(1, kmax + 1)
-            minus = i - np.arange(1, kmax + 1)
-            rest = np.concatenate(
-                [np.arange(0, i - kmax), np.arange(i + kmax + 1, N)]
-            )
-        diff = grid.nodes - grid.nodes[i]
-        paired = (
-            wK[t, plus, None] * diff[plus] + wK[t, minus, None] * diff[minus]
-        ).sum(axis=0)
-        tail = (wK[t, rest, None] * diff[rest]).sum(axis=0)
-        out[t] = paired + tail
-    return out[0] if single else out
-
-
 def frac_laplacian(
-    u: np.ndarray, grid: SphereGrid, params: KernelParams, x: int | None = None
-) -> float | np.ndarray:
-    """Principal-value fractional Laplacian 2 PV int (u(y)-u(x)) |y-x|^(-p).
+    u: np.ndarray, grid: SphereGrid, params: KernelParams
+) -> np.ndarray:
+    """Principal-value fractional Laplacian 2 PV int (u(y)-u(x)) |y-x|^(-p)
+    at every node, as the product with `frac_laplacian_matrix`.
 
-    Computed by first-order Taylor subtraction (the subtracted integrand
-    is absolutely convergent), adding back the gradient moment through
-    `first_moment_psi`, plus the lattice correction on the second
-    difference.
+    The matrix annihilates constants, so shifting u by u[0] changes
+    nothing but the rounding, and makes constant samples map to exact
+    zeros.
     """
     u = np.asarray(u, dtype=float)
-    targets, single = _resolve_targets(grid, x)
-    K = _chord_kernel(grid, params.p, targets)
-    g = gradient_values(grid, u)
-    # g(x) . (y - x); the gradient is tangent, so g(x) . x = 0
-    G = g[targets] @ grid.nodes.T
-    S = 2.0 * (u[None, :] - u[targets, None] - G) * K
-    _zero_target_cols(S, targets)
-    base = S @ grid.weights
-    psi = first_moment_psi(grid, params, kernel_matrix=K) if x is None else (
-        first_moment_psi(grid, params, x=x, kernel_matrix=K)[None, :]
-    )
-    base = base + 2.0 * np.sum(g[targets] * psi, axis=1)
-    # lattice correction on the plain second difference; the gradient part
-    # contributes only at higher order and is skipped (see module notes)
-    if grid.n == 1:
-        adj = grid.adjacent[targets]
-        both = (adj[:, 0] >= 0) & (adj[:, 1] >= 0)
-        rows = np.arange(targets.size)
-        corr = np.zeros(targets.size)
-        for side in (0, 1):
-            idx = adj[:, side]
-            ok = both & (idx >= 0)
-            corr[ok] += (
-                2.0 * (u[idx[ok]] - u[targets[ok]]) * K[rows[ok], idx[ok]]
-            )
-        base = base - riemann_zeta(params.s) * grid.h * corr
-    return float(base[0]) if single else base
+    return frac_laplacian_matrix(grid, params) @ (u - u[0])
 
 
 def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
     """Dense matrix of the discrete fractional Laplacian.
 
-    The operator is linear in the samples, so the matrix is the collapsed
-    form of the subtraction scheme: off-diagonal entries 2 w_j K0(i,j)
-    plus the neighbor correction, diagonal set for exact zero row sums
-    (constants are annihilated).
+    Off-diagonal entries 2 w_j K0(i,j) plus the lattice correction at the
+    two parameter neighbors of interior n = 1 rows; the diagonal is set
+    for exact zero row sums, so constants are annihilated.
     """
     targets = np.arange(grid.size)
     K = _chord_kernel(grid, params.p, targets)
@@ -379,16 +304,15 @@ def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
 
 def injectivity_ratio(rho: RadialField) -> float:
     """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map."""
-    cached = getattr(rho, "_inj_ratio", None)
-    if cached is not None:
-        return cached
+    if rho._inj_ratio is not None:
+        return rho._inj_ratio
     grid = rho.grid
     D2 = _image_dist2(rho.values, grid, 1.0, np.arange(grid.size))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio2 = D2 / grid.chord**2
     np.fill_diagonal(ratio2, np.inf)
     val = float(np.sqrt(np.nanmin(ratio2)))
-    rho._inj_ratio = val  # type: ignore[attr-defined]
+    rho._inj_ratio = val
     return val
 
 

@@ -32,9 +32,9 @@ from .nonlocal_ops import (
     HomotopyRule,
     KernelParams,
     divergence_oracle_Hs,
-    frac_laplacian,
     homotopy_derivative,
     hs_reference,
+    kernel_K,
     parametrized_Hs,
     remainder_R1,
     remainder_R2,
@@ -322,8 +322,6 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=0.5, seed=2026):
     and returns max(kernel * chord^p / kappa), which must stay at or
     below 1.
     """
-    from .nonlocal_ops import kernel_K
-
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
     params = KernelParams(s)
@@ -339,10 +337,9 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=0.5, seed=2026):
         np.fill_diagonal(ratio2, np.inf)
         kappa = float(np.sqrt(ratio2.min())) ** -params.p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
-        idx = idx[idx[:, 0] != idx[:, 1]]
-        for i, j in idx:
-            val = kernel_K(xi, rho, int(j), int(i), params)
-            worst = max(worst, val * grid.chord[i, j] ** params.p / kappa)
+        i, j = idx[idx[:, 0] != idx[:, 1]].T
+        val = kernel_K(xi, rho, j, i, params)
+        worst = max(worst, float(np.max(val * grid.chord[i, j] ** params.p / kappa)))
     return worst
 
 

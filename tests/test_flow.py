@@ -30,12 +30,12 @@ from capflow import (
 from capflow.nonlocal_ops import (
     HomotopyRule,
     divergence_oracle_Hs,
-    frac_laplacian,
     frac_laplacian_matrix,
     hs_reference,
     remainder_R1,
     remainder_R2,
 )
+from test_operators import reference_frac_laplacian
 
 S = 0.5
 HALF_PI = np.pi / 2
@@ -168,8 +168,21 @@ def test_operator_matrix_full_circle_matches_pointwise_operator():
     grid = build_grid(1, 128, "full-sphere")
     M = operator_matrix(cfg)
     u = np.cos(2 * grid.phi) + 0.3 * np.sin(5 * grid.phi)
-    direct = frac_laplacian(u, grid, cfg.params)
+    direct = reference_frac_laplacian(u, grid, cfg.params)
     assert np.abs(M @ u - direct).max() < 1e-9 * np.abs(direct).max()
+
+
+def test_context_cache_keeps_at_most_four_configs():
+    from capflow.flow import _cached_context
+
+    _cached_context.cache_clear()
+    for res in (16, 17, 18, 19, 20):
+        operator_matrix(_cfg(resolution=res))
+    assert _cached_context.cache_info().currsize == 4
+    # theta is not part of the key: a second angle reuses the context
+    operator_matrix(_cfg(resolution=20, theta=1.0))
+    assert _cached_context.cache_info().currsize == 4
+    assert _cached_context.cache_info().hits >= 1
 
 
 def test_operator_matrix_capillary_fold_matches_reflection():

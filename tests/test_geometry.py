@@ -11,8 +11,8 @@ from capflow.geometry import (
     gradient_values,
     quad_integrate,
     reflect_field,
-    tangential_gradient,
 )
+from capflow.nonlocal_ops import injectivity_ratio
 
 
 def test_hemisphere_endpoints_and_mask():
@@ -96,7 +96,7 @@ def test_gradient_constant_field():
     for topo in ("hemisphere", "full-sphere"):
         g = build_grid(1, 64, topo)
         rho = RadialField(g, np.full(g.size, 2.3))
-        assert np.max(np.abs(tangential_gradient(rho))) < 1e-13
+        assert np.max(np.abs(gradient_values(g, rho.values))) < 1e-13
 
 
 def test_gradient_linear_in_phi():
@@ -121,11 +121,11 @@ def test_gradient_cos_phi_accuracy():
 def test_gradient_tangency():
     g = build_grid(1, 64, "hemisphere")
     rho = RadialField(g, 1.0 + 0.2 * np.sin(g.phi) ** 2)
-    grad = tangential_gradient(rho)
+    grad = gradient_values(g, rho.values)
     assert np.max(np.abs(np.sum(grad * g.nodes, axis=1))) < 1e-10
     g2 = build_grid(2, 12, "hemisphere")
     rho2 = RadialField(g2, 1.0 + 0.1 * g2.nodes[:, 2])
-    grad2 = tangential_gradient(rho2)
+    grad2 = gradient_values(g2, rho2.values)
     assert np.max(np.abs(np.sum(grad2 * g2.nodes, axis=1))) < 1e-10
 
 
@@ -217,3 +217,31 @@ def test_radial_field_validation():
         RadialField(g, np.zeros(g.size))
     with pytest.raises(ValueError):
         RadialField(g, np.ones(g.size + 1))
+
+
+def test_radial_field_copies_and_freezes_values():
+    g = build_grid(1, 33, "hemisphere")
+    src = 1.0 + 0.2 * np.cos(2.0 * g.phi)
+    rho = RadialField(g, src)
+    kept = rho.values.copy()
+    ratio = injectivity_ratio(rho)
+    src[5] = 0.01  # would pinch the curve if the field aliased src
+    assert np.array_equal(rho.values, kept)
+    assert injectivity_ratio(rho) == ratio
+    assert injectivity_ratio(RadialField(g, kept)) == ratio
+    with pytest.raises(ValueError):
+        rho.values[0] = 2.0
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_sphere2_ring_fields(topology):
+    g = build_grid(2, 12, topology)
+    assert g.ring_counts.sum() == g.size
+    assert g.ring_counts[0] == 1
+    assert g.beta.shape == g.gamma.shape == (g.size,)
+    assert np.allclose(g.nodes[:, 2], np.cos(g.beta))
+    # rings are stored pole first, with gamma increasing by dgamma
+    ring = slice(1, 1 + g.ring_counts[1])
+    assert np.allclose(g.beta[ring], g.dbeta)
+    assert np.allclose(np.diff(g.gamma[ring]), g.dgamma)
+    assert build_grid(1, 16, topology).ring_counts is None

@@ -8,12 +8,11 @@ from capflow import (
     KernelParams,
     RadialField,
     build_grid,
-    first_moment_psi,
     hs_reference,
     kernel_K,
-    kernel_K_dxi,
     riemann_zeta,
 )
+from capflow.nonlocal_ops import _kernel_and_dxi
 
 
 def circle_mass(s):
@@ -24,6 +23,12 @@ def circle_mass(s):
         * math.gamma(0.5)
         / math.gamma(1.0 - 0.5 * s)
     )
+
+
+def kernel_dxi(xi, rho, y, x, params):
+    """Row x, column y of the kernel xi-derivative matrix."""
+    _, dK = _kernel_and_dxi(rho.values, rho.grid, params, xi, np.asarray([x]))
+    return float(dK[0, y])
 
 
 def bumpy_field(grid, eps=0.2):
@@ -109,7 +114,19 @@ def test_kernel_rejects_coincident_nodes():
     with pytest.raises(ValueError):
         kernel_K(0.5, rho, 8, 8, params)
     with pytest.raises(ValueError):
-        kernel_K_dxi(0.5, rho, 8, 8, params)
+        kernel_K(0.5, rho, np.array([3, 8, 9]), np.array([4, 8, 1]), params)
+
+
+def test_kernel_on_index_arrays_matches_pairwise_calls():
+    grid = build_grid(1, 65, "hemisphere")
+    rho = bumpy_field(grid)
+    params = KernelParams(s=0.5, n=1)
+    y = np.array([7, 0, 64, 12])
+    x = np.array([31, 5, 2, 11])
+    vals = kernel_K(0.4, rho, y, x, params)
+    assert vals.shape == (4,)
+    for k in range(4):
+        assert vals[k] == kernel_K(0.4, rho, int(y[k]), int(x[k]), params)
 
 
 def test_kernel_params_validation():
@@ -140,7 +157,7 @@ def test_kernel_dxi_matches_finite_differences(n, resolution, pair):
         return b**n * kernel_K(xi, rho, y, x, params)
 
     fd = (bk(xi0 + h) - bk(xi0 - h)) / (2.0 * h)
-    assert kernel_K_dxi(xi0, rho, y, x, params) == pytest.approx(fd, rel=1e-6)
+    assert kernel_dxi(xi0, rho, y, x, params) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -152,7 +169,7 @@ def test_kernel_dxi_constant_field_closed_form(n):
     params = KernelParams(s=0.6, n=n)
     y, x = 2, 11
     expect = (c - 1.0) * (n - params.p) * grid.chord[y, x] ** (-params.p)
-    assert kernel_K_dxi(0.0, rho, y, x, params) == pytest.approx(expect, rel=1e-12)
+    assert kernel_dxi(0.0, rho, y, x, params) == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_lower_bound_over_random_pairs():
@@ -211,30 +228,23 @@ def test_corrected_mass_other_orders(s):
     assert m == pytest.approx(circle_mass(s), rel=2e-4)
 
 
-def test_first_moment_tangential_part_vanishes_on_circle():
-    grid = build_grid(1, 128, "full-sphere")
-    params = KernelParams(s=0.5, n=1)
-    psi = first_moment_psi(grid, params)
-    tau = np.column_stack([-np.sin(grid.phi), np.cos(grid.phi)])
-    tang = np.abs(np.sum(psi * tau, axis=1))
-    radial = np.sum(psi * grid.nodes, axis=1)
-    assert tang.max() < 1e-10
-    assert np.all(radial < 0.0)
+def test_kernel_bound_excess_matches_pairwise_loop():
+    from capflow.validation import kernel_bound_excess
 
-
-def test_first_moment_single_node_matches_full():
-    grid = build_grid(1, 65, "hemisphere")
-    params = KernelParams(s=0.5, n=1)
-    full = first_moment_psi(grid, params)
-    one = first_moment_psi(grid, params, x=20)
-    assert np.allclose(one, full[20], rtol=0, atol=1e-15)
-
-
-def test_first_moment_symmetric_at_hemisphere_apex():
-    grid = build_grid(1, 129, "hemisphere")
-    params = KernelParams(s=0.5, n=1)
-    apex = (grid.size - 1) // 2
-    psi = first_moment_psi(grid, params, x=apex)
-    # apex is equidistant from both contact points; odd parts cancel
-    assert abs(psi[0]) < 1e-10
-    assert psi[1] < 0.0
+    resolution, pairs, s, seed = 64, 300, 0.5, 4
+    grid = build_grid(1, resolution, "full-sphere")
+    rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
+    params = KernelParams(s)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for xi in (0.0, 0.37, 1.0):
+        pts = (1.0 + xi * (rho.values - 1.0))[:, None] * grid.nodes
+        D2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        ratio2 = D2 / np.maximum(grid.chord**2, 1e-300)
+        np.fill_diagonal(ratio2, np.inf)
+        kappa = float(np.sqrt(ratio2.min())) ** -params.p
+        idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
+        for i, j in idx[idx[:, 0] != idx[:, 1]]:
+            val = kernel_K(xi, rho, int(j), int(i), params)
+            worst = max(worst, val * grid.chord[i, j] ** params.p / kappa)
+    assert kernel_bound_excess(resolution, pairs, s, seed) == worst

@@ -14,6 +14,7 @@ from capflow import (
     double_grid,
     frac_laplacian,
     frac_laplacian_matrix,
+    gradient_values,
     homotopy_derivative,
     hs_reference,
     injectivity_ratio,
@@ -121,6 +122,73 @@ def oracle_R2(grid, vals, t, s, order=12):
     return total
 
 
+# ----------------------------------------------------------------------
+# fractional Laplacian by Taylor subtraction, an independent route to the
+# matrix: the gradient moment is added back through a pair-summed first
+# moment instead of cancelling inside the zero-row-sum diagonal
+# ----------------------------------------------------------------------
+
+
+def _first_moment(grid, wK):
+    """PV first moment psi(x_i) = sum_j (y_j - x_i) wK[i, j], per node.
+
+    On n = 1 grids the nodes equidistant in parameter from x_i are summed
+    in pairs, so their diverging parts cancel before accumulation; the
+    leftover nodes near a hemisphere end are added plainly.  n = 2 grids
+    are summed plainly.
+    """
+    N = grid.size
+    out = np.zeros((N, grid.nodes.shape[1]))
+    for i in range(N):
+        diff = grid.nodes - grid.nodes[i]
+        if grid.n != 1:
+            out[i] = (wK[i, :, None] * diff).sum(axis=0)
+            continue
+        if grid.topology == "full-sphere":
+            kmax = (N - 1) // 2
+            plus = (i + np.arange(1, kmax + 1)) % N
+            minus = (i - np.arange(1, kmax + 1)) % N
+            rest = np.asarray([(i + N // 2) % N]) if N % 2 == 0 else np.empty(0, int)
+        else:
+            kmax = min(i, N - 1 - i)
+            plus = i + np.arange(1, kmax + 1)
+            minus = i - np.arange(1, kmax + 1)
+            rest = np.concatenate([np.arange(0, i - kmax), np.arange(i + kmax + 1, N)])
+        paired = wK[i, plus, None] * diff[plus] + wK[i, minus, None] * diff[minus]
+        out[i] = paired.sum(axis=0) + (wK[i, rest, None] * diff[rest]).sum(axis=0)
+    return out
+
+
+def reference_frac_laplacian(u, grid, params):
+    """2 PV int (u(y) - u(x)) |y - x|^(-p) dH_y at every node.
+
+    First-order Taylor subtraction makes the integrand absolutely
+    convergent; the gradient moment is added back through `_first_moment`,
+    and the lattice correction acts on the plain second difference at the
+    two parameter neighbors of interior n = 1 nodes.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        K = grid.chord ** (-params.p)
+    np.fill_diagonal(K, 0.0)
+    g = gradient_values(grid, u)
+    # g(x) . (y - x) = g(x) . y, since the gradient is tangent at x
+    S = 2.0 * (u[None, :] - u[:, None] - g @ grid.nodes.T) * K
+    np.fill_diagonal(S, 0.0)
+    psi = _first_moment(grid, K * grid.weights[None, :])
+    out = S @ grid.weights + 2.0 * np.sum(g * psi, axis=1)
+    if grid.n == 1:
+        adj = grid.adjacent
+        both = (adj[:, 0] >= 0) & (adj[:, 1] >= 0)
+        rows = np.flatnonzero(both)
+        corr = np.zeros(grid.size)
+        for side in (0, 1):
+            idx = adj[rows, side]
+            corr[rows] += 2.0 * (u[idx] - u[rows]) * K[rows, idx]
+        out -= riemann_zeta(params.s) * grid.h * corr
+    return out
+
+
 def hemisphere_field(grid, eps):
     return RadialField(grid, 1.0 + eps * np.cos(2.0 * grid.phi))
 
@@ -145,21 +213,12 @@ def test_frac_laplacian_fourier_eigenfunctions(k):
     assert np.abs(out + lam * u).max() < 1e-3 * lam
 
 
-def test_frac_laplacian_single_node_matches_full():
-    grid = build_grid(1, 129, "hemisphere")
-    u = np.cos(2.0 * grid.phi)
-    full = frac_laplacian(u, grid, PARAMS)
-    assert frac_laplacian(u, grid, PARAMS, x=40) == pytest.approx(
-        full[40], rel=1e-12
-    )
-
-
 def test_frac_laplacian_stabilizes_under_refinement():
     vals = []
     for res, idx in [(129, 32), (257, 64), (513, 128)]:
         grid = build_grid(1, res, "hemisphere")
         u = np.cos(2.0 * grid.phi)
-        vals.append(frac_laplacian(u, grid, PARAMS, x=idx))
+        vals.append(frac_laplacian(u, grid, PARAMS)[idx])
     assert abs(vals[2] - vals[1]) < 0.6 * abs(vals[1] - vals[0])
     assert abs(vals[1] - vals[0]) < 5e-3 * abs(vals[2])
 
@@ -169,9 +228,24 @@ def test_frac_laplacian_matrix_reproduces_operator():
     M = frac_laplacian_matrix(grid, PARAMS)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid.size)
-    direct = frac_laplacian(u, grid, PARAMS)
-    scale = np.abs(direct).max()
-    assert np.abs(M @ u - direct).max() < 1e-9 * scale
+    ref = reference_frac_laplacian(u, grid, PARAMS)
+    scale = np.abs(ref).max()
+    assert np.abs(M @ u - ref).max() < 1e-9 * scale
+    assert np.abs(frac_laplacian(u, grid, PARAMS) - ref).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "n,resolution,topology",
+    [(1, 128, "full-sphere"), (2, 13, "hemisphere"), (2, 13, "full-sphere")],
+)
+def test_frac_laplacian_matches_taylor_reference(n, resolution, topology):
+    grid = build_grid(n, resolution, topology)
+    params = KernelParams(s=S, n=n)
+    rng = np.random.default_rng(5)
+    for u in (1.0 + 0.05 * grid.nodes[:, -1], rng.standard_normal(grid.size)):
+        ref = reference_frac_laplacian(u, grid, params)
+        out = frac_laplacian(u, grid, params)
+        assert np.abs(out - ref).max() < 1e-9 * np.abs(ref).max()
 
 
 def test_frac_laplacian_matrix_row_sums_and_signs():
