@@ -34,8 +34,8 @@ from scipy.linalg import lu_factor, lu_solve
 from .geometry import (
     RadialField,
     SphereGrid,
+    Stencils,
     build_grid,
-    conormal_derivative,
     double_grid,
     gradient_values,
     quad_integrate,
@@ -209,11 +209,15 @@ def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _contact_residual(
-    rho: RadialField, g: np.ndarray, b: int, theta: float
-) -> float:
-    """Contact-angle residual at boundary node b, given the gradient g."""
-    W = np.sqrt(rho.values[b] ** 2 + np.sum(g[b] * g[b]))
-    return np.cos(theta) - conormal_derivative(rho, b) / W
+    st: Stencils, u: np.ndarray, theta: float, k: slice = slice(None)
+) -> np.ndarray:
+    """Contact-angle residual of samples u at boundary positions k."""
+    dn, g = st.boundary_gradient(u, k)
+    # float_power squares with libm pow, as numpy's float64 scalars do, so
+    # a node-by-node evaluation agrees bit for bit; ** on an array
+    # multiplies instead, which can differ in the last bit.
+    W = np.sqrt(np.float_power(u[st.boundary[k]], 2) + np.sum(g * g, axis=1))
+    return np.cos(theta) - dn / W
 
 
 def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
@@ -223,11 +227,7 @@ def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
     conormal, so the angle condition <nu, wall normal> = -cos(theta)
     becomes cos(theta) - (d rho / d eta) / sqrt(rho^2 + |grad rho|^2) = 0.
     """
-    bidx = rho.grid.boundary_indices()
-    if bidx.size == 0:
-        return np.zeros(0)
-    g = gradient_values(rho.grid, rho.values)
-    return np.array([_contact_residual(rho, g, int(b), theta) for b in bidx])
+    return _contact_residual(rho.grid.stencils(), rho.values, theta)
 
 
 def _max_bc_residual(rho: RadialField, theta: float) -> float:
@@ -244,27 +244,27 @@ def apply_bc(
     residual equation by damped Newton with a finite-difference slope.
     """
     grid = rho.grid
-    bidx = grid.boundary_indices()
-    if bidx.size == 0:
+    st = grid.stencils()
+    if st.boundary.size == 0:
         return rho
     vals = rho.values.copy()
 
-    def residual_at(b: int, v: float) -> float:
+    def residual_at(k: int, v: float) -> float:
+        b = st.boundary[k]
         old = vals[b]
         vals[b] = v
-        trial = RadialField(grid, vals)
-        r = _contact_residual(trial, gradient_values(grid, vals), b, theta)
+        r = _contact_residual(st, vals, theta, slice(k, k + 1))[0]
         vals[b] = old
         return r
 
-    for b in bidx:
+    for k, b in enumerate(st.boundary):
         v = float(vals[b])
-        r = residual_at(b, v)
+        r = residual_at(k, v)
         for _ in range(max_iter):
             if abs(r) <= tol:
                 break
             dv = 1e-7 * max(1.0, abs(v))
-            slope = (residual_at(b, v + dv) - r) / dv
+            slope = (residual_at(k, v + dv) - r) / dv
             if slope == 0.0:
                 raise NonconvergenceError(
                     f"flat contact-angle residual at boundary node {b}"
@@ -274,7 +274,7 @@ def apply_bc(
             while lam > 1e-4:
                 cand = v + lam * stepv
                 if cand > 0.0:
-                    rc = residual_at(b, cand)
+                    rc = residual_at(k, cand)
                     if abs(rc) < abs(r):
                         v, r = cand, rc
                         break

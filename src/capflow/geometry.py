@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "SphereGrid",
     "RadialField",
+    "Stencils",
     "build_grid",
     "double_grid",
     "reflect_field",
@@ -90,6 +91,7 @@ class SphereGrid:
     _doubled: tuple["SphereGrid", np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    _stencils: "Stencils | None" = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -97,6 +99,12 @@ class SphereGrid:
 
     def boundary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_mask)
+
+    def stencils(self) -> "Stencils":
+        """Finite-difference stencils of this grid, built once and cached."""
+        if self._stencils is None:
+            self._stencils = _build_stencils(self)
+        return self._stencils
 
 
 @dataclass(eq=False)
@@ -121,6 +129,75 @@ class RadialField:
             )
         if np.min(self.values) <= 0.0:
             raise ValueError("radial field must be strictly positive (star-shaped)")
+
+
+@dataclass(frozen=True, eq=False)
+class Stencils:
+    """Finite-difference index arrays and tangent frame of one grid.
+
+    Attributes
+    ----------
+    boundary : ndarray of int, shape (m,)
+        Boundary nodes, in increasing order; positions k below index it.
+    inward : ndarray of int, shape (m, 2)
+        The two nodes next to each boundary node on its geodesic into the
+        interior (its meridian for n=2).
+    step : float
+        Spacing of that geodesic stencil (h for n=1, dbeta for n=2).
+    eta : ndarray, shape (m, n+1)
+        Unit tangent at each boundary node along which `conormal`
+        differentiates (the outward conormal).
+    dgamma : float or None
+        Node spacing in each ring (n=2).
+    meridian, ring : ndarray of int, shape (N, 2) or None
+        For n=2, the neighbours of each node at beta -+ dbeta and at
+        gamma -+ dgamma.  The node itself stands in where a neighbour is
+        missing; those rows are replaced by the boundary or pole stencil.
+    e_beta, e_gamma : ndarray, shape (N, 3) or None
+        Coordinate frame of each node (n=2).
+    sin_beta : ndarray or None
+        sin(beta) of each node's ring, 1 at the poles (n=2).
+    poles : ndarray of int or None
+        Pole nodes (n=2).
+    pole_arms : ndarray of int, shape (P, 4) or None
+        Nodes of the ring next to each pole at gamma = 0, pi/2, pi, 3pi/2.
+    pole_sign : ndarray or None
+        +1 at the north pole, -1 at the south pole.
+    """
+
+    boundary: np.ndarray
+    inward: np.ndarray
+    step: float
+    eta: np.ndarray
+    dgamma: float | None = None
+    meridian: np.ndarray | None = None
+    ring: np.ndarray | None = None
+    e_beta: np.ndarray | None = None
+    e_gamma: np.ndarray | None = None
+    sin_beta: np.ndarray | None = None
+    poles: np.ndarray | None = None
+    pole_arms: np.ndarray | None = None
+    pole_sign: np.ndarray | None = None
+
+    def conormal(self, u: np.ndarray, k: slice = slice(None)) -> np.ndarray:
+        """Outward conormal derivative of samples u at boundary positions k."""
+        b, i1, i2 = self.boundary[k], self.inward[k, 0], self.inward[k, 1]
+        return (3.0 * u[b] - 4.0 * u[i1] + u[i2]) / (2.0 * self.step)
+
+    def boundary_gradient(
+        self, u: np.ndarray, k: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Conormal derivative and tangential gradient at boundary positions k.
+
+        Equal, bit for bit, to the rows of `gradient_values` at those nodes.
+        """
+        dn = self.conormal(u, k)
+        g = dn[:, None] * self.eta[k]
+        if self.ring is not None:
+            b = self.boundary[k]
+            ug = (u[self.ring[b, 1]] - u[self.ring[b, 0]]) / (2.0 * self.dgamma)
+            g = g + (ug / self.sin_beta[b])[:, None] * self.e_gamma[b]
+        return dn, g
 
 
 # ----------------------------------------------------------------------
@@ -352,60 +429,76 @@ def _dphi(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
     return du
 
 
-def _ring_slices(grid: SphereGrid) -> list[slice]:
-    out, start = [], 0
-    for count in grid.ring_counts:
-        out.append(slice(start, start + count))
-        start += count
-    return out
+def _build_stencils(grid: SphereGrid) -> Stencils:
+    bidx = grid.boundary_indices()
+    if grid.n == 1:
+        # The hemisphere endpoints: phi = 0 steps forward, phi = pi back.
+        into = np.where(bidx == 0, 1, -1)
+        tau = np.column_stack([-grid.nodes[bidx, 1], grid.nodes[bidx, 0]])
+        return Stencils(
+            boundary=bidx,
+            inward=bidx[:, None] + into[:, None] * np.array([1, 2]),
+            step=grid.h,
+            eta=-into[:, None] * tau,
+        )
 
-
-def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
-    beta, gamma, dbeta = grid.beta, grid.gamma, grid.dbeta
-    slices = _ring_slices(grid)
     counts = grid.ring_counts
-    n_rings = len(slices)
-    grad = np.zeros((grid.size, 3))
+    start = np.cumsum(counts) - counts
+    ring_of = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(grid.size) - start[ring_of]
+    last = counts.size - 1
 
+    def at(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return start[r] + p % counts[r]
+
+    meridian = np.column_stack(
+        [at(np.maximum(ring_of - 1, 0), pos), at(np.minimum(ring_of + 1, last), pos)]
+    )
+    ring = np.column_stack([at(ring_of, pos - 1), at(ring_of, pos + 1)])
+    # The frame must be these array expressions: scalar and array trig can
+    # differ in the last bit, and the boundary rows must equal the full ones.
+    beta, gamma = grid.beta, grid.gamma
     e_beta = np.column_stack(
         [np.cos(beta) * np.cos(gamma), np.cos(beta) * np.sin(gamma), -np.sin(beta)]
     )
     e_gamma = np.column_stack([-np.sin(gamma), np.cos(gamma), np.zeros_like(gamma)])
+    sin_beta = np.array([math.sin(b) for b in beta])
+    poles = np.flatnonzero(counts[ring_of] == 1)
+    sin_beta[poles] = 1.0
+    north = ring_of[poles] == 0
+    adjacent = np.where(north, 1, last - 1)
+    pole_arms = start[adjacent][:, None] + (counts[adjacent] // 4)[:, None] * np.arange(4)
+    inner = meridian[bidx, 0]
+    return Stencils(
+        boundary=bidx,
+        inward=np.column_stack([inner, meridian[inner, 0]]),
+        step=grid.dbeta,
+        eta=e_beta[bidx],
+        dgamma=grid.dgamma,
+        meridian=meridian,
+        ring=ring,
+        e_beta=e_beta,
+        e_gamma=e_gamma,
+        sin_beta=sin_beta,
+        poles=poles,
+        pole_arms=pole_arms,
+        pole_sign=np.where(north, 1.0, -1.0),
+    )
 
-    def ring_val(r: int, pos: np.ndarray) -> np.ndarray:
-        s = slices[r]
-        if counts[r] == 1:
-            return np.full(pos.shape, u[s][0])
-        return u[s][pos % counts[r]]
 
-    for r, s in enumerate(slices):
-        if counts[r] == 1:
-            # Pole: centered differences along two orthogonal meridians.
-            ngam = counts[1] if r == 0 else counts[-2]
-            rr = 1 if r == 0 else n_rings - 2
-            quarter = ngam // 4
-            ring = u[slices[rr]]
-            sign = 1.0 if r == 0 else -1.0
-            gx = sign * (ring[0] - ring[2 * quarter]) / (2.0 * dbeta)
-            gy = sign * (ring[quarter] - ring[3 * quarter]) / (2.0 * dbeta)
-            grad[s] = (gx, gy, 0.0)
-            continue
-        pos = np.arange(counts[r])
-        # beta derivative along meridians
-        if 0 < r < n_rings - 1:
-            ub = (ring_val(r + 1, pos) - ring_val(r - 1, pos)) / (2.0 * dbeta)
-        elif r == 0:
-            ub = (
-                -3.0 * ring_val(r, pos) + 4.0 * ring_val(r + 1, pos) - ring_val(r + 2, pos)
-            ) / (2.0 * dbeta)
-        else:
-            ub = (
-                3.0 * ring_val(r, pos) - 4.0 * ring_val(r - 1, pos) + ring_val(r - 2, pos)
-            ) / (2.0 * dbeta)
-        ring = u[s]
-        ug = (np.roll(ring, -1) - np.roll(ring, 1)) / (2.0 * grid.dgamma)
-        sb = math.sin(beta[s][0])
-        grad[s] = ub[:, None] * e_beta[s] + (ug / sb)[:, None] * e_gamma[s]
+def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
+    st = grid.stencils()
+    ub = (u[st.meridian[:, 1]] - u[st.meridian[:, 0]]) / (2.0 * grid.dbeta)
+    # One-sided at the equator, where the conormal is e_beta.
+    ub[st.boundary] = st.conormal(u)
+    ug = (u[st.ring[:, 1]] - u[st.ring[:, 0]]) / (2.0 * grid.dgamma)
+    grad = ub[:, None] * st.e_beta + (ug / st.sin_beta)[:, None] * st.e_gamma
+    # Pole: centered differences along two orthogonal meridians.
+    arms = u[st.pole_arms]
+    grad[st.poles, :2] = (
+        st.pole_sign[:, None] * (arms[:, :2] - arms[:, 2:]) / (2.0 * grid.dbeta)
+    )
+    grad[st.poles, 2] = 0.0
     return grad
 
 
@@ -420,22 +513,9 @@ def conormal_derivative(rho: RadialField, b: int) -> float:
         raise ValueError("conormal derivative requires a hemisphere grid")
     if not grid.boundary_mask[b]:
         raise ValueError(f"node {b} is not on the boundary")
-    u = rho.values
-    if grid.n == 1:
-        h = grid.h
-        if b == 0:
-            # eta = -tau at phi = 0
-            return -(-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    # n = 2: derivative in beta at the equator ring, eta = e_beta there.
-    slices = _ring_slices(grid)
-    counts, dbeta = grid.ring_counts, grid.dbeta
-    last = slices[-1]
-    j = b - last.start
-    u0 = u[b]
-    u1 = u[slices[-2]][j % counts[-2]]
-    u2 = u[slices[-3]][j % counts[-3]]
-    return (3.0 * u0 - 4.0 * u1 + u2) / (2.0 * dbeta)
+    st = grid.stencils()
+    k = int(np.searchsorted(st.boundary, b))
+    return float(st.conormal(rho.values, slice(k, k + 1))[0])
 
 
 def quad_integrate(grid: SphereGrid, samples: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from capflow import (
     bc_residual,
     build_grid,
     double_grid,
+    gradient_values,
     initial_field,
     normal_velocity,
     operator_matrix,
@@ -34,6 +35,11 @@ from capflow.nonlocal_ops import (
     hs_reference,
     remainder_R1,
     remainder_R2,
+)
+from test_geometry import (
+    reference_conormal_derivative,
+    reference_gradient_sphere2,
+    sample_fields,
 )
 from test_operators import reference_frac_laplacian
 
@@ -156,6 +162,119 @@ def test_apply_bc_full_circle_is_noop():
     grid = build_grid(1, 64, "full-sphere")
     rho = _wavy(grid)
     assert np.array_equal(apply_bc(rho, np.pi / 3).values, rho.values)
+
+
+def _reference_residual(grid, u, g, b, theta):
+    W = np.sqrt(u[b] ** 2 + np.sum(g[b] * g[b]))
+    return np.cos(theta) - reference_conormal_derivative(grid, u, b) / W
+
+
+def _reference_gradient(grid, u):
+    if grid.n == 1:
+        return gradient_values(grid, u)
+    return reference_gradient_sphere2(grid, u)
+
+
+def reference_bc_residual(rho, theta):
+    """Contact residual read off the full gradient, one node at a time."""
+    grid, u = rho.grid, rho.values
+    g = _reference_gradient(grid, u)
+    return np.array(
+        [_reference_residual(grid, u, g, b, theta) for b in grid.boundary_indices()]
+    )
+
+
+def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50):
+    """apply_bc with every trial value rebuilding the full gradient."""
+    grid = rho.grid
+    bidx = grid.boundary_indices()
+    if bidx.size == 0:
+        return rho
+    vals = rho.values.copy()
+
+    def residual_at(b, v):
+        old = vals[b]
+        vals[b] = v
+        r = _reference_residual(grid, vals, _reference_gradient(grid, vals), b, theta)
+        vals[b] = old
+        return r
+
+    for b in bidx:
+        v = float(vals[b])
+        r = residual_at(b, v)
+        for _ in range(max_iter):
+            if abs(r) <= tol:
+                break
+            dv = 1e-7 * max(1.0, abs(v))
+            slope = (residual_at(b, v + dv) - r) / dv
+            if slope == 0.0:
+                raise NonconvergenceError(
+                    f"flat contact-angle residual at boundary node {b}"
+                )
+            stepv = -r / slope
+            lam = 1.0
+            while lam > 1e-4:
+                cand = v + lam * stepv
+                if cand > 0.0:
+                    rc = residual_at(b, cand)
+                    if abs(rc) < abs(r):
+                        v, r = cand, rc
+                        break
+                lam *= 0.5
+            else:
+                raise NonconvergenceError(
+                    f"contact-angle update stalled at boundary node {b}"
+                )
+        else:
+            raise NonconvergenceError(
+                f"contact angle not met at node {b} after {max_iter} iterations"
+            )
+        vals[b] = v
+    return RadialField(grid, vals)
+
+
+@pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
+@pytest.mark.parametrize("field", ["height", "random"])
+@pytest.mark.parametrize("theta", [np.pi / 3, HALF_PI, 2 * np.pi / 3])
+def test_contact_residual_matches_full_gradient_reference(n, resolution, field, theta):
+    grid = build_grid(n, resolution, "hemisphere")
+    rho = RadialField(grid, sample_fields(grid)[field])
+    assert np.array_equal(bc_residual(rho, theta), reference_bc_residual(rho, theta))
+    try:
+        expect = reference_apply_bc(rho, theta)
+    except NonconvergenceError as exc:
+        # The same failure, at the same node.
+        with pytest.raises(NonconvergenceError) as raised:
+            apply_bc(rho, theta)
+        assert str(raised.value) == str(exc)
+        return
+    out = apply_bc(rho, theta)
+    assert np.array_equal(out.values, expect.values)
+    assert np.array_equal(bc_residual(out, theta), reference_bc_residual(out, theta))
+
+
+def test_apply_bc_sphere2_keeps_interior_values():
+    grid = build_grid(2, 13, "hemisphere")
+    rho = initial_field(grid, "height:0.05")
+    out = apply_bc(rho, np.pi / 3)
+    interior = ~grid.boundary_mask
+    assert np.array_equal(out.values[interior], rho.values[interior])
+    assert not np.array_equal(out.values, rho.values)
+
+
+def test_apply_bc_full_sphere2_is_noop():
+    grid = build_grid(2, 13, "full-sphere")
+    rho = RadialField(grid, sample_fields(grid)["random"])
+    assert bc_residual(rho, np.pi / 3).shape == (0,)
+    assert np.array_equal(apply_bc(rho, np.pi / 3).values, rho.values)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: Gauss–Seidel leaves 2.8e-3")
+def test_apply_bc_sphere2_reaches_tolerance():
+    grid = build_grid(2, 13, "hemisphere")
+    tol = 1e-6
+    out = apply_bc(initial_field(grid, "height:0.05"), np.pi / 3, tol=tol)
+    assert np.abs(bc_residual(out, np.pi / 3)).max() <= tol
 
 
 # ----------------------------------------------------------------------

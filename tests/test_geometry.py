@@ -15,6 +15,91 @@ from capflow.geometry import (
 from capflow.nonlocal_ops import injectivity_ratio
 
 
+def _ring_slices(grid):
+    out, start = [], 0
+    for count in grid.ring_counts:
+        out.append(slice(start, start + count))
+        start += count
+    return out
+
+
+def reference_gradient_sphere2(grid, u):
+    """The n = 2 gradient as a loop over latitude rings.
+
+    Independent of the stencil index arrays; `gradient_values` must match
+    it bit for bit, since both evaluate the same expressions per node.
+    """
+    beta, gamma, dbeta = grid.beta, grid.gamma, grid.dbeta
+    slices = _ring_slices(grid)
+    counts = grid.ring_counts
+    n_rings = len(slices)
+    grad = np.zeros((grid.size, 3))
+
+    e_beta = np.column_stack(
+        [np.cos(beta) * np.cos(gamma), np.cos(beta) * np.sin(gamma), -np.sin(beta)]
+    )
+    e_gamma = np.column_stack([-np.sin(gamma), np.cos(gamma), np.zeros_like(gamma)])
+
+    def ring_val(r, pos):
+        s = slices[r]
+        if counts[r] == 1:
+            return np.full(pos.shape, u[s][0])
+        return u[s][pos % counts[r]]
+
+    for r, s in enumerate(slices):
+        if counts[r] == 1:
+            # Pole: centered differences along two orthogonal meridians.
+            ngam = counts[1] if r == 0 else counts[-2]
+            rr = 1 if r == 0 else n_rings - 2
+            quarter = ngam // 4
+            ring = u[slices[rr]]
+            sign = 1.0 if r == 0 else -1.0
+            gx = sign * (ring[0] - ring[2 * quarter]) / (2.0 * dbeta)
+            gy = sign * (ring[quarter] - ring[3 * quarter]) / (2.0 * dbeta)
+            grad[s] = (gx, gy, 0.0)
+            continue
+        pos = np.arange(counts[r])
+        # beta derivative along meridians
+        if 0 < r < n_rings - 1:
+            ub = (ring_val(r + 1, pos) - ring_val(r - 1, pos)) / (2.0 * dbeta)
+        elif r == 0:
+            ub = (
+                -3.0 * ring_val(r, pos) + 4.0 * ring_val(r + 1, pos) - ring_val(r + 2, pos)
+            ) / (2.0 * dbeta)
+        else:
+            ub = (
+                3.0 * ring_val(r, pos) - 4.0 * ring_val(r - 1, pos) + ring_val(r - 2, pos)
+            ) / (2.0 * dbeta)
+        ring = u[s]
+        ug = (np.roll(ring, -1) - np.roll(ring, 1)) / (2.0 * grid.dgamma)
+        sb = math.sin(beta[s][0])
+        grad[s] = ub[:, None] * e_beta[s] + (ug / sb)[:, None] * e_gamma[s]
+    return grad
+
+
+def reference_conormal_derivative(grid, u, b):
+    """Outward conormal derivative at boundary node b, stencil written out."""
+    if grid.n == 1:
+        h = grid.h
+        if b == 0:
+            return -(-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+        return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    slices = _ring_slices(grid)
+    counts = grid.ring_counts
+    j = b - slices[-1].start
+    u1 = u[slices[-2]][j % counts[-2]]
+    u2 = u[slices[-3]][j % counts[-3]]
+    return (3.0 * u[b] - 4.0 * u1 + u2) / (2.0 * grid.dbeta)
+
+
+def sample_fields(grid):
+    rng = np.random.default_rng(20260)
+    return {
+        "height": 1.0 + 0.05 * grid.nodes[:, -1],
+        "random": 1.0 + 0.05 * rng.uniform(-1.0, 1.0, grid.size),
+    }
+
+
 def test_hemisphere_endpoints_and_mask():
     g = build_grid(1, 9, "hemisphere")
     assert g.size == 9
@@ -136,6 +221,33 @@ def test_gradient_sphere2_height_field():
     sinbeta = np.sqrt(1.0 - g.nodes[:, 2] ** 2)
     mags = np.linalg.norm(grad, axis=1)
     assert np.max(np.abs(mags - sinbeta)) < 5e-3
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+@pytest.mark.parametrize("resolution", [8, 12, 13, 25])
+def test_gradient_sphere2_matches_ring_loop(topology, resolution):
+    g = build_grid(2, resolution, topology)
+    for u in sample_fields(g).values():
+        assert np.array_equal(gradient_values(g, u), reference_gradient_sphere2(g, u))
+
+
+@pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
+def test_boundary_stencil_matches_full_gradient(n, resolution):
+    g = build_grid(n, resolution, "hemisphere")
+    st = g.stencils()
+    assert g.stencils() is st
+    assert np.array_equal(st.boundary, g.boundary_indices())
+    for u in sample_fields(g).values():
+        full = gradient_values(g, u)
+        dn, grad = st.boundary_gradient(u)
+        assert np.array_equal(grad, full[st.boundary])
+        ref = [reference_conormal_derivative(g, u, b) for b in st.boundary]
+        assert np.array_equal(dn, ref)
+        rho = RadialField(g, u)
+        assert [conormal_derivative(rho, b) for b in st.boundary] == ref
+        for k in range(st.boundary.size):
+            dk, gk = st.boundary_gradient(u, slice(k, k + 1))
+            assert dk[0] == dn[k] and np.array_equal(gk[0], grad[k])
 
 
 def test_conormal_derivative_values():
