@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .flow import FlowConfig, run_flow

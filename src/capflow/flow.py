@@ -76,6 +76,9 @@ __all__ = [
 
 EXTINCTION_THRESHOLD = 0.05
 MAX_DT_HALVINGS = 5
+# LU factorisations kept per context: the step dt, a shortened last step
+# and a halving or two
+LU_CACHE = 4
 
 
 class ExtinctionError(RuntimeError):
@@ -338,17 +341,20 @@ class _Context:
         return RadialField(self.work, values[self.index_map])
 
     def solver(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Solve with I - dt M; the LU_CACHE most recently used dt keep
+        their factorisation."""
         key = float(dt)
-        if key not in self._lu:
-            self._lu[key] = lu_factor(
-                np.eye(self.grid.size) - dt * self.M, check_finite=False
-            )
-        fac = self._lu[key]
+        fac = self._lu.pop(key, None)
+        if fac is None:
+            fac = lu_factor(np.eye(self.grid.size) - dt * self.M, check_finite=False)
+            if len(self._lu) >= LU_CACHE:
+                del self._lu[next(iter(self._lu))]
+        self._lu[key] = fac
         return lambda v: lu_solve(fac, v, check_finite=False)
 
 
-# A context holds dense N x N matrices and one LU factorisation per dt,
-# so only the most recently used few are kept.
+# A context holds dense N x N matrices and up to LU_CACHE factorisations,
+# so only the most recently used few contexts are kept.
 _cached_context = lru_cache(maxsize=4)(_Context)
 
 

@@ -119,6 +119,8 @@ class RadialField:
     values: np.ndarray
     # min image/chord distance ratio, filled by nonlocal_ops.injectivity_ratio
     _inj_ratio: float | None = field(default=None, repr=False, compare=False)
+    # (key, (R1, R2)) of the last remainder pair, filled by nonlocal_ops
+    _remainders: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.array(self.values, dtype=float)

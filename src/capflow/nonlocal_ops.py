@@ -10,7 +10,9 @@ interpolating between the round sphere (xi = 0) and the actual surface
 (xi = 1).  The module provides the principal-value fractional Laplacian,
 the two homotopy remainder terms, the derivative of curvature along the
 homotopy, and an independent curvature oracle based on the divergence
-theorem.
+theorem.  The two remainders come from one shared kernel pass per rule
+node, taken over fixed-size blocks of target rows so that temporaries stay
+small and every row is bitwise independent of the block size.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -143,7 +145,9 @@ def _corrected_sum(
     correctly only for integrands with an even leading singularity; set
     `boundary_correction` for those, leave it off for odd/PV-type rows.
     """
-    base = F @ grid.weights
+    # a row-by-row reduction: a matrix-vector product may round a row
+    # differently depending on how many rows it is given
+    base = np.einsum("tj,j->t", F, grid.weights)
     if grid.n != 1:
         return base
     adj = grid.adjacent[targets]
@@ -191,40 +195,6 @@ def _kernel_matrix(
     with np.errstate(divide="ignore"):
         K = D2 ** (-0.5 * params.p)
     return _zero_target_cols(K, targets)
-
-
-def _kernel_and_dxi(
-    r: np.ndarray,
-    grid: SphereGrid,
-    params: KernelParams,
-    xi: float,
-    targets: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """K_xi and d/dxi of [1 + xi*(rho(y)-1)]^n * K_xi(y, x), target rows.
-
-    One fractional power per call: D2^(-(p+2)/2) is formed as K / D2.  The
-    target columns of both matrices are zero.
-    """
-    n, p = params.n, params.p
-    a = 1.0 + xi * (r - 1.0)
-    at = a[targets]
-    rm = r - 1.0
-    rt = rm[targets]
-    D2 = _image_dist2(r, grid, xi, targets)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = D2 ** (-0.5 * p)
-        Kp2 = np.divide(K, D2, out=D2)
-    _zero_target_cols(K, targets)
-    _zero_target_cols(Kp2, targets)
-    # (Phi(y) - Phi(x)) . ((rho(y)-1) y - (rho(x)-1) x)
-    W = (
-        a[None, :] * rm[None, :]
-        + at[:, None] * rt[:, None]
-        - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * grid.dots[targets]
-    )
-    Bn1 = a[None, :] ** (n - 1)
-    dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
-    return K, dK
 
 
 def kernel_K(
@@ -325,6 +295,107 @@ def _guard_injectivity(rho: RadialField) -> None:
         )
 
 
+# target rows per block of the remainder pass; row results do not depend
+# on it, only the size of the temporaries does
+ROW_BLOCK = 64
+
+
+def _remainder_pair(
+    rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """R1 and R2 at the target rows, from one kernel pass per rule node.
+
+    With u = rho - 1 and A0 = |y - x|^2 = 2 - 2 x.y, the squared image
+    distance is D2(xi) = A0 + xi (A1 + xi A2) with A1 = (u(x) + u(y)) A0 and
+    A2 = (u(x) - u(y))^2 + u(x) u(y) A0, and the pairing of Phi(y) - Phi(x)
+    with u(y) y - u(x) x is W = A1/2 + xi A2.  Both remainders are linear
+    in the kernel matrices, so the xi-integrals are accumulated into
+    S = sum w (1 - xi) dK and S3 = sum w xi B^(n-1) K first, and each
+    remainder then takes corrected row sums of them:
+    R1 = 2 sum (rho(y) - rho(x)) S and
+    R2 = mass + sum A0 S - 2 sum ((y - x) . grad rho(y)) S3.
+
+    Targets are walked in blocks of ROW_BLOCK rows, and every row is
+    reduced on its own, so each row is bitwise the same for any block size.
+    """
+    grid, r = rho.grid, rho.values
+    n, p = params.n, params.p
+    u = r - 1.0
+    g = gradient_values(grid, r)
+    xs, ws = rule.tprime()
+    r1 = np.empty(targets.size)
+    r2 = np.empty(targets.size)
+    for start in range(0, targets.size, ROW_BLOCK):
+        tb = targets[start : start + ROW_BLOCK]
+        rows = np.arange(tb.size)
+        ut = u[tb][:, None]
+        A0 = 2.0 - 2.0 * grid.dots[tb]
+        A1h = 0.5 * (ut + u) * A0
+        A2 = (ut - u) ** 2 + ut * u * A0
+        S = np.zeros_like(A0)
+        S3 = np.zeros_like(A0)
+        D2 = np.empty_like(A0)
+        W = np.empty_like(A0)
+        K = np.empty_like(A0)
+        for xv, wv in zip(xs, ws):
+            # W = A1/2 + xi A2, D2 = A0 + xi (W + A1/2)
+            np.multiply(A2, xv, out=W)
+            W += A1h
+            np.add(W, A1h, out=D2)
+            D2 *= xv
+            D2 += A0
+            # the target column is punctured: 1 keeps its power and quotient
+            # finite, and K = 0 there zeroes every term built from it
+            D2[rows, tb] = 1.0
+            np.power(D2, -0.5 * p, out=K)
+            K[rows, tb] = 0.0
+            Kp2 = np.divide(K, D2, out=D2)
+            B = 1.0 + xv * u
+            Bn1 = B ** (n - 1)
+            # dK = n u(y) B^(n-1) K - p B^n W K / D2, weighted by w (1 - xi)
+            c = wv * (1.0 - xv)
+            W *= Kp2
+            W *= (c * p) * (Bn1 * B)
+            S -= W
+            np.multiply(K, (c * n) * (u * Bn1), out=W)
+            S += W
+            np.multiply(K, (wv * xv) * Bn1, out=W)
+            S3 += W
+        # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the
+        # gradient, summed per entry (a matrix product rounds by row count)
+        xt = grid.nodes[tb]
+        ydotg = -sum(xt[:, d, None] * g[:, d] for d in range(n + 1))
+        # no one-sided boundary correction in the mass: the same
+        # (un)corrected mass appears on both sides of the homotopy identity
+        mass = _chord_kernel(grid, n - 1 + params.s, tb)
+        r1[start : start + tb.size] = 2.0 * _corrected_sum((u - ut) * S, grid, tb, params)
+        r2[start : start + tb.size] = (
+            _corrected_sum(mass, grid, tb, params)
+            + _corrected_sum(A0 * S, grid, tb, params)
+            - 2.0 * _corrected_sum(ydotg * S3, grid, tb, params)
+        )
+    return r1, r2
+
+
+def _remainders_of(
+    rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The remainder pair through a one-entry memo on the field.
+
+    The field's values are read-only, so the memo cannot go stale; the
+    cached arrays are read-only too, so no caller can change the other's.
+    """
+    _guard_injectivity(rho)
+    targets = np.asarray(targets, dtype=np.intp)
+    key = (params, rule.order, targets.tobytes())
+    if rho._remainders is None or rho._remainders[0] != key:
+        pair = _remainder_pair(rho, params, rule, targets)
+        for arr in pair:
+            arr.setflags(write=False)
+        rho._remainders = (key, pair)
+    return rho._remainders[1]
+
+
 def remainder_R1(
     rho: RadialField,
     params: KernelParams,
@@ -336,16 +407,12 @@ def remainder_R1(
     xi-derivative, integrated over 0 <= xi <= t' <= 1.
 
     The t'-integral is done in closed form, leaving the 1-D integral of
-    (1 - xi) times the moment, taken with `rule` (one kernel pass per node).
+    (1 - xi) times the moment, taken with `rule`.  R1 and R2 come from one
+    shared blocked kernel pass (`_remainder_pair`), kept on the field for
+    the matching `remainder_R2` call.  The returned array is read-only.
     """
-    _guard_injectivity(rho)
-    grid, r = rho.grid, rho.values
-    tgt, single = _resolve_targets(grid, x) if targets is None else (targets, False)
-    dr = r[None, :] - r[tgt, None]
-    out = np.zeros(tgt.size)
-    for xv, wv in zip(*rule.tprime()):
-        _, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
-        out += 2.0 * wv * (1.0 - xv) * _corrected_sum(dr * dK, grid, tgt, params)
+    tgt, single = _resolve_targets(rho.grid, x) if targets is None else (targets, False)
+    out = _remainders_of(rho, params, rule, tgt)[0]
     return float(out[0]) if single else out
 
 
@@ -363,28 +430,11 @@ def remainder_R2(
     over 0 <= xi <= t' <= 1, and the gradient coupling
     -2 int_0^1 int (y-x).t' grad rho(y) B^(n-1) K_t' dt'.  The moment's
     t'-integral is done in closed form (weight 1 - xi), so both homotopy
-    integrals share the nodes of `rule` and one kernel pass per node.
+    integrals share the nodes of `rule`, and R1 and R2 share one blocked
+    kernel pass (`_remainder_pair`).  The returned array is read-only.
     """
-    _guard_injectivity(rho)
-    grid, r = rho.grid, rho.values
-    tgt, single = _resolve_targets(grid, x) if targets is None else (targets, False)
-    chord2 = 2.0 * (1.0 - grid.dots[tgt])
-
-    # no one-sided boundary correction here: the same (un)corrected mass
-    # must appear on both sides of the homotopy identity at endpoint rows
-    mass = _chord_kernel(grid, params.n - 1 + params.s, tgt)
-    out = _corrected_sum(mass, grid, tgt, params)
-
-    g = gradient_values(grid, r)
-    # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the gradient
-    ydotg = -(grid.nodes[tgt] @ g.T)
-
-    for xv, wv in zip(*rule.tprime()):
-        K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
-        out += wv * (1.0 - xv) * _corrected_sum(chord2 * dK, grid, tgt, params)
-        B = 1.0 + xv * (r - 1.0)
-        F = ydotg * B[None, :] ** (params.n - 1) * K
-        out += -2.0 * wv * xv * _corrected_sum(F, grid, tgt, params)
+    tgt, single = _resolve_targets(rho.grid, x) if targets is None else (targets, False)
+    out = _remainders_of(rho, params, rule, tgt)[1]
     return float(out[0]) if single else out
 
 

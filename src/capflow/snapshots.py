@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .geometry import SphereGrid, build_grid
+from .geometry import build_grid
 
 SCHEMA = "capflow-snapshot/1"
 

@@ -36,8 +36,6 @@ from .nonlocal_ops import (
     hs_reference,
     kernel_K,
     parametrized_Hs,
-    remainder_R1,
-    remainder_R2,
 )
 
 HALF_PI = math.pi / 2

@@ -304,6 +304,22 @@ def test_context_cache_keeps_at_most_four_configs():
     assert _cached_context.cache_info().hits >= 1
 
 
+def test_context_keeps_at_most_lu_cache_factorisations():
+    from capflow.flow import LU_CACHE, _Context
+
+    ctx = _Context(1, 0.5, 32, "full-sphere", "full-sphere", 4)
+    v = np.cos(3 * ctx.grid.phi)
+    dts = [0.01 * 0.5**k for k in range(LU_CACHE + 3)]
+    first = {dt: ctx.solver(dt)(v) for dt in dts}
+    assert len(ctx._lu) == LU_CACHE
+    assert list(ctx._lu) == [float(dt) for dt in dts[-LU_CACHE:]]
+    # an evicted dt is factorised again; a kept one is moved to the back
+    for dt in (dts[0], dts[-1], dts[1]):
+        assert np.array_equal(ctx.solver(dt)(v), first[dt])
+        assert len(ctx._lu) == LU_CACHE
+    assert list(ctx._lu)[-3:] == [float(dts[0]), float(dts[-1]), float(dts[1])]
+
+
 def test_operator_matrix_capillary_fold_matches_reflection():
     # A hemisphere row of the folded matrix must act like the full-circle
     # operator applied to the evenly reflected field.

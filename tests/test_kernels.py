@@ -8,11 +8,21 @@ from capflow import (
     KernelParams,
     RadialField,
     build_grid,
+    double_grid,
+    gradient_values,
     hs_reference,
     kernel_K,
+    remainder_R1,
+    remainder_R2,
     riemann_zeta,
 )
-from capflow.nonlocal_ops import _kernel_and_dxi
+from capflow import nonlocal_ops
+from capflow.nonlocal_ops import (
+    _chord_kernel,
+    _corrected_sum,
+    _image_dist2,
+    _zero_target_cols,
+)
 
 
 def circle_mass(s):
@@ -23,6 +33,70 @@ def circle_mass(s):
         * math.gamma(0.5)
         / math.gamma(1.0 - 0.5 * s)
     )
+
+
+# ----------------------------------------------------------------------
+# the per-remainder kernel passes, kept as a reference for the shared
+# blocked pass in nonlocal_ops
+# ----------------------------------------------------------------------
+
+
+def _kernel_and_dxi(r, grid, params, xi, targets):
+    """K_xi and d/dxi of [1 + xi*(rho(y)-1)]^n * K_xi(y, x), target rows.
+
+    One fractional power per call: D2^(-(p+2)/2) is formed as K / D2.  The
+    target columns of both matrices are zero.
+    """
+    n, p = params.n, params.p
+    a = 1.0 + xi * (r - 1.0)
+    at = a[targets]
+    rm = r - 1.0
+    rt = rm[targets]
+    D2 = _image_dist2(r, grid, xi, targets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = D2 ** (-0.5 * p)
+        Kp2 = np.divide(K, D2, out=D2)
+    _zero_target_cols(K, targets)
+    _zero_target_cols(Kp2, targets)
+    # (Phi(y) - Phi(x)) . ((rho(y)-1) y - (rho(x)-1) x)
+    W = (
+        a[None, :] * rm[None, :]
+        + at[:, None] * rt[:, None]
+        - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * grid.dots[targets]
+    )
+    Bn1 = a[None, :] ** (n - 1)
+    dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
+    return K, dK
+
+
+def reference_remainder_R1(rho, params, rule):
+    """R1 at every node, one kernel pass and one corrected sum per rule node."""
+    grid, r = rho.grid, rho.values
+    tgt = np.arange(grid.size)
+    dr = r[None, :] - r[tgt, None]
+    out = np.zeros(tgt.size)
+    for xv, wv in zip(*rule.tprime()):
+        _, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
+        out += 2.0 * wv * (1.0 - xv) * _corrected_sum(dr * dK, grid, tgt, params)
+    return out
+
+
+def reference_remainder_R2(rho, params, rule):
+    """R2 at every node, one kernel pass and two corrected sums per rule node."""
+    grid, r = rho.grid, rho.values
+    tgt = np.arange(grid.size)
+    chord2 = 2.0 * (1.0 - grid.dots[tgt])
+    mass = _chord_kernel(grid, params.n - 1 + params.s, tgt)
+    out = _corrected_sum(mass, grid, tgt, params)
+    g = gradient_values(grid, r)
+    ydotg = -(grid.nodes[tgt] @ g.T)
+    for xv, wv in zip(*rule.tprime()):
+        K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
+        out += wv * (1.0 - xv) * _corrected_sum(chord2 * dK, grid, tgt, params)
+        B = 1.0 + xv * (r - 1.0)
+        F = ydotg * B[None, :] ** (params.n - 1) * K
+        out += -2.0 * wv * xv * _corrected_sum(F, grid, tgt, params)
+    return out
 
 
 def kernel_dxi(xi, rho, y, x, params):
@@ -248,3 +322,100 @@ def test_kernel_bound_excess_matches_pairwise_loop():
             val = kernel_K(xi, rho, int(j), int(i), params)
             worst = max(worst, val * grid.chord[i, j] ** params.p / kappa)
     assert kernel_bound_excess(resolution, pairs, s, seed) == worst
+
+
+# ----------------------------------------------------------------------
+# the shared blocked remainder pass
+# ----------------------------------------------------------------------
+
+
+def _remainder_cases():
+    rng = np.random.default_rng(11)
+    hemi = build_grid(1, 129, "hemisphere")
+    work, index = double_grid(hemi)
+    yield "hemisphere129", RadialField(
+        work, (1.0 + 0.05 * np.cos(2.0 * hemi.phi) + 0.03 * hemi.nodes[:, 1])[index]
+    ), KernelParams(s=0.5, n=1), HomotopyRule(order=8)
+    circle = build_grid(1, 128, "full-sphere")
+    yield "circle128", RadialField(
+        circle, 1.0 + 0.1 * np.cos(2.0 * circle.phi)
+    ), KernelParams(s=0.5, n=1), HomotopyRule(order=8)
+    surf = build_grid(2, 13, "hemisphere")
+    work, index = double_grid(surf)
+    z = surf.nodes[:, 2]
+    yield "hemisphere2_13", RadialField(
+        work, (1.0 + 0.1 * z**2 + 0.05 * surf.nodes[:, 0])[index]
+    ), KernelParams(s=0.5, n=2), HomotopyRule(order=4)
+    g1 = build_grid(1, 65, "hemisphere")
+    yield "random65", RadialField(
+        g1, 1.0 + 0.05 * rng.uniform(-1.0, 1.0, g1.size)
+    ), KernelParams(s=0.3, n=1), HomotopyRule(order=6)
+    g2 = build_grid(2, 9, "full-sphere")
+    yield "random2_9", RadialField(
+        g2, 1.0 + 0.05 * rng.uniform(-1.0, 1.0, g2.size)
+    ), KernelParams(s=0.7, n=2), HomotopyRule(order=4)
+
+
+REMAINDER_CASES = {name: case for name, *case in _remainder_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
+def test_remainders_match_per_remainder_reference(name):
+    rho, params, rule = REMAINDER_CASES[name]
+    for fn, ref_fn in (
+        (remainder_R1, reference_remainder_R1),
+        (remainder_R2, reference_remainder_R2),
+    ):
+        ref = ref_fn(rho, params, rule)
+        out = fn(rho, params, rule)
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["hemisphere129", "hemisphere2_13"])
+def test_remainder_rows_independent_of_block_size(name, monkeypatch):
+    rho, params, rule = REMAINDER_CASES[name]
+    results = []
+    for block in (1, 7, nonlocal_ops.ROW_BLOCK, rho.grid.size + 5):
+        monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", block)
+        fresh = RadialField(rho.grid, rho.values)
+        results.append((remainder_R1(fresh, params, rule), remainder_R2(fresh, params, rule)))
+    for r1, r2 in results[1:]:
+        assert np.array_equal(r1, results[0][0])
+        assert np.array_equal(r2, results[0][1])
+
+
+def test_remainder_memo_matches_fresh_fields():
+    rho, params, rule = REMAINDER_CASES["random65"]
+    other = KernelParams(s=0.6, n=1)
+    calls = [
+        (remainder_R2, params, rule, None),
+        (remainder_R1, params, rule, None),
+        (remainder_R1, params, rule, np.arange(3, 40)),
+        (remainder_R2, params, rule, np.arange(3, 40)),
+        (remainder_R2, other, rule, None),
+        (remainder_R1, other, HomotopyRule(order=3), None),
+        (remainder_R2, other, HomotopyRule(order=3), None),
+        (remainder_R1, params, rule, np.arange(3, 40)),
+        (remainder_R2, params, rule, None),
+    ]
+    for fn, prm, rl, targets in calls:
+        out = fn(rho, prm, rl, targets=targets)
+        fresh = fn(RadialField(rho.grid, rho.values), prm, rl, targets=targets)
+        assert np.array_equal(out, fresh)
+        assert not out.flags.writeable
+    r1 = remainder_R1(rho, params, rule)
+    with pytest.raises(ValueError):
+        r1 += 1.0
+    assert np.array_equal(
+        remainder_R2(rho, params, rule),
+        remainder_R2(RadialField(rho.grid, rho.values), params, rule),
+    )
+
+
+def test_remainder_memo_targets_keyed_by_index_values():
+    rho, params, rule = REMAINDER_CASES["random65"]
+    # the same bytes read as int64 [1] and as int32 [1, 0]
+    one = remainder_R1(rho, params, rule, targets=np.array([1], dtype=np.int64))
+    two = remainder_R1(rho, params, rule, targets=np.array([1, 0], dtype=np.int32))
+    assert one.shape == (1,) and two.shape == (2,)
+    assert two[0] == one[0]
