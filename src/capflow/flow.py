@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import (
     RadialField,
@@ -76,8 +75,8 @@ __all__ = [
 
 EXTINCTION_THRESHOLD = 0.05
 MAX_DT_HALVINGS = 5
-# LU factorisations kept per context: the step dt, a shortened last step
-# and a halving or two
+# Factorisations (inverses of I - dt M) kept per context: the step dt, a
+# shortened last step and a halving or two
 LU_CACHE = 4
 
 
@@ -299,6 +298,16 @@ def apply_bc(
 # ----------------------------------------------------------------------
 
 
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """Inverse of I - dt M: strictly diagonally dominant, so well conditioned."""
+    return np.linalg.inv(a)
+
+
+def lu_solve(fac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve with a `lu_factor` result."""
+    return fac @ v
+
+
 class _Context:
     """Grids, reference curvature, and matrices shared across steps.
 
@@ -335,7 +344,7 @@ class _Context:
             self.M = MT.T
         else:
             self.M = M_work
-        self._lu: dict[float, tuple] = {}
+        self._lu: dict[float, np.ndarray] = {}
 
     def to_work(self, values: np.ndarray) -> RadialField:
         return RadialField(self.work, values[self.index_map])
@@ -346,11 +355,11 @@ class _Context:
         key = float(dt)
         fac = self._lu.pop(key, None)
         if fac is None:
-            fac = lu_factor(np.eye(self.grid.size) - dt * self.M, check_finite=False)
+            fac = lu_factor(np.eye(self.grid.size) - dt * self.M)
             if len(self._lu) >= LU_CACHE:
                 del self._lu[next(iter(self._lu))]
         self._lu[key] = fac
-        return lambda v: lu_solve(fac, v, check_finite=False)
+        return lambda v: lu_solve(fac, v)
 
 
 # A context holds dense N x N matrices and up to LU_CACHE factorisations,
@@ -375,6 +384,14 @@ def _remainders(ctx: _Context, wf: RadialField) -> tuple[np.ndarray, np.ndarray]
     return r1, r2
 
 
+def _explicit_part(
+    ctx: _Context, values: np.ndarray, A: np.ndarray, r1: np.ndarray, r2: np.ndarray
+) -> np.ndarray:
+    """P = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)) at the grid rows."""
+    lin = ctx.M @ values - ctx.hs_ref
+    return (A - 1.0) * lin + A * (r1 + r2 * (values - 1.0))
+
+
 def remainder_P(
     rho: RadialField, cfg: FlowConfig, ctx: _Context | None = None
 ) -> np.ndarray:
@@ -388,9 +405,7 @@ def remainder_P(
     ctx = ctx or _get_context(cfg)
     wf = ctx.to_work(rho.values)
     A = prefactor_A(wf)[: ctx.grid.size]
-    r1, r2 = _remainders(ctx, wf)
-    lin = ctx.M @ rho.values - ctx.hs_ref
-    return (A - 1.0) * lin + A * (r1 + r2 * (rho.values - 1.0))
+    return _explicit_part(ctx, rho.values, A, *_remainders(ctx, wf))
 
 
 def assemble_rhs(
@@ -480,8 +495,7 @@ def _picard(
                 frozen = (r1, r2)
         except InjectivityError as exc:
             raise _Reject(str(exc), injectivity=True) from exc
-        lin = ctx.M @ hat - ctx.hs_ref
-        P = (A - 1.0) * lin + A * (r1 + r2 * (hat - 1.0))
+        P = _explicit_part(ctx, hat, A, r1, r2)
         rhs = rho_old + dt * (P - ctx.hs_ref)
         u = solve(rhs)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:

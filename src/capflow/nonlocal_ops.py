@@ -162,12 +162,6 @@ def _corrected_sum(
     return base - riemann_zeta(params.s) * grid.h * corr
 
 
-def _resolve_targets(grid: SphereGrid, x: int | None) -> tuple[np.ndarray, bool]:
-    if x is None:
-        return np.arange(grid.size), False
-    return np.asarray([x], dtype=int), True
-
-
 def _zero_target_cols(F: np.ndarray, targets: np.ndarray) -> np.ndarray:
     F[np.arange(targets.size), targets] = 0.0
     return F
@@ -378,14 +372,20 @@ def _remainder_pair(
 
 
 def _remainders_of(
-    rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
+    rho: RadialField,
+    params: KernelParams,
+    rule: HomotopyRule,
+    targets: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The remainder pair through a one-entry memo on the field.
+    """The remainder pair at the target rows (all rows for None), through a
+    one-entry memo on the field.
 
     The field's values are read-only, so the memo cannot go stale; the
     cached arrays are read-only too, so no caller can change the other's.
     """
     _guard_injectivity(rho)
+    if targets is None:
+        targets = np.arange(rho.grid.size)
     targets = np.asarray(targets, dtype=np.intp)
     key = (params, rule.order, targets.tobytes())
     if rho._remainders is None or rho._remainders[0] != key:
@@ -400,29 +400,26 @@ def remainder_R1(
     rho: RadialField,
     params: KernelParams,
     rule: HomotopyRule,
-    x: int | None = None,
     targets: np.ndarray | None = None,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """First homotopy remainder: the (rho(y)-rho(x)) moment of the kernel
     xi-derivative, integrated over 0 <= xi <= t' <= 1.
 
     The t'-integral is done in closed form, leaving the 1-D integral of
     (1 - xi) times the moment, taken with `rule`.  R1 and R2 come from one
     shared blocked kernel pass (`_remainder_pair`), kept on the field for
-    the matching `remainder_R2` call.  The returned array is read-only.
+    the matching `remainder_R2` call.  `targets` selects rows (default:
+    all nodes); the returned array is read-only.
     """
-    tgt, single = _resolve_targets(rho.grid, x) if targets is None else (targets, False)
-    out = _remainders_of(rho, params, rule, tgt)[0]
-    return float(out[0]) if single else out
+    return _remainders_of(rho, params, rule, targets)[0]
 
 
 def remainder_R2(
     rho: RadialField,
     params: KernelParams,
     rule: HomotopyRule,
-    x: int | None = None,
     targets: np.ndarray | None = None,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Second homotopy remainder (coefficient of rho(x) - 1).
 
     Three pieces: the absolutely convergent chord integral
@@ -431,64 +428,49 @@ def remainder_R2(
     -2 int_0^1 int (y-x).t' grad rho(y) B^(n-1) K_t' dt'.  The moment's
     t'-integral is done in closed form (weight 1 - xi), so both homotopy
     integrals share the nodes of `rule`, and R1 and R2 share one blocked
-    kernel pass (`_remainder_pair`).  The returned array is read-only.
+    kernel pass (`_remainder_pair`).  `targets` selects rows (default: all
+    nodes); the returned array is read-only.
     """
-    tgt, single = _resolve_targets(rho.grid, x) if targets is None else (targets, False)
-    out = _remainders_of(rho, params, rule, tgt)[1]
-    return float(out[0]) if single else out
+    return _remainders_of(rho, params, rule, targets)[1]
 
 
 def homotopy_derivative(
-    tprime: float,
-    rho: RadialField,
-    params: KernelParams,
-    x: int | None = None,
-    targets: np.ndarray | None = None,
-) -> float | np.ndarray:
+    tprime: float, rho: RadialField, params: KernelParams
+) -> np.ndarray:
     """Minus the t'-derivative of curvature along the homotopy.
 
     Evaluates 2 int ((rho(y)-1)y - (rho(x)-1)x) . nu(Phi(y)) K J dH_y with
     the closed forms nu J = B^n y - B^(n-1) t' grad rho(y), written out in
-    dot products of unit nodes.
+    dot products of unit nodes, at every node.
     """
     _guard_injectivity(rho)
     grid, r = rho.grid, rho.values
-    tgt, single = _resolve_targets(grid, x) if targets is None else (targets, False)
+    tgt = np.arange(grid.size)
     g = gradient_values(grid, r)
-    B = 1.0 + tprime * (r - 1.0)
+    rt = r - 1.0
+    B = 1.0 + tprime * rt
     K = _kernel_matrix(r, grid, params, tprime, tgt)
-    dr = r[None, :] - r[tgt, None]
-    rt = (r - 1.0)[tgt]
-    one_minus = 1.0 - grid.dots[tgt]
-    xdotg = grid.nodes[tgt] @ g.T
+    dr = r[None, :] - r[:, None]
+    one_minus = 1.0 - grid.dots
+    xdotg = grid.nodes @ g.T
     Bn1 = B[None, :] ** (params.n - 1)
     F = 2.0 * K * (
         Bn1 * B[None, :] * (dr + rt[:, None] * one_minus)
         + tprime * rt[:, None] * xdotg * Bn1
     )
-    out = _corrected_sum(F, grid, tgt, params)
-    return float(out[0]) if single else out
+    return _corrected_sum(F, grid, tgt, params)
 
 
 def parametrized_Hs(
-    rho: RadialField,
-    params: KernelParams,
-    rule: HomotopyRule,
-    hs_ref: np.ndarray,
-    x: int | None = None,
-    targets: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Minus the fractional curvature at rho(x)x, assembled from the
-    fractional Laplacian, the reference curvature, and the remainders."""
-    grid = rho.grid
-    tgt, single = _resolve_targets(grid, x) if targets is None else (targets, False)
-    lap = frac_laplacian(rho.values, grid, params)[tgt]
-    r1 = remainder_R1(rho, params, rule, targets=tgt)
-    r2 = remainder_R2(rho, params, rule, targets=tgt)
-    ref = np.asarray(hs_ref, dtype=float)
-    ref = ref[tgt] if ref.ndim else np.full(tgt.size, float(ref))
-    out = lap - ref + r1 + r2 * (rho.values[tgt] - 1.0)
-    return float(out[0]) if single else out
+    rho: RadialField, params: KernelParams, rule: HomotopyRule, hs_ref: np.ndarray
+) -> np.ndarray:
+    """Minus the fractional curvature at every rho(x)x, assembled from the
+    fractional Laplacian, the reference curvature (per node or one
+    constant), and the remainders."""
+    lap = frac_laplacian(rho.values, rho.grid, params)
+    r1 = remainder_R1(rho, params, rule)
+    r2 = remainder_R2(rho, params, rule)
+    return lap - hs_ref + r1 + r2 * (rho.values - 1.0)
 
 
 # ----------------------------------------------------------------------

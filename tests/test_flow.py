@@ -442,14 +442,31 @@ def test_step_injectivity_floor():
 
 
 def test_solver_satisfies_discrete_max_principle():
-    cfg = _cfg(resolution=64)
-    M = operator_matrix(cfg)
-    A = np.eye(64) - 0.01 * M
+    from capflow.flow import _get_context
+
+    solve = _get_context(_cfg(resolution=64)).solver(0.01)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = rng.standard_normal(64)
-        u = np.linalg.solve(A, v)
+        u = solve(v)
         assert np.abs(u).max() <= np.abs(v).max() + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, resolution, topology",
+    [(1, 65, "hemisphere"), (1, 64, "full-sphere"), (2, 13, "hemisphere"), (2, 9, "full-sphere")],
+)
+def test_solver_residual_is_small(n, resolution, topology):
+    from capflow.flow import _Context
+
+    ctx = _Context(n, 0.5, resolution, topology, "full-sphere", 4)
+    assert ctx.folded == (topology == "hemisphere")
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(ctx.grid.size)
+    for dt in (2e-4, 1e-2, 1.0):
+        x = ctx.solver(dt)(b)
+        res = x - dt * (ctx.M @ x) - b
+        assert np.abs(res).max() <= 1e-12 * np.abs(b).max()
 
 
 # ----------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_remainder_R1_matches_brute_force_refined():
     rule = HomotopyRule(order=8)
     grid = build_grid(1, 65, "hemisphere")
     rho = hemisphere_field(grid, 0.1)
-    mine = remainder_R1(rho, PARAMS, rule, x=16)
+    mine = remainder_R1(rho, PARAMS, rule)[16]
 
     fine = build_grid(1, 257, "hemisphere")
     vals = 1.0 + 0.1 * np.cos(2.0 * fine.phi)
@@ -285,8 +285,8 @@ def test_remainder_R1_matches_brute_force_refined():
 def test_remainder_R1_quadratic_amplitude_scaling():
     grid = build_grid(1, 65, "hemisphere")
     rule = HomotopyRule(order=6)
-    small = remainder_R1(hemisphere_field(grid, 0.01), PARAMS, rule, x=16)
-    double = remainder_R1(hemisphere_field(grid, 0.02), PARAMS, rule, x=16)
+    small = remainder_R1(hemisphere_field(grid, 0.01), PARAMS, rule)[16]
+    double = remainder_R1(hemisphere_field(grid, 0.02), PARAMS, rule)[16]
     assert double / small == pytest.approx(4.0, rel=0.15)
 
 
@@ -303,7 +303,7 @@ def test_remainder_R2_hemisphere_apex_chord_integral():
     rho = RadialField(grid, np.ones(grid.size))
     rule = HomotopyRule(order=4)
     apex = (grid.size - 1) // 2
-    out = remainder_R2(rho, PARAMS, rule, x=apex)
+    out = remainder_R2(rho, PARAMS, rule)[apex]
     f = lambda t: (2.0 * math.sin(0.5 * abs(t - 0.5 * math.pi))) ** (-S)
     ref = quad(f, 0.0, math.pi, points=[0.5 * math.pi], limit=200)[0]
     assert out == pytest.approx(ref, rel=1e-4)
@@ -313,7 +313,7 @@ def test_remainder_R2_matches_brute_force_refined():
     rule = HomotopyRule(order=8)
     grid = build_grid(1, 65, "hemisphere")
     rho = hemisphere_field(grid, 0.1)
-    mine = remainder_R2(rho, PARAMS, rule, x=16)
+    mine = remainder_R2(rho, PARAMS, rule)[16]
 
     fine = build_grid(1, 257, "hemisphere")
     vals = 1.0 + 0.1 * np.cos(2.0 * fine.phi)
@@ -529,5 +529,5 @@ def test_remainders_converged_in_quadrature_order(n):
         assert np.all(err <= tol * np.maximum(1.0, np.abs(fine[rows])))
         # a single target row is bitwise its row of the all-targets result
         for i in (0, 17, grid.size - 1):
-            single = fn(rho, params, HomotopyRule(order=order), i)
-            assert single == coarse[i]
+            single = fn(rho, params, HomotopyRule(order=order), targets=[i])
+            assert single.shape == (1,) and single[0] == coarse[i]
