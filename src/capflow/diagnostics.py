@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RadialField, SphereGrid, build_grid, gradient_values, quad_integrate
-from .nonlocal_ops import KernelParams, riemann_zeta
+from .nonlocal_ops import KernelParams, _corrected_sum
 
 __all__ = [
     "HolderEstimate",
@@ -96,17 +96,14 @@ def interpolation_check(
 
 
 def _corrected_vector_sum(
-    F: np.ndarray, grid: SphereGrid, x: int, s: float
+    F: np.ndarray, grid: SphereGrid, x: int, params: KernelParams
 ) -> np.ndarray:
-    """Punctured sum of a vector-valued integrand row with the two-sided
-    lattice correction at x (rows of F indexed by source node)."""
-    F = F.copy()
-    F[x] = 0.0
-    out = grid.weights @ F
-    if grid.n == 1:
-        lo, hi = grid.adjacent[x]
-        out = out - riemann_zeta(s) * grid.h * (F[lo] + F[hi])
-    return out
+    """Punctured sum of a vector-valued integrand with the two-sided
+    lattice correction at x (rows of F indexed by source node), taken as
+    one corrected row per ambient component."""
+    rows = F.T.copy()
+    rows[:, x] = 0.0
+    return _corrected_sum(rows, grid, np.full(rows.shape[0], x), params)
 
 
 def divergence_identity_residual(
@@ -128,7 +125,8 @@ def divergence_identity_residual(
     grid = rho.grid
     if grid.topology != "full-sphere":
         raise ValueError("divergence identity requires a full sphere")
-    s, n, p = params.s, params.n, params.p
+    s, n = params.s, grid.n
+    p = n + 1 + s
     r = rho.values
     g = gradient_values(grid, r)
     pts = r[:, None] * grid.nodes
@@ -140,13 +138,13 @@ def divergence_identity_residual(
     mild = dist ** (-(n - 1.0 + s))
     mild[x] = 0.0
 
-    I1 = _corrected_vector_sum(diff * K[:, None], grid, x, s)
+    I1 = _corrected_vector_sum(diff * K[:, None], grid, x, params)
     T1 = np.dot(grid.nodes[x], I1) * g[x] + r[x] * (
         I1 - grid.nodes[x] * np.dot(grid.nodes[x], I1)
     )
 
     T2 = n / (n - 1.0 + s) * _corrected_vector_sum(
-        grid.nodes * mild[:, None], grid, x, s
+        grid.nodes * mild[:, None], grid, x, params
     )
 
     zdotd = np.sum(grid.nodes * diff, axis=1)
@@ -155,7 +153,7 @@ def divergence_identity_residual(
     pull_x = xdotd[:, None] * g[x][None, :] + r[x] * (
         diff - grid.nodes[x][None, :] * xdotd[:, None]
     )
-    T3 = _corrected_vector_sum((pull_y - pull_x) * K[:, None], grid, x, s)
+    T3 = _corrected_vector_sum((pull_y - pull_x) * K[:, None], grid, x, params)
 
     return float(np.linalg.norm(T1 + T2 + T3))
 

@@ -24,6 +24,7 @@ the contact nodes and the half-ball reference mode may be preferable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
@@ -111,10 +112,12 @@ class FlowConfig:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if not 0.0 < self.theta < np.pi:
             raise ValueError(f"theta must lie in (0,pi), got {self.theta}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end is not None and self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        for key in ("dt", "t_end", "picard_tol", "bc_tol"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {value}")
+        if self.max_picard < 1:
+            raise ValueError(f"max_picard must be at least 1, got {self.max_picard}")
         if self.resolution < 8:
             raise ValueError(
                 f"resolution must be at least 8, got {self.resolution}"
@@ -135,10 +138,7 @@ class FlowConfig:
             )
         if self.save_every < 1:
             raise ValueError("save_every must be at least 1")
-
-    @property
-    def params(self) -> KernelParams:
-        return KernelParams(s=self.s, n=self.n)
+        _parse_initial(self.initial, self.n, self.topology)
 
     @property
     def horizon(self) -> float:
@@ -159,7 +159,6 @@ class FlowState:
 class Trajectory:
     config: FlowConfig
     grid: SphereGrid
-    times: list = field(default_factory=list)
     saved: list = field(default_factory=list)  # (t, values) pairs
     diagnostics: list = field(default_factory=list)  # per-step dicts
     status: str = "completed"
@@ -325,7 +324,7 @@ class _Context:
         homotopy_order: int,
     ):
         self.grid = build_grid(n, resolution, topology)
-        self.params = KernelParams(s=s, n=n)
+        self.params = KernelParams(s)
         self.rule = HomotopyRule(order=homotopy_order)
         if topology == "hemisphere" and hs_ref_mode == "full-sphere":
             self.work, self.index_map = double_grid(self.grid)
@@ -432,6 +431,45 @@ def normal_velocity(
 # ----------------------------------------------------------------------
 
 
+# argument types of each analytic initial-data form
+_INITIAL_FORMS = {"constant": (float,), "cosine": (int, float), "height": (float,)}
+
+
+def _parse_initial(spec: str, n: int, topology: str) -> tuple[str, tuple]:
+    """Kind and arguments of an initial-data form.
+
+    Raises a ValueError naming `initial` unless the form is known and the
+    field it describes is finite and positive on the whole (hemi)sphere.
+    A snapshot path is checked when it is loaded.
+    """
+    kind, _, rest = spec.partition(":")
+    if kind == "snapshot":
+        return kind, (rest,)
+    try:
+        types = _INITIAL_FORMS[kind]
+        args = tuple(cast(v) for cast, v in zip(types, rest.split(":"), strict=True))
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"initial: unknown initial data form {spec!r}; expected "
+            "constant:c, cosine:k:a, height:a or snapshot:path"
+        ) from None
+    if kind == "cosine" and n != 1:
+        raise ValueError("initial: cosine initial data needs a curve grid")
+    # least value of the field: c; 1 + min(a, 0) for a height over the
+    # hemisphere (x_(n+1) >= 0 there) or a cosine with k = 0; else 1 - |a|
+    a = args[-1]
+    one_signed = kind == "height" and topology == "hemisphere"
+    if kind == "constant":
+        least = a
+    elif one_signed or kind == "cosine" and args[0] == 0:
+        least = 1.0 + min(a, 0.0)
+    else:
+        least = 1.0 - abs(a)
+    if not (math.isfinite(a) and least > 0.0):
+        raise ValueError(f"initial: {spec!r} is not finite and positive everywhere")
+    return kind, args
+
+
 def initial_field(grid: SphereGrid, spec: str) -> RadialField:
     """Build the starting field from a short textual form.
 
@@ -439,27 +477,20 @@ def initial_field(grid: SphereGrid, spec: str) -> RadialField:
     "height:a" for 1 + a * x_(n+1), and "snapshot:path" to restart from a
     stored snapshot on a matching grid.
     """
-    kind, _, rest = spec.partition(":")
+    kind, args = _parse_initial(spec, grid.n, grid.topology)
     if kind == "constant":
-        c = float(rest)
-        return RadialField(grid, np.full(grid.size, c))
+        return RadialField(grid, np.full(grid.size, args[0]))
     if kind == "cosine":
-        kstr, _, astr = rest.partition(":")
-        k, a = int(kstr), float(astr)
-        if grid.n != 1:
-            raise ValueError("cosine initial data needs a curve grid")
+        k, a = args
         return RadialField(grid, 1.0 + a * np.cos(k * grid.phi))
     if kind == "height":
-        a = float(rest)
-        return RadialField(grid, 1.0 + a * grid.nodes[:, -1])
-    if kind == "snapshot":
-        from .snapshots import load_snapshot
+        return RadialField(grid, 1.0 + args[0] * grid.nodes[:, -1])
+    from .snapshots import load_snapshot
 
-        loaded_grid, values, _ = load_snapshot(rest)
-        if loaded_grid.size != grid.size or loaded_grid.topology != grid.topology:
-            raise ValueError("snapshot grid does not match the configured grid")
-        return RadialField(grid, values)
-    raise ValueError(f"unknown initial data form {spec!r}")
+    loaded_grid, values, _ = load_snapshot(args[0])
+    if loaded_grid.size != grid.size or loaded_grid.topology != grid.topology:
+        raise ValueError("snapshot grid does not match the configured grid")
+    return RadialField(grid, values)
 
 
 # ----------------------------------------------------------------------
@@ -556,20 +587,26 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
 
     Returns a trajectory whose status is "completed", "extinct",
     "nonconvergence", or "injectivity"; partial output is kept on early
-    termination.
+    termination.  If the contact-angle projection of the initial field
+    fails, the unprojected field is frame 0, with its measured residual.
     """
     ctx = _get_context(cfg)
     grid = ctx.grid
+    traj = Trajectory(config=cfg, grid=grid)
     rho = initial_field(grid, cfg.initial)
     if grid.boundary_indices().size > 0:
-        rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)
-    traj = Trajectory(config=cfg, grid=grid)
+        try:
+            rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)
+        except NonconvergenceError as exc:
+            # frame 0 keeps the unprojected field as the restart point
+            traj.status, traj.message = "nonconvergence", str(exc)
     state = FlowState(
         t=0.0, rho=rho, dt=cfg.dt, bc_residual_max=_max_bc_residual(rho, cfg.theta)
     )
     _record(traj, state, grid, cfg)
     horizon = cfg.horizon
-    while state.t < horizon - 1e-12 * max(1.0, horizon):
+    end = horizon - 1e-12 * max(1.0, horizon)
+    while traj.status == "completed" and state.t < end:
         dt = min(cfg.dt, horizon - state.t)
         state = replace(state, dt=dt)
         try:
@@ -594,7 +631,6 @@ def _record(traj: Trajectory, state: FlowState, grid: SphereGrid, cfg: FlowConfi
     vals = state.rho.values
     vol = volume(state.rho)
     mean = quad_integrate(grid, vals) / grid.weights.sum()
-    traj.times.append(state.t)
     traj.diagnostics.append(
         {
             "t": state.t,

@@ -4,8 +4,9 @@ The surface of interest is a star-shaped hypersurface written in radial
 coordinates over the upper unit hemisphere: points rho(x)*x with x on the
 hemisphere and rho > 0.  Everything downstream (singular integrals, the
 evolution solver, the diagnostics) consumes the grids built here: unit
-nodes, quadrature weights, boundary markers, outward conormals on the
-equator, and cached pairwise chord distances.
+nodes, quadrature weights, boundary markers, cached pairwise chord
+distances, and finite-difference stencils (whose `eta` is the outward
+conormal on the equator).
 
 n = 1 (curves in the half-plane) is the reference case: nodes are equally
 spaced angles with trapezoidal weights on the hemisphere and a uniform
@@ -49,8 +50,6 @@ class SphereGrid:
         Positive quadrature weights in surface-measure units.
     boundary_mask : ndarray of bool, shape (N,)
         True exactly at nodes on the equator x_{n+1} = 0 (hemisphere only).
-    conormals : ndarray, shape (N, n+1)
-        Outward unit conormal at boundary nodes, zero rows elsewhere.
     chord : ndarray, shape (N, N)
         Pairwise Euclidean distances |y - x| between nodes.
     dots : ndarray, shape (N, N)
@@ -77,7 +76,6 @@ class SphereGrid:
     nodes: np.ndarray
     weights: np.ndarray
     boundary_mask: np.ndarray
-    conormals: np.ndarray
     chord: np.ndarray
     dots: np.ndarray
     h: float | None = None
@@ -109,7 +107,7 @@ class SphereGrid:
 
 @dataclass(eq=False)
 class RadialField:
-    """Radial function rho sampled on a grid; rho > 0 node-wise.
+    """Radial function rho sampled on a grid; rho finite and > 0 node-wise.
 
     The values are a read-only copy of the samples passed in, so values
     derived from them and cached on the field cannot go stale.
@@ -129,6 +127,8 @@ class RadialField:
             raise ValueError(
                 f"field has {self.values.shape} values for {self.grid.size} nodes"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("radial field must be finite")
         if np.min(self.values) <= 0.0:
             raise ValueError("radial field must be strictly positive (star-shaped)")
 
@@ -263,11 +263,6 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
             [(np.arange(N) - 1) % N, (np.arange(N) + 1) % N]
         )
     nodes = np.column_stack([np.cos(phi), np.sin(phi)])
-    conormals = np.zeros_like(nodes)
-    # The equator of the upper half-circle is the pair (+-1, 0); at both
-    # points the outward conormal (tangent to the circle, leaving the
-    # hemisphere) is (0, -1).
-    conormals[boundary] = (0.0, -1.0)
     chord, dots = _pairwise(nodes)
     return SphereGrid(
         n=1,
@@ -275,7 +270,6 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
         nodes=nodes,
         weights=weights,
         boundary_mask=boundary,
-        conormals=conormals,
         chord=chord,
         dots=dots,
         h=h,
@@ -329,8 +323,6 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
     nodes[np.isclose(betalist, math.pi)] = (0.0, 0.0, -1.0)
     weights = np.asarray(weights)
     boundary = np.asarray(boundary, dtype=bool)
-    conormals = np.zeros_like(nodes)
-    conormals[boundary] = (0.0, 0.0, -1.0)
     chord, dots = _pairwise(nodes)
     return SphereGrid(
         n=2,
@@ -338,7 +330,6 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
         nodes=nodes,
         weights=weights,
         boundary_mask=boundary,
-        conormals=conormals,
         chord=chord,
         dots=dots,
         h=None,

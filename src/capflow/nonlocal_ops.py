@@ -7,7 +7,9 @@ from integrals over the reference (hemi)sphere against the kernel family
     Phi_xi(x) = x + xi*(rho(x) - 1)*x,
 
 interpolating between the round sphere (xi = 0) and the actual surface
-(xi = 1).  The module provides the principal-value fractional Laplacian,
+(xi = 1).  KernelParams carries only s; the surface dimension n is read
+from the grid (or, for the point-cloud oracle, the point dimension), so
+the exponent always matches the surface.  The module provides the principal-value fractional Laplacian,
 the two homotopy remainder terms, the derivative of curvature along the
 homotopy, and an independent curvature oracle based on the divergence
 theorem.  The two remainders come from one shared kernel pass per rule
@@ -60,21 +62,17 @@ class InjectivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Fractional order s in (0,1) and surface dimension n."""
+    """Fractional order s in (0,1).
+
+    The surface dimension n is read from the grid each operator is given,
+    so the kernel decay exponent is always grid.n + 1 + s.
+    """
 
     s: float
-    n: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
-        if self.n < 1:
-            raise ValueError(f"surface dimension must be positive, got {self.n}")
-
-    @property
-    def p(self) -> float:
-        """Kernel decay exponent n + 1 + s."""
-        return self.n + 1 + self.s
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def _kernel_matrix(
 ) -> np.ndarray:
     D2 = _image_dist2(r, grid, xi, targets)
     with np.errstate(divide="ignore"):
-        K = D2 ** (-0.5 * params.p)
+        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
     return _zero_target_cols(K, targets)
 
 
@@ -209,7 +207,7 @@ def kernel_K(
     a_y = 1.0 + xi * (r[y] - 1.0)
     a_x = 1.0 + xi * (r[x] - 1.0)
     d2 = a_y**2 + a_x**2 - 2.0 * a_y * a_x * rho.grid.dots[y, x]
-    out = d2 ** (-0.5 * params.p)
+    out = d2 ** (-0.5 * (rho.grid.n + 1 + params.s))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -246,7 +244,7 @@ def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
     for exact zero row sums, so constants are annihilated.
     """
     targets = np.arange(grid.size)
-    K = _chord_kernel(grid, params.p, targets)
+    K = _chord_kernel(grid, grid.n + 1 + params.s, targets)
     M = 2.0 * K * grid.weights[None, :]
     if grid.n == 1:
         z = riemann_zeta(params.s)
@@ -313,7 +311,8 @@ def _remainder_pair(
     reduced on its own, so each row is bitwise the same for any block size.
     """
     grid, r = rho.grid, rho.values
-    n, p = params.n, params.p
+    n = grid.n
+    p = n + 1 + params.s
     u = r - 1.0
     g = gradient_values(grid, r)
     xs, ws = rule.tprime()
@@ -453,7 +452,7 @@ def homotopy_derivative(
     dr = r[None, :] - r[:, None]
     one_minus = 1.0 - grid.dots
     xdotg = grid.nodes @ g.T
-    Bn1 = B[None, :] ** (params.n - 1)
+    Bn1 = B[None, :] ** (grid.n - 1)
     F = 2.0 * K * (
         Bn1 * B[None, :] * (dr + rt[:, None] * one_minus)
         + tprime * rt[:, None] * xdotg * Bn1
@@ -490,15 +489,17 @@ def divergence_oracle_Hs(
 
     H^s(x) = (2/s) int_{boundary} ((y-x) . nu(y)) |y-x|^(-(n+1+s)) dH_y;
     the integrand extends by 0 at y = x, and (y-x).nu = O(|y-x|^2) keeps
-    it absolutely convergent on C^{1,1} surfaces.  For curves sampled in
+    it absolutely convergent on C^{1,1} surfaces.  The surface dimension n
+    is one less than the dimension of the points.  For curves sampled in
     order around the loop (`ordered_ring`), the two neighbors of x supply
     the lattice correction for the even |y-x|^(-s)-type singularity.
     """
     nodes = np.asarray(nodes, dtype=float)
+    n = nodes.shape[1] - 1
     diff = nodes - nodes[x]
     dist = np.linalg.norm(diff, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = (2.0 / params.s) * np.sum(diff * normals, axis=1) * dist ** (-params.p)
+        f = (2.0 / params.s) * np.sum(diff * normals, axis=1) * dist ** (-(n + 1 + params.s))
     f[x] = 0.0
     total = float(weights @ f)
     if ordered_ring:
@@ -511,14 +512,14 @@ def divergence_oracle_Hs(
     return total
 
 
-def _wetted_disk_samples(n: int, count: int = 2048) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoint samples of the flat wetted patch of the unit half-ball."""
+def _wetted_disk_samples(n: int, count: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes and weights on the flat wetted patch of the unit
+    half-ball."""
     if n == 1:
         t = -1.0 + (np.arange(count) + 0.5) * (2.0 / count)
         nodes = np.column_stack([t, np.zeros_like(t)])
-        normals = np.tile([0.0, -1.0], (count, 1))
         weights = np.full(count, 2.0 / count)
-        return nodes, normals, weights
+        return nodes, weights
     nr = max(8, int(math.isqrt(count)) // 2)
     ntheta = 4 * nr
     radii = (np.arange(nr) + 0.5) / nr
@@ -527,10 +528,9 @@ def _wetted_disk_samples(n: int, count: int = 2048) -> tuple[np.ndarray, np.ndar
     nodes = np.column_stack(
         [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel(), np.zeros(rr.size)]
     )
-    normals = np.tile([0.0, 0.0, -1.0], (nodes.shape[0], 1))
     cell = (1.0 / nr) * (2.0 * math.pi / ntheta)
     weights = (rr * cell).ravel()
-    return nodes, normals, weights
+    return nodes, weights
 
 
 def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarray:
@@ -544,32 +544,27 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
     hemisphere plus wetted equatorial patch) at each free-surface node of
     a hemisphere grid.
     """
+    needs = {"full-sphere": "full-sphere", "half-ball": "hemisphere"}
+    if mode not in needs:
+        raise ValueError(f"unknown reference mode {mode!r}")
+    if grid.topology != needs[mode]:
+        raise ValueError(f"{mode} reference needs a {needs[mode]} grid")
+    targets = np.arange(grid.size)
+    mass = _chord_kernel(grid, grid.n - 1 + params.s, targets)
+    # (y-x).y = |y-x|^2/2 exactly on the unit sphere; the mass integrand is
+    # even, so the hemisphere endpoints take the one-sided correction
+    free = _corrected_sum(mass, grid, targets, params, boundary_correction=True) / params.s
     if mode == "full-sphere":
-        if grid.topology != "full-sphere":
-            raise ValueError("full-sphere reference needs a full-sphere grid")
-        targets = np.arange(grid.size)
-        mass = _chord_kernel(grid, params.n - 1 + params.s, targets)
-        # (y-x).y = |y-x|^2/2 exactly on the unit sphere
-        return _corrected_sum(mass, grid, targets, params) / params.s
-    if mode == "half-ball":
-        if grid.topology != "hemisphere":
-            raise ValueError("half-ball reference needs a hemisphere grid")
-        targets = np.arange(grid.size)
-        mass = _chord_kernel(grid, params.n - 1 + params.s, targets)
-        free = _corrected_sum(
-            mass, grid, targets, params, boundary_correction=True
-        ) / params.s
-        dn, dnu, dw = _wetted_disk_samples(params.n)
-        # (y - x) . nu on the flat patch equals the height of x
-        height = grid.nodes[:, -1]
-        out = free.copy()
-        for t in range(grid.size):
-            diff = dn - grid.nodes[t]
-            dist2 = np.sum(diff * diff, axis=1)
-            out[t] += (
-                (2.0 / params.s)
-                * height[t]
-                * float(dw @ dist2 ** (-0.5 * params.p))
-            )
-        return out
-    raise ValueError(f"unknown reference mode {mode!r}")
+        return free
+    dn, dw = _wetted_disk_samples(grid.n)
+    # (y - x) . nu on the flat patch equals the height of x
+    height = grid.nodes[:, -1]
+    for t in range(grid.size):
+        diff = dn - grid.nodes[t]
+        dist2 = np.sum(diff * diff, axis=1)
+        free[t] += (
+            (2.0 / params.s)
+            * height[t]
+            * float(dw @ dist2 ** (-0.5 * (grid.n + 1 + params.s)))
+        )
+    return free

@@ -58,6 +58,13 @@ def _lt_zero(name, measured, basis):
     return CheckResult(name, float(measured), 0.0, bool(measured < 0.0), basis)
 
 
+def _run_failed(name, traj):
+    """The failing row for a flow run that ended before its horizon."""
+    return CheckResult(
+        f"{name} ({traj.status}: {traj.message})", math.inf, 0.0, False, "run status"
+    )
+
+
 # ----------------------------------------------------------------------
 # homotopy identity
 # ----------------------------------------------------------------------
@@ -168,18 +175,9 @@ def suite_shrinking_circle(resolution=256, dt=5e-4):
         refresh_remainders="per-step",
     )
     traj = run_flow(cfg)
-    rows = []
     if traj.status != "completed":
-        rows.append(
-            CheckResult(
-                f"shrinking run completed ({traj.status}: {traj.message})",
-                math.inf,
-                0.0,
-                False,
-                "run status",
-            )
-        )
-        return rows
+        return [_run_failed("shrinking run completed", traj)]
+    rows = []
     worst = 0.0
     for t, vals in traj.saved:
         R = (1.0 - (1 + s) * c * t) ** (1.0 / (1 + s))
@@ -244,16 +242,7 @@ def suite_bc(resolution=129, steps=50, dt=2e-4):
         )
         traj = run_flow(cfg)
         if traj.status != "completed":
-            rows.append(
-                CheckResult(
-                    f"capillary run completed, theta={theta:.6f}"
-                    f" ({traj.status}: {traj.message})",
-                    math.inf,
-                    0.0,
-                    False,
-                    "run status",
-                )
-            )
+            rows.append(_run_failed(f"capillary run completed, theta={theta:.6f}", traj))
             continue
         worst = max(d["max_bc_residual"] for d in traj.diagnostics[1:])
         rows.append(
@@ -323,6 +312,7 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=0.5, seed=2026):
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
     params = KernelParams(s)
+    p = grid.n + 1 + s
     rng = np.random.default_rng(seed)
     worst = 0.0
     for xi in (0.0, 0.37, 1.0):
@@ -333,11 +323,11 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=0.5, seed=2026):
         )
         ratio2 = D2 / np.maximum(grid.chord**2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
-        kappa = float(np.sqrt(ratio2.min())) ** -params.p
+        kappa = float(np.sqrt(ratio2.min())) ** -p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
         i, j = idx[idx[:, 0] != idx[:, 1]].T
         val = kernel_K(xi, rho, j, i, params)
-        worst = max(worst, float(np.max(val * grid.chord[i, j] ** params.p / kappa)))
+        worst = max(worst, float(np.max(val * grid.chord[i, j] ** p / kappa)))
     return worst
 
 
@@ -450,15 +440,7 @@ def check_smoothing(resolution=256, steps=20, dt=1e-4):
     )
     traj = run_flow(cfg)
     if traj.status != "completed":
-        return [
-            CheckResult(
-                f"smoothing run completed ({traj.status}: {traj.message})",
-                math.inf,
-                0.0,
-                False,
-                "run status",
-            )
-        ]
+        return [_run_failed("smoothing run completed", traj)]
     sup_dev = [d["sup_dev"] for d in traj.diagnostics]
     semis = [
         holder_norm(vals, traj.grid, 0.5).seminorm for _, vals in traj.saved
@@ -485,19 +467,9 @@ SUITES = {
     "identities": suite_identities,
 }
 
-SUITE_DEFAULTS = {
-    "m1-identity": 512,
-    "scaling": 512,
-    "shrinking-circle": 256,
-    "bc": 129,
-    "identities": 512,
-}
-
-
 def run_suite(name, resolution=None):
-    """Run one named suite; returns its CheckResult rows."""
-    if name not in SUITES:
-        raise KeyError(name)
+    """Run one named suite at its own default resolution unless one is
+    given; returns its CheckResult rows."""
     if resolution is None:
-        resolution = SUITE_DEFAULTS[name]
+        return SUITES[name]()
     return SUITES[name](resolution)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from capflow import RadialField, bc_residual, build_grid
 from capflow.cli import ConfigError, RunManifest, main, parse_config
 from capflow.snapshots import (
     SCHEMA,
@@ -295,6 +296,71 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "s must lie in (0,1), got 1.2" in err
+
+
+HEMI_CONFIG = {
+    "s": "0.5",
+    "theta": "1.0471975511965976",
+    "dt": "1e-3",
+    "t_end": "2e-3",
+    "resolution": "33",
+    "topology": "hemisphere",
+    "homotopy_order": "2",
+    "refresh_remainders": "per-step",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_picard", "0"),
+        ("picard_tol", "-1"),
+        ("picard_tol", "nan"),
+        ("bc_tol", "-1"),
+        ("t_end", "inf"),
+        ("t_end", "nan"),
+        ("dt", "inf"),
+        ("initial", "constant:nan"),
+        ("initial", "height:nan"),
+        ("initial", "constant:-1"),
+        ("initial", "bogus:1"),
+        ("initial", "cosine:x:1"),
+        ("initial", "cosine:2"),
+        ("initial", "height:0.1:2"),
+        ("initial", "height:-1"),
+        ("initial", "cosine:2:1.5"),
+    ],
+)
+def test_malformed_config_value_exits_2_and_names_key(tmp_path, capsys, key, value):
+    settings = {**HEMI_CONFIG, key: value}
+    path = _write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert not (tmp_path / "run.snap").exists()
+
+
+def test_failed_frame_zero_projection_keeps_restart_point(tmp_path, capsys):
+    values = 1.0 + np.random.default_rng(9).uniform(-0.05, 0.05, 129)
+    manifest = {"grid": {"n": 1, "resolution": 129, "topology": "hemisphere"}}
+    write_snapshot(tmp_path / "seed.snap", manifest, [frame_record(0.0, values, 0.0, 1.0)])
+    text = (
+        "s = 0.5\ntheta = 2.0943951023931953\ndt = 1e-4\nresolution = 129\n"
+        f"topology = hemisphere\nhomotopy_order = 2\ninitial = snapshot:{tmp_path}/seed.snap\n"
+    )
+    path = _write_config(tmp_path, text)
+    assert main(["run", str(path)]) == 3
+    assert "nonconvergence (contact-angle" in capsys.readouterr().out
+    _, frames = read_snapshot(tmp_path / "run.snap")
+    assert len(frames) == 1
+    assert frames[0]["time"] == 0.0
+    assert np.array_equal(frames[0]["values"], values)
+    grid = build_grid(1, 129, "hemisphere")
+    measured = np.abs(bc_residual(RadialField(grid, values), 2.0943951023931953)).max()
+    assert frames[0]["bc_residual"] == measured > 1e-6
+    rows = (tmp_path / "run.csv").read_text().splitlines()
+    assert len(rows) == 3  # manifest, column names, frame 0
 
 
 def test_validate_unknown_suite_exit_code(capsys):

@@ -287,7 +287,7 @@ def test_operator_matrix_full_circle_matches_pointwise_operator():
     grid = build_grid(1, 128, "full-sphere")
     M = operator_matrix(cfg)
     u = np.cos(2 * grid.phi) + 0.3 * np.sin(5 * grid.phi)
-    direct = reference_frac_laplacian(u, grid, cfg.params)
+    direct = reference_frac_laplacian(u, grid, KernelParams(cfg.s))
     assert np.abs(M @ u - direct).max() < 1e-9 * np.abs(direct).max()
 
 
@@ -327,7 +327,7 @@ def test_operator_matrix_capillary_fold_matches_reflection():
     grid = build_grid(1, 33, "hemisphere")
     work, _ = double_grid(grid)
     M_fold = operator_matrix(cfg)
-    M_full = frac_laplacian_matrix(work, cfg.params)
+    M_full = frac_laplacian_matrix(work, KernelParams(cfg.s))
     rng = np.random.default_rng(7)
     for _ in range(3):
         u = 1 + 0.1 * rng.standard_normal(33)
@@ -342,9 +342,9 @@ def test_remainder_decomposition_reassembles_full_speed():
     rho = _wavy(grid)
     rule = HomotopyRule(order=cfg.homotopy_order)
     A = prefactor_A(rho)
-    ref = hs_reference(grid, cfg.params, "full-sphere")
-    r1 = remainder_R1(rho, cfg.params, rule)
-    r2 = remainder_R2(rho, cfg.params, rule)
+    ref = hs_reference(grid, KernelParams(cfg.s), "full-sphere")
+    r1 = remainder_R1(rho, KernelParams(cfg.s), rule)
+    r2 = remainder_R2(rho, KernelParams(cfg.s), rule)
     expected = A * (
         operator_matrix(cfg) @ rho.values - ref + r1 + r2 * (rho.values - 1.0)
     )
@@ -540,6 +540,43 @@ def test_run_flow_hemisphere_matches_reflected_circle():
         half = saved[k + 1]
         err = np.abs(state.rho.values[:65] - half).max() / np.abs(half).max()
         assert err < 1e-3
+
+
+@pytest.mark.parametrize("n,resolution", [(1, 33), (2, 9)])
+def test_run_flow_half_ball_reference_is_unfolded(n, resolution):
+    cfg = FlowConfig(
+        s=S,
+        theta=HALF_PI,
+        dt=1e-3,
+        resolution=resolution,
+        topology="hemisphere",
+        n=n,
+        t_end=3e-3,
+        hs_ref_mode="half-ball",
+        homotopy_order=2,
+        refresh_remainders="per-step",
+    )
+    grid = build_grid(n, resolution, "hemisphere")
+    params, rule = KernelParams(S), HomotopyRule(order=2)
+    # no reflection: the operator rows and columns are the hemisphere's own
+    M = frac_laplacian_matrix(grid, params)
+    assert np.array_equal(operator_matrix(cfg), M)
+    rho = RadialField(grid, 1.0 + 0.05 * grid.nodes[:, -1])
+    expected = prefactor_A(rho) * (
+        M @ rho.values
+        - hs_reference(grid, params, "half-ball")
+        + remainder_R1(rho, params, rule)
+        + remainder_R2(rho, params, rule) * (rho.values - 1.0)
+    )
+    got = assemble_rhs(rho, cfg)
+    assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+    traj = run_flow(cfg)
+    assert traj.status == "completed"
+    assert len(traj.diagnostics) == 4
+    vols = [d["volume"] for d in traj.diagnostics]
+    assert all(b < a for a, b in zip(vols, vols[1:]))
+    if n == 1:
+        assert max(d["max_bc_residual"] for d in traj.diagnostics) <= cfg.bc_tol
 
 
 def test_run_flow_right_angle_keeps_uniform_field():

@@ -329,6 +329,11 @@ def test_radial_field_validation():
         RadialField(g, np.zeros(g.size))
     with pytest.raises(ValueError):
         RadialField(g, np.ones(g.size + 1))
+    for bad in (np.nan, np.inf):
+        vals = np.ones(g.size)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RadialField(g, vals)
 
 
 def test_radial_field_copies_and_freezes_values():

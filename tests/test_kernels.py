@@ -47,7 +47,8 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     One fractional power per call: D2^(-(p+2)/2) is formed as K / D2.  The
     target columns of both matrices are zero.
     """
-    n, p = params.n, params.p
+    n = grid.n
+    p = n + 1 + params.s
     a = 1.0 + xi * (r - 1.0)
     at = a[targets]
     rm = r - 1.0
@@ -86,7 +87,7 @@ def reference_remainder_R2(rho, params, rule):
     grid, r = rho.grid, rho.values
     tgt = np.arange(grid.size)
     chord2 = 2.0 * (1.0 - grid.dots[tgt])
-    mass = _chord_kernel(grid, params.n - 1 + params.s, tgt)
+    mass = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
     out = _corrected_sum(mass, grid, tgt, params)
     g = gradient_values(grid, r)
     ydotg = -(grid.nodes[tgt] @ g.T)
@@ -94,7 +95,7 @@ def reference_remainder_R2(rho, params, rule):
         K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
         out += wv * (1.0 - xv) * _corrected_sum(chord2 * dK, grid, tgt, params)
         B = 1.0 + xv * (r - 1.0)
-        F = ydotg * B[None, :] ** (params.n - 1) * K
+        F = ydotg * B[None, :] ** (grid.n - 1) * K
         out += -2.0 * wv * xv * _corrected_sum(F, grid, tgt, params)
     return out
 
@@ -157,9 +158,9 @@ def test_homotopy_rule_rejects_bad_order():
 def test_kernel_on_round_sphere_is_chord_power():
     grid = build_grid(1, 64, "full-sphere")
     rho = RadialField(grid, np.ones(grid.size))
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     for y, x in [(3, 40), (0, 1), (10, 33)]:
-        expect = grid.chord[y, x] ** (-params.p)
+        expect = grid.chord[y, x] ** (-(grid.n + 1 + params.s))
         assert kernel_K(0.7, rho, y, x, params) == pytest.approx(expect, rel=1e-14)
 
 
@@ -167,15 +168,15 @@ def test_kernel_scaling_on_dilated_sphere():
     grid = build_grid(1, 64, "full-sphere")
     c = 1.7
     rho = RadialField(grid, np.full(grid.size, c))
-    params = KernelParams(s=0.3, n=1)
-    expect = (c * grid.chord[5, 20]) ** (-params.p)
+    params = KernelParams(s=0.3)
+    expect = (c * grid.chord[5, 20]) ** (-(grid.n + 1 + params.s))
     assert kernel_K(1.0, rho, 5, 20, params) == pytest.approx(expect, rel=1e-13)
 
 
 def test_kernel_is_symmetric_in_the_pair():
     grid = build_grid(1, 65, "hemisphere")
     rho = bumpy_field(grid)
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     assert kernel_K(0.4, rho, 7, 31, params) == pytest.approx(
         kernel_K(0.4, rho, 31, 7, params), rel=1e-14
     )
@@ -184,7 +185,7 @@ def test_kernel_is_symmetric_in_the_pair():
 def test_kernel_rejects_coincident_nodes():
     grid = build_grid(1, 65, "hemisphere")
     rho = bumpy_field(grid)
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     with pytest.raises(ValueError):
         kernel_K(0.5, rho, 8, 8, params)
     with pytest.raises(ValueError):
@@ -194,7 +195,7 @@ def test_kernel_rejects_coincident_nodes():
 def test_kernel_on_index_arrays_matches_pairwise_calls():
     grid = build_grid(1, 65, "hemisphere")
     rho = bumpy_field(grid)
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     y = np.array([7, 0, 64, 12])
     x = np.array([31, 5, 2, 11])
     vals = kernel_K(0.4, rho, y, x, params)
@@ -208,10 +209,6 @@ def test_kernel_params_validation():
         KernelParams(s=0.0)
     with pytest.raises(ValueError):
         KernelParams(s=1.0)
-    with pytest.raises(ValueError):
-        KernelParams(s=0.5, n=0)
-    assert KernelParams(s=0.5, n=1).p == pytest.approx(2.5)
-    assert KernelParams(s=0.3, n=2).p == pytest.approx(3.3)
 
 
 @pytest.mark.parametrize("n,resolution", [(1, 65), (2, 12)])
@@ -222,7 +219,7 @@ def test_kernel_dxi_matches_finite_differences(n, resolution, pair):
     rng = np.random.default_rng(7)
     vals = 1.0 + 0.25 * np.sin(3.0 * grid.nodes[:, 0]) + 0.05 * rng.random(grid.size)
     rho = RadialField(grid, vals)
-    params = KernelParams(s=0.45, n=n)
+    params = KernelParams(s=0.45)
     y, x = pair
     xi0, h = 0.37, 1e-5
 
@@ -240,9 +237,10 @@ def test_kernel_dxi_constant_field_closed_form(n):
     grid = build_grid(n, 64 if n == 1 else 12, topology)
     c = 1.4
     rho = RadialField(grid, np.full(grid.size, c))
-    params = KernelParams(s=0.6, n=n)
+    params = KernelParams(s=0.6)
     y, x = 2, 11
-    expect = (c - 1.0) * (n - params.p) * grid.chord[y, x] ** (-params.p)
+    p = grid.n + 1 + params.s
+    expect = (c - 1.0) * (n - p) * grid.chord[y, x] ** (-p)
     assert kernel_dxi(0.0, rho, y, x, params) == pytest.approx(expect, rel=1e-12)
 
 
@@ -252,7 +250,7 @@ def test_kernel_lower_bound_over_random_pairs():
     vals = 1.0 + 0.3 * np.cos(3.0 * grid.phi) + 0.1 * rng.standard_normal(grid.size)
     vals = np.clip(vals, 0.5, None)
     rho = RadialField(grid, vals)
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     a_min = 1.0  # at xi the radii are 1 + xi*(vals-1) >= min(vals, 1)
     for _ in range(200):
         y, x = rng.integers(0, grid.size, size=2)
@@ -260,12 +258,12 @@ def test_kernel_lower_bound_over_random_pairs():
             continue
         xi = rng.random()
         a_lo = min(1.0 + xi * (vals[y] - 1.0), 1.0 + xi * (vals[x] - 1.0), a_min)
-        bound = (a_lo * grid.chord[y, x]) ** (-params.p)
+        bound = (a_lo * grid.chord[y, x]) ** (-(grid.n + 1 + params.s))
         assert kernel_K(xi, rho, y, x, params) <= bound * (1.0 + 1e-12)
 
 
 def test_corrected_mass_matches_analytic_circle_integral():
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     exact = circle_mass(params.s)
     errs = []
     for res in (256, 512):
@@ -278,7 +276,7 @@ def test_corrected_mass_matches_analytic_circle_integral():
 
 
 def test_raw_punctured_mass_is_much_worse():
-    params = KernelParams(s=0.5, n=1)
+    params = KernelParams(s=0.5)
     exact = circle_mass(params.s)
     grid = build_grid(1, 256, "full-sphere")
     row = grid.chord[0].copy()
@@ -296,7 +294,7 @@ def test_raw_punctured_mass_is_much_worse():
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_corrected_mass_other_orders(s):
-    params = KernelParams(s=s, n=1)
+    params = KernelParams(s=s)
     grid = build_grid(1, 512, "full-sphere")
     m = hs_reference(grid, params, "full-sphere")[0] * s
     assert m == pytest.approx(circle_mass(s), rel=2e-4)
@@ -309,6 +307,7 @@ def test_kernel_bound_excess_matches_pairwise_loop():
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
     params = KernelParams(s)
+    p = grid.n + 1 + s
     rng = np.random.default_rng(seed)
     worst = 0.0
     for xi in (0.0, 0.37, 1.0):
@@ -316,11 +315,11 @@ def test_kernel_bound_excess_matches_pairwise_loop():
         D2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         ratio2 = D2 / np.maximum(grid.chord**2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
-        kappa = float(np.sqrt(ratio2.min())) ** -params.p
+        kappa = float(np.sqrt(ratio2.min())) ** -p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
         for i, j in idx[idx[:, 0] != idx[:, 1]]:
             val = kernel_K(xi, rho, int(j), int(i), params)
-            worst = max(worst, val * grid.chord[i, j] ** params.p / kappa)
+            worst = max(worst, val * grid.chord[i, j] ** p / kappa)
     assert kernel_bound_excess(resolution, pairs, s, seed) == worst
 
 
@@ -335,25 +334,25 @@ def _remainder_cases():
     work, index = double_grid(hemi)
     yield "hemisphere129", RadialField(
         work, (1.0 + 0.05 * np.cos(2.0 * hemi.phi) + 0.03 * hemi.nodes[:, 1])[index]
-    ), KernelParams(s=0.5, n=1), HomotopyRule(order=8)
+    ), KernelParams(s=0.5), HomotopyRule(order=8)
     circle = build_grid(1, 128, "full-sphere")
     yield "circle128", RadialField(
         circle, 1.0 + 0.1 * np.cos(2.0 * circle.phi)
-    ), KernelParams(s=0.5, n=1), HomotopyRule(order=8)
+    ), KernelParams(s=0.5), HomotopyRule(order=8)
     surf = build_grid(2, 13, "hemisphere")
     work, index = double_grid(surf)
     z = surf.nodes[:, 2]
     yield "hemisphere2_13", RadialField(
         work, (1.0 + 0.1 * z**2 + 0.05 * surf.nodes[:, 0])[index]
-    ), KernelParams(s=0.5, n=2), HomotopyRule(order=4)
+    ), KernelParams(s=0.5), HomotopyRule(order=4)
     g1 = build_grid(1, 65, "hemisphere")
     yield "random65", RadialField(
         g1, 1.0 + 0.05 * rng.uniform(-1.0, 1.0, g1.size)
-    ), KernelParams(s=0.3, n=1), HomotopyRule(order=6)
+    ), KernelParams(s=0.3), HomotopyRule(order=6)
     g2 = build_grid(2, 9, "full-sphere")
     yield "random2_9", RadialField(
         g2, 1.0 + 0.05 * rng.uniform(-1.0, 1.0, g2.size)
-    ), KernelParams(s=0.7, n=2), HomotopyRule(order=4)
+    ), KernelParams(s=0.7), HomotopyRule(order=4)
 
 
 REMAINDER_CASES = {name: case for name, *case in _remainder_cases()}
@@ -386,7 +385,7 @@ def test_remainder_rows_independent_of_block_size(name, monkeypatch):
 
 def test_remainder_memo_matches_fresh_fields():
     rho, params, rule = REMAINDER_CASES["random65"]
-    other = KernelParams(s=0.6, n=1)
+    other = KernelParams(s=0.6)
     calls = [
         (remainder_R2, params, rule, None),
         (remainder_R1, params, rule, None),

@@ -23,9 +23,10 @@ from capflow import (
     remainder_R2,
     riemann_zeta,
 )
+from capflow.nonlocal_ops import _wetted_disk_samples
 
 S = 0.5
-PARAMS = KernelParams(s=S, n=1)
+PARAMS = KernelParams(s=S)
 
 
 def circle_mass(s):
@@ -169,7 +170,7 @@ def reference_frac_laplacian(u, grid, params):
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        K = grid.chord ** (-params.p)
+        K = grid.chord ** (-(grid.n + 1 + params.s))
     np.fill_diagonal(K, 0.0)
     g = gradient_values(grid, u)
     # g(x) . (y - x) = g(x) . y, since the gradient is tangent at x
@@ -240,12 +241,43 @@ def test_frac_laplacian_matrix_reproduces_operator():
 )
 def test_frac_laplacian_matches_taylor_reference(n, resolution, topology):
     grid = build_grid(n, resolution, topology)
-    params = KernelParams(s=S, n=n)
+    params = KernelParams(s=S)
     rng = np.random.default_rng(5)
     for u in (1.0 + 0.05 * grid.nodes[:, -1], rng.standard_normal(grid.size)):
         ref = reference_frac_laplacian(u, grid, params)
         out = frac_laplacian(u, grid, params)
         assert np.abs(out - ref).max() < 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_operators_read_surface_dimension_from_grid(topology):
+    # KernelParams holds only s, so on an n = 2 grid every operator must
+    # use the kernel exponent n + 1 + s = 3 + s and the mass exponent 1 + s
+    grid = build_grid(2, 9, topology)
+    params = KernelParams(S)
+    u = 1.0 + 0.05 * grid.nodes[:, -1] + 0.1 * grid.nodes[:, 0] ** 2
+    ref = reference_frac_laplacian(u, grid, params)
+    out = frac_laplacian_matrix(grid, params) @ u
+    assert np.abs(out - ref).max() < 1e-9 * np.abs(ref).max()
+    with np.errstate(divide="ignore"):
+        mass = grid.chord ** -(1.0 + S)
+    np.fill_diagonal(mass, 0.0)
+    free = mass @ grid.weights / S
+    if topology == "full-sphere":
+        assert hs_reference(grid, params, "full-sphere") == pytest.approx(free, rel=1e-12)
+        x = grid.size // 3
+        oracle = divergence_oracle_Hs(
+            grid.nodes, grid.nodes, grid.weights, x, params, ordered_ring=False
+        )
+        assert oracle == pytest.approx(free[x], rel=1e-12)
+    else:
+        # the wetted disk adds (2/s) x_3 int |y - x|^(-(3+s)) dy
+        dn, dw = _wetted_disk_samples(2)
+        disk = np.array(
+            [dw @ np.sum((dn - x) ** 2, axis=1) ** (-0.5 * (3.0 + S)) for x in grid.nodes]
+        )
+        expect = free + (2.0 / S) * grid.nodes[:, 2] * disk
+        assert hs_reference(grid, params, "half-ball") == pytest.approx(expect, rel=1e-12)
 
 
 def test_frac_laplacian_matrix_row_sums_and_signs():
@@ -427,7 +459,7 @@ def test_divergence_oracle_ellipse_refinement():
 
 
 def test_divergence_oracle_unit_two_sphere():
-    params = KernelParams(s=S, n=2)
+    params = KernelParams(s=S)
     exact = math.pi * 2.0 ** (2.0 - S) / (1.0 - S) / S
     vals = []
     for res in (16, 32):
@@ -521,7 +553,7 @@ def test_remainders_converged_in_quadrature_order(n):
         grid, _ = double_grid(build_grid(2, 13, "hemisphere"))
         x, z = grid.nodes[:, 0], grid.nodes[:, 2]
         rho = RadialField(grid, 1.0 + 0.1 * z**2 + 0.05 * x)
-        params, order, rows, tol = KernelParams(s=S, n=2), 4, slice(None), 1e-9
+        params, order, rows, tol = KernelParams(s=S), 4, slice(None), 1e-9
     for fn in (remainder_R1, remainder_R2):
         coarse = fn(rho, params, HomotopyRule(order=order))
         fine = fn(rho, params, HomotopyRule(order=16))
