@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .flow import FlowConfig, run_flow
+from .flow import ConfigError, FlowConfig, run_flow
 from .snapshots import (
     SnapshotError,
     frame_record,
@@ -52,10 +52,6 @@ _INT_KEYS = ("resolution", "n", "save_every", "homotopy_order", "max_picard")
 _STR_KEYS = ("topology", "hs_ref_mode", "initial", "refresh_remainders")
 _REQUIRED = ("s", "theta", "dt", "resolution", "topology")
 _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + ("output",)
-
-
-class ConfigError(ValueError):
-    """A config file is missing, malformed, or out of range."""
 
 
 @dataclass(frozen=True)

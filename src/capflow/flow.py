@@ -85,6 +85,11 @@ class ExtinctionError(RuntimeError):
     """The surface shrank below the resolvable radius."""
 
 
+class ConfigError(ValueError):
+    """A config file is missing, malformed, or out of range, or names a
+    snapshot on another grid."""
+
+
 class NonconvergenceError(RuntimeError):
     """The Picard iteration failed even after time step reduction."""
 
@@ -487,9 +492,13 @@ def initial_field(grid: SphereGrid, spec: str) -> RadialField:
         return RadialField(grid, 1.0 + args[0] * grid.nodes[:, -1])
     from .snapshots import load_snapshot
 
-    loaded_grid, values, _ = load_snapshot(args[0])
-    if loaded_grid.size != grid.size or loaded_grid.topology != grid.topology:
-        raise ValueError("snapshot grid does not match the configured grid")
+    loaded, values, _ = load_snapshot(args[0])
+    if (loaded.n, loaded.topology, loaded.size) != (grid.n, grid.topology, grid.size):
+        raise ConfigError(
+            f"initial: snapshot {args[0]} is on an n = {loaded.n} {loaded.topology} "
+            f"grid of {loaded.size} nodes, the configured grid is n = {grid.n} "
+            f"{grid.topology} with {grid.size} nodes"
+        )
     return RadialField(grid, values)
 
 

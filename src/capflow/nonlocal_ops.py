@@ -9,12 +9,14 @@ from integrals over the reference (hemi)sphere against the kernel family
 interpolating between the round sphere (xi = 0) and the actual surface
 (xi = 1).  KernelParams carries only s; the surface dimension n is read
 from the grid (or, for the point-cloud oracle, the point dimension), so
-the exponent always matches the surface.  The module provides the principal-value fractional Laplacian,
-the two homotopy remainder terms, the derivative of curvature along the
-homotopy, and an independent curvature oracle based on the divergence
-theorem.  The two remainders come from one shared kernel pass per rule
-node, taken over fixed-size blocks of target rows so that temporaries stay
-small and every row is bitwise independent of the block size.
+the exponent always matches the surface.  The module provides the
+principal-value fractional Laplacian, the two homotopy remainder terms
+(from one shared kernel pass per rule node), the derivative of curvature
+along the homotopy, the injectivity guard, and an independent curvature
+oracle based on the divergence theorem.  The squared image distance has
+one definition (`_image_dist2`), and every pass that reduces over node
+pairs walks the target rows in blocks of ROW_BLOCK (`_blocks`), so
+temporaries stay small and rows are bitwise independent of the block size.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -127,6 +129,17 @@ def riemann_zeta(s: float) -> float:
     return float(eta / (1.0 - 2.0 ** (1.0 - s)))
 
 
+def _lattice_stencil(grid: SphereGrid, targets: np.ndarray, boundary_correction=False):
+    """Per side, the row positions and neighbor nodes of the n = 1 lattice
+    correction: every interior target, and the one-sided endpoints too
+    when `boundary_correction` is set."""
+    adj = grid.adjacent[targets]
+    use = np.all(adj >= 0, axis=1) | boundary_correction
+    for side in (0, 1):
+        ok = use & (adj[:, side] >= 0)
+        yield np.flatnonzero(ok), adj[ok, side]
+
+
 def _corrected_sum(
     F: np.ndarray,
     grid: SphereGrid,
@@ -148,21 +161,23 @@ def _corrected_sum(
     base = np.einsum("tj,j->t", F, grid.weights)
     if grid.n != 1:
         return base
-    adj = grid.adjacent[targets]
-    both = (adj[:, 0] >= 0) & (adj[:, 1] >= 0)
-    use = both | boundary_correction
-    rows = np.arange(targets.size)
     corr = np.zeros(targets.size)
-    for side in (0, 1):
-        idx = adj[:, side]
-        ok = use & (idx >= 0)
-        corr[ok] += F[rows[ok], idx[ok]]
+    for rows, cols in _lattice_stencil(grid, targets, boundary_correction):
+        corr[rows] += F[rows, cols]
     return base - riemann_zeta(params.s) * grid.h * corr
 
 
-def _zero_target_cols(F: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    F[np.arange(targets.size), targets] = 0.0
-    return F
+# target rows per block of every pass over node pairs; row results do not
+# depend on it, only the size of the temporaries does
+ROW_BLOCK = 64
+
+
+def _blocks(targets: np.ndarray):
+    """Per block of at most ROW_BLOCK target rows: the rows' slice, their
+    targets, and the index of each row's own (target) column."""
+    for start in range(0, targets.size, ROW_BLOCK):
+        tb = targets[start : start + ROW_BLOCK]
+        yield slice(start, start + tb.size), tb, (np.arange(tb.size), tb)
 
 
 # ----------------------------------------------------------------------
@@ -170,23 +185,18 @@ def _zero_target_cols(F: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _image_dist2(
-    r: np.ndarray, grid: SphereGrid, xi: float, targets: np.ndarray
-) -> np.ndarray:
-    """Squared distances |Phi_xi(y_j) - Phi_xi(x_t)| for target rows."""
-    a = 1.0 + xi * (r - 1.0)
-    at = a[targets]
-    D2 = at[:, None] ** 2 + a[None, :] ** 2 - 2.0 * np.outer(at, a) * grid.dots[targets]
-    return np.maximum(D2, 0.0)
+def _image_dist2(xi: float, r_x: np.ndarray, r_y: np.ndarray, A0: np.ndarray):
+    """Squared image distance |Phi_xi(y) - Phi_xi(x)|^2 of unit nodes x, y:
+    with a = 1 + xi (rho - 1) and A0 = |y - x|^2 = 2 - 2 x.y, it is
+    (a_x - a_y)^2 + a_x a_y A0.  Broadcasts over pairs or target rows."""
+    a_x = 1.0 + xi * (r_x - 1.0)
+    a_y = 1.0 + xi * (r_y - 1.0)
+    return (a_x - a_y) ** 2 + a_x * a_y * A0
 
 
-def _kernel_matrix(
-    r: np.ndarray, grid: SphereGrid, params: KernelParams, xi: float, targets: np.ndarray
-) -> np.ndarray:
-    D2 = _image_dist2(r, grid, xi, targets)
-    with np.errstate(divide="ignore"):
-        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
-    return _zero_target_cols(K, targets)
+def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x . grad rho(y) per entry (a matrix product rounds by row count)."""
+    return sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
 
 
 def kernel_K(
@@ -199,16 +209,16 @@ def kernel_K(
     """Kernel |Phi_xi(y) - Phi_xi(x)|^(-(n+1+s)) for node pairs.
 
     `y` and `x` are node indices or equal-shape index arrays; every pair
-    must be off the diagonal.
+    must be off the diagonal.  A single pair rounds as it would in an array.
     """
-    if np.any(np.asarray(y) == np.asarray(x)):
+    single = np.ndim(y) == 0 and np.ndim(x) == 0
+    y, x = np.atleast_1d(y, x)
+    if np.any(y == x):
         raise ValueError("kernel is singular at y = x")
-    r = rho.values
-    a_y = 1.0 + xi * (r[y] - 1.0)
-    a_x = 1.0 + xi * (r[x] - 1.0)
-    d2 = a_y**2 + a_x**2 - 2.0 * a_y * a_x * rho.grid.dots[y, x]
-    out = d2 ** (-0.5 * (rho.grid.n + 1 + params.s))
-    return float(out) if np.ndim(out) == 0 else out
+    r, grid = rho.values, rho.grid
+    d2 = _image_dist2(xi, r[x], r[y], 2.0 - 2.0 * grid.dots[y, x])
+    out = d2 ** (-0.5 * (grid.n + 1 + params.s))
+    return float(out[0]) if single else out
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +229,8 @@ def kernel_K(
 def _chord_kernel(grid: SphereGrid, exponent: float, targets: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         K = grid.chord[targets] ** (-exponent)
-    return _zero_target_cols(K, targets)
+    K[np.arange(targets.size), targets] = 0.0
+    return K
 
 
 def frac_laplacian(
@@ -248,12 +259,8 @@ def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
     M = 2.0 * K * grid.weights[None, :]
     if grid.n == 1:
         z = riemann_zeta(params.s)
-        adj = grid.adjacent
-        both = (adj[:, 0] >= 0) & (adj[:, 1] >= 0)
-        for side in (0, 1):
-            idx = adj[:, side]
-            ok = both & (idx >= 0)
-            M[targets[ok], idx[ok]] += -2.0 * z * grid.h * K[targets[ok], idx[ok]]
+        for rows, cols in _lattice_stencil(grid, targets):
+            M[rows, cols] += -2.0 * z * grid.h * K[rows, cols]
     np.fill_diagonal(M, 0.0)
     np.fill_diagonal(M, -M.sum(axis=1))
     return M
@@ -268,14 +275,17 @@ def injectivity_ratio(rho: RadialField) -> float:
     """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map."""
     if rho._inj_ratio is not None:
         return rho._inj_ratio
-    grid = rho.grid
-    D2 = _image_dist2(rho.values, grid, 1.0, np.arange(grid.size))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio2 = D2 / grid.chord**2
-    np.fill_diagonal(ratio2, np.inf)
-    val = float(np.sqrt(np.nanmin(ratio2)))
-    rho._inj_ratio = val
-    return val
+    grid, r = rho.grid, rho.values
+    targets = np.arange(grid.size)
+    least = np.inf
+    for _, tb, col in _blocks(targets):
+        A0 = 2.0 - 2.0 * grid.dots[tb]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio2 = _image_dist2(1.0, r[tb, None], r, A0) / A0
+        ratio2[col] = np.inf
+        least = min(least, np.nanmin(ratio2))
+    rho._inj_ratio = float(np.sqrt(least))
+    return rho._inj_ratio
 
 
 def _guard_injectivity(rho: RadialField) -> None:
@@ -287,18 +297,14 @@ def _guard_injectivity(rho: RadialField) -> None:
         )
 
 
-# target rows per block of the remainder pass; row results do not depend
-# on it, only the size of the temporaries does
-ROW_BLOCK = 64
-
-
 def _remainder_pair(
     rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """R1 and R2 at the target rows, from one kernel pass per rule node.
 
     With u = rho - 1 and A0 = |y - x|^2 = 2 - 2 x.y, the squared image
-    distance is D2(xi) = A0 + xi (A1 + xi A2) with A1 = (u(x) + u(y)) A0 and
+    distance (`_image_dist2`), expanded in xi and updated in place, is
+    D2(xi) = A0 + xi (A1 + xi A2) with A1 = (u(x) + u(y)) A0 and
     A2 = (u(x) - u(y))^2 + u(x) u(y) A0, and the pairing of Phi(y) - Phi(x)
     with u(y) y - u(x) x is W = A1/2 + xi A2.  Both remainders are linear
     in the kernel matrices, so the xi-integrals are accumulated into
@@ -306,9 +312,6 @@ def _remainder_pair(
     remainder then takes corrected row sums of them:
     R1 = 2 sum (rho(y) - rho(x)) S and
     R2 = mass + sum A0 S - 2 sum ((y - x) . grad rho(y)) S3.
-
-    Targets are walked in blocks of ROW_BLOCK rows, and every row is
-    reduced on its own, so each row is bitwise the same for any block size.
     """
     grid, r = rho.grid, rho.values
     n = grid.n
@@ -318,9 +321,7 @@ def _remainder_pair(
     xs, ws = rule.tprime()
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
-    for start in range(0, targets.size, ROW_BLOCK):
-        tb = targets[start : start + ROW_BLOCK]
-        rows = np.arange(tb.size)
+    for sl, tb, col in _blocks(targets):
         ut = u[tb][:, None]
         A0 = 2.0 - 2.0 * grid.dots[tb]
         A1h = 0.5 * (ut + u) * A0
@@ -339,9 +340,9 @@ def _remainder_pair(
             D2 += A0
             # the target column is punctured: 1 keeps its power and quotient
             # finite, and K = 0 there zeroes every term built from it
-            D2[rows, tb] = 1.0
+            D2[col] = 1.0
             np.power(D2, -0.5 * p, out=K)
-            K[rows, tb] = 0.0
+            K[col] = 0.0
             Kp2 = np.divide(K, D2, out=D2)
             B = 1.0 + xv * u
             Bn1 = B ** (n - 1)
@@ -354,15 +355,13 @@ def _remainder_pair(
             S += W
             np.multiply(K, (wv * xv) * Bn1, out=W)
             S3 += W
-        # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the
-        # gradient, summed per entry (a matrix product rounds by row count)
-        xt = grid.nodes[tb]
-        ydotg = -sum(xt[:, d, None] * g[:, d] for d in range(n + 1))
+        # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the gradient
+        ydotg = -_x_dot_grad(grid.nodes[tb], g)
         # no one-sided boundary correction in the mass: the same
         # (un)corrected mass appears on both sides of the homotopy identity
         mass = _chord_kernel(grid, n - 1 + params.s, tb)
-        r1[start : start + tb.size] = 2.0 * _corrected_sum((u - ut) * S, grid, tb, params)
-        r2[start : start + tb.size] = (
+        r1[sl] = 2.0 * _corrected_sum((u - ut) * S, grid, tb, params)
+        r2[sl] = (
             _corrected_sum(mass, grid, tb, params)
             + _corrected_sum(A0 * S, grid, tb, params)
             - 2.0 * _corrected_sum(ydotg * S3, grid, tb, params)
@@ -444,20 +443,23 @@ def homotopy_derivative(
     """
     _guard_injectivity(rho)
     grid, r = rho.grid, rho.values
-    tgt = np.arange(grid.size)
+    targets = np.arange(grid.size)
     g = gradient_values(grid, r)
-    rt = r - 1.0
-    B = 1.0 + tprime * rt
-    K = _kernel_matrix(r, grid, params, tprime, tgt)
-    dr = r[None, :] - r[:, None]
-    one_minus = 1.0 - grid.dots
-    xdotg = grid.nodes @ g.T
-    Bn1 = B[None, :] ** (grid.n - 1)
-    F = 2.0 * K * (
-        Bn1 * B[None, :] * (dr + rt[:, None] * one_minus)
-        + tprime * rt[:, None] * xdotg * Bn1
-    )
-    return _corrected_sum(F, grid, tgt, params)
+    u = r - 1.0
+    B = 1.0 + tprime * u
+    Bn1 = B ** (grid.n - 1)
+    out = np.empty(grid.size)
+    for sl, tb, col in _blocks(targets):
+        ut = u[tb, None]
+        A0 = 2.0 - 2.0 * grid.dots[tb]
+        D2 = _image_dist2(tprime, r[tb, None], r, A0)
+        D2[col] = 1.0  # the punctured target column, as in _remainder_pair
+        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
+        K[col] = 0.0
+        xdotg = _x_dot_grad(grid.nodes[tb], g)
+        F = Bn1 * B * (r - r[tb, None] + ut * (0.5 * A0)) + tprime * ut * xdotg * Bn1
+        out[sl] = _corrected_sum(2.0 * K * F, grid, tb, params)
+    return out
 
 
 def parametrized_Hs(
@@ -557,14 +559,10 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
     if mode == "full-sphere":
         return free
     dn, dw = _wetted_disk_samples(grid.n)
-    # (y - x) . nu on the flat patch equals the height of x
-    height = grid.nodes[:, -1]
-    for t in range(grid.size):
-        diff = dn - grid.nodes[t]
-        dist2 = np.sum(diff * diff, axis=1)
-        free[t] += (
-            (2.0 / params.s)
-            * height[t]
-            * float(dw @ dist2 ** (-0.5 * (grid.n + 1 + params.s)))
-        )
+    for sl, tb, _ in _blocks(targets):
+        diff = dn - grid.nodes[tb, None, :]
+        dist2 = np.einsum("tkd,tkd->tk", diff, diff)
+        flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
+        # (y - x) . nu on the flat patch equals the height of x
+        free[sl] += (2.0 / params.s) * grid.nodes[tb, -1] * flat
     return free

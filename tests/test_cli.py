@@ -363,6 +363,34 @@ def test_failed_frame_zero_projection_keeps_restart_point(tmp_path, capsys):
     assert len(rows) == 3  # manifest, column names, frame 0
 
 
+@pytest.mark.parametrize(
+    "snap_grid, run_grid",
+    [
+        # the same node count on a surface of another dimension
+        ((1, 161, "hemisphere"), (2, 9, "hemisphere")),
+        ((1, 65, "hemisphere"), (1, 33, "hemisphere")),
+    ],
+)
+def test_snapshot_restart_on_other_grid_is_config_error(tmp_path, capsys, snap_grid, run_grid):
+    old, new = build_grid(*snap_grid), build_grid(*run_grid)
+    manifest = {"grid": dict(zip(("n", "resolution", "topology"), snap_grid))}
+    values = 1.0 + 0.01 * old.nodes[:, -1]
+    write_snapshot(tmp_path / "seed.snap", manifest, [frame_record(0.0, values, 0.0, 1.0)])
+    settings = {
+        **HEMI_CONFIG,
+        "n": str(run_grid[0]),
+        "resolution": str(run_grid[1]),
+        "initial": f"snapshot:{tmp_path}/seed.snap",
+    }
+    path = _write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial: snapshot")
+    assert f"n = {snap_grid[0]} hemisphere grid of {old.size} nodes" in err
+    assert f"n = {run_grid[0]} hemisphere with {new.size} nodes" in err
+    assert not (tmp_path / "run.snap").exists()
+
+
 def test_validate_unknown_suite_exit_code(capsys):
     assert main(["validate", "nope"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,19 +11,16 @@ from capflow import (
     build_grid,
     double_grid,
     gradient_values,
+    homotopy_derivative,
     hs_reference,
+    injectivity_ratio,
     kernel_K,
     remainder_R1,
     remainder_R2,
     riemann_zeta,
 )
 from capflow import nonlocal_ops
-from capflow.nonlocal_ops import (
-    _chord_kernel,
-    _corrected_sum,
-    _image_dist2,
-    _zero_target_cols,
-)
+from capflow.nonlocal_ops import _chord_kernel, _corrected_sum, _wetted_disk_samples
 
 
 def circle_mass(s):
@@ -39,6 +37,19 @@ def circle_mass(s):
 # the per-remainder kernel passes, kept as a reference for the shared
 # blocked pass in nonlocal_ops
 # ----------------------------------------------------------------------
+
+
+def _image_dist2(r, grid, xi, targets):
+    """Squared distances |Phi_xi(y_j) - Phi_xi(x_t)| for target rows."""
+    a = 1.0 + xi * (r - 1.0)
+    at = a[targets]
+    D2 = at[:, None] ** 2 + a[None, :] ** 2 - 2.0 * np.outer(at, a) * grid.dots[targets]
+    return np.maximum(D2, 0.0)
+
+
+def _zero_target_cols(F, targets):
+    F[np.arange(targets.size), targets] = 0.0
+    return F
 
 
 def _kernel_and_dxi(r, grid, params, xi, targets):
@@ -104,6 +115,43 @@ def kernel_dxi(xi, rho, y, x, params):
     """Row x, column y of the kernel xi-derivative matrix."""
     _, dK = _kernel_and_dxi(rho.values, rho.grid, params, xi, np.asarray([x]))
     return float(dK[0, y])
+
+
+# ----------------------------------------------------------------------
+# the full-matrix guard and curvature derivative, kept as a reference for
+# the blocked routes in nonlocal_ops
+# ----------------------------------------------------------------------
+
+
+def reference_injectivity_ratio(rho):
+    """min |Phi(y)-Phi(x)| / |y-x| from the full image-distance matrix."""
+    grid = rho.grid
+    D2 = _image_dist2(rho.values, grid, 1.0, np.arange(grid.size))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio2 = D2 / grid.chord**2
+    np.fill_diagonal(ratio2, np.inf)
+    return float(np.sqrt(np.nanmin(ratio2)))
+
+
+def reference_homotopy_derivative(tprime, rho, params):
+    """Minus the t'-derivative of curvature from full N x N matrices."""
+    grid, r = rho.grid, rho.values
+    tgt = np.arange(grid.size)
+    g = gradient_values(grid, r)
+    rt = r - 1.0
+    B = 1.0 + tprime * rt
+    with np.errstate(divide="ignore"):
+        K = _image_dist2(r, grid, tprime, tgt) ** (-0.5 * (grid.n + 1 + params.s))
+    _zero_target_cols(K, tgt)
+    dr = r[None, :] - r[:, None]
+    one_minus = 1.0 - grid.dots
+    xdotg = grid.nodes @ g.T
+    Bn1 = B[None, :] ** (grid.n - 1)
+    F = 2.0 * K * (
+        Bn1 * B[None, :] * (dr + rt[:, None] * one_minus)
+        + tprime * rt[:, None] * xdotg * Bn1
+    )
+    return _corrected_sum(F, grid, tgt, params)
 
 
 def bumpy_field(grid, eps=0.2):
@@ -202,6 +250,18 @@ def test_kernel_on_index_arrays_matches_pairwise_calls():
     assert vals.shape == (4,)
     for k in range(4):
         assert vals[k] == kernel_K(0.4, rho, int(y[k]), int(x[k]), params)
+    # 200 random off-diagonal pairs on a curve and on a surface
+    rng = np.random.default_rng(3)
+    sphere = build_grid(2, 9, "full-sphere")
+    waves = 1.0 + 0.1 * sphere.nodes[:, 0] ** 2 + 0.05 * sphere.nodes[:, 2]
+    for rho in (bumpy_field(grid), RadialField(sphere, waves)):
+        size = rho.grid.size
+        x = rng.integers(0, size, 200)
+        y = (x + rng.integers(1, size, 200)) % size
+        for xi in (0.15, 0.6, 1.0):
+            vals = kernel_K(xi, rho, y, x, params)
+            for k in range(200):
+                assert vals[k] == kernel_K(xi, rho, int(y[k]), int(x[k]), params)
 
 
 def test_kernel_params_validation():
@@ -370,17 +430,125 @@ def test_remainders_match_per_remainder_reference(name):
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("name", ["hemisphere129", "hemisphere2_13"])
-def test_remainder_rows_independent_of_block_size(name, monkeypatch):
+# every pass over node pairs, as arrays whose rows are compared bitwise
+BLOCKED_PASSES = {
+    "remainders": lambda rho, params, rule: (
+        remainder_R1(rho, params, rule),
+        remainder_R2(rho, params, rule),
+    ),
+    "injectivity_ratio": lambda rho, params, rule: (np.array([injectivity_ratio(rho)]),),
+    "homotopy_derivative": lambda rho, params, rule: tuple(
+        homotopy_derivative(tp, rho, params) for tp in (0.3, 1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, op",
+    [
+        # the remainder cases keep the bare ids they had before the other passes
+        pytest.param(name, op, id=name if op == "remainders" else f"{name}-{op}")
+        for op in BLOCKED_PASSES
+        for name in ("hemisphere129", "hemisphere2_13")
+    ],
+)
+def test_remainder_rows_independent_of_block_size(name, op, monkeypatch):
     rho, params, rule = REMAINDER_CASES[name]
     results = []
     for block in (1, 7, nonlocal_ops.ROW_BLOCK, rho.grid.size + 5):
         monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", block)
         fresh = RadialField(rho.grid, rho.values)
-        results.append((remainder_R1(fresh, params, rule), remainder_R2(fresh, params, rule)))
-    for r1, r2 in results[1:]:
-        assert np.array_equal(r1, results[0][0])
-        assert np.array_equal(r2, results[0][1])
+        results.append(BLOCKED_PASSES[op](fresh, params, rule))
+    for rows in results[1:]:
+        for got, first in zip(rows, results[0], strict=True):
+            assert np.array_equal(got, first)
+
+
+def test_blocked_passes_keep_temporaries_small(monkeypatch):
+    monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", 8)
+    rho, params, rule = REMAINDER_CASES["hemisphere2_13"]
+    grid = rho.grid
+    limit = 0.5 * grid.size**2 * 8  # bytes of 0.5 N_work^2 doubles
+    calls = {
+        "injectivity_ratio": injectivity_ratio,
+        "homotopy_derivative": lambda f: homotopy_derivative(0.6, f, params),
+        "remainder_R1": lambda f: remainder_R1(f, params, rule),
+    }
+    for name, call in calls.items():
+        call(RadialField(grid, rho.values))  # fills the grid's own caches
+        fresh = RadialField(grid, rho.values)
+        tracemalloc.start()
+        try:
+            call(fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak / (grid.size**2 * 8))
+
+
+def _guard_cases():
+    rng = np.random.default_rng(5)
+    for base in (
+        build_grid(1, 129, "hemisphere"),
+        build_grid(1, 257, "hemisphere"),
+        build_grid(1, 128, "full-sphere"),
+        build_grid(2, 13, "full-sphere"),
+        build_grid(2, 9, "hemisphere"),
+    ):
+        if base.topology == "hemisphere":
+            work, index = double_grid(base)
+        else:
+            work, index = base, np.arange(base.size)
+        x = base.nodes
+        fields = {
+            "height": 1.0 + 0.05 * x[:, -1],
+            "random": 1.0 + 0.05 * rng.uniform(-1.0, 1.0, base.size),
+            # 1 + 0.3 cos 2 phi on the circle
+            "cos2phi": 1.0 + 0.3 * (x[:, 0] ** 2 - x[:, 1] ** 2),
+        }
+        for label, vals in fields.items():
+            yield f"{base.topology}{base.n}_{base.size}_{label}", RadialField(work, vals[index])
+
+
+GUARD_CASES = dict(_guard_cases())
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_blocked_guard_and_derivative_match_full_matrix_routes(name):
+    rho = GUARD_CASES[name]
+    params = KernelParams(s=0.5)
+    ref = reference_injectivity_ratio(rho)
+    assert abs(injectivity_ratio(RadialField(rho.grid, rho.values)) - ref) <= 1e-12 * ref
+    for tp in (0.2, 0.6, 1.0):
+        ref = reference_homotopy_derivative(tp, rho, params)
+        out = homotopy_derivative(tp, rho, params)
+        assert np.max(np.abs(out - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 129), (1, 257), (2, 9), (2, 13)])
+def test_half_ball_reference_matches_per_target_loop(n, resolution):
+    grid = build_grid(n, resolution, "hemisphere")
+    params = KernelParams(s=0.5)
+    tgt = np.arange(grid.size)
+    mass = _chord_kernel(grid, n - 1 + params.s, tgt)
+    expect = _corrected_sum(mass, grid, tgt, params, boundary_correction=True) / params.s
+    dn, dw = _wetted_disk_samples(n)
+    for t in tgt:
+        dist2 = np.sum((dn - grid.nodes[t]) ** 2, axis=1)
+        disk = float(dw @ dist2 ** (-0.5 * (n + 1 + params.s)))
+        expect[t] += (2.0 / params.s) * grid.nodes[t, -1] * disk
+    out = hs_reference(grid, params, "half-ball")
+    assert np.max(np.abs(out - expect) / np.abs(expect)) <= 1e-13
+
+
+def test_blocked_guard_threshold_agrees_on_pinched_map():
+    grid = build_grid(1, 65, "hemisphere")
+    rho = RadialField(grid, 0.05 + 0.95 * np.sin(grid.phi))
+    ref = reference_injectivity_ratio(rho)
+    out = injectivity_ratio(rho)
+    assert abs(out - ref) <= 1e-12 * ref
+    limit = nonlocal_ops.INJECTIVITY_RATIO_MIN
+    assert ref < limit and out < limit
 
 
 def test_remainder_memo_matches_fresh_fields():
