@@ -53,7 +53,7 @@ def holder_norm(
     if k not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {k}")
     u = np.asarray(u, dtype=float)
-    dist = grid.chord
+    dist = np.sqrt(grid.chord2)
     mask = ~np.eye(grid.size, dtype=bool)
     if k == 0:
         diffs = np.abs(u[None, :] - u[:, None])
@@ -180,7 +180,7 @@ def lemma521_bound(
     for res in resolutions:
         grid = build_grid(n, int(res), topology)
         with np.errstate(divide="ignore"):
-            F = grid.chord ** (-(n - s))
+            F = np.sqrt(grid.chord2) ** (-(n - s))
         np.fill_diagonal(F, 0.0)
         per_node = F @ grid.weights
         values.append(float(per_node.max()))

@@ -4,9 +4,10 @@ The surface of interest is a star-shaped hypersurface written in radial
 coordinates over the upper unit hemisphere: points rho(x)*x with x on the
 hemisphere and rho > 0.  Everything downstream (singular integrals, the
 evolution solver, the diagnostics) consumes the grids built here: unit
-nodes, quadrature weights, boundary markers, cached pairwise chord
-distances, and finite-difference stencils (whose `eta` is the outward
-conormal on the equator).
+nodes, quadrature weights, boundary markers, the squared chord |y - x|^2 of
+every node pair (the only pairwise fact the operators need), and
+finite-difference stencils (whose `eta` is the outward conormal on the
+equator).
 
 n = 1 (curves in the half-plane) is the reference case: nodes are equally
 spaced angles with trapezoidal weights on the hemisphere and a uniform
@@ -50,17 +51,16 @@ class SphereGrid:
         Positive quadrature weights in surface-measure units.
     boundary_mask : ndarray of bool, shape (N,)
         True exactly at nodes on the equator x_{n+1} = 0 (hemisphere only).
-    chord : ndarray, shape (N, N)
-        Pairwise Euclidean distances |y - x| between nodes.
-    dots : ndarray, shape (N, N)
-        Pairwise dot products of the unit nodes (chord^2 = 2 - 2*dots).
+    chord2 : ndarray, shape (N, N), read-only
+        Squared chords |y - x|^2 = 2 - 2 x.y of all node pairs, with a
+        zero diagonal.
     h : float or None
         Angular spacing of the n=1 parametrization (None for n=2).
     phi : ndarray or None
         Parameter angles for n=1 grids.
-    adjacent : ndarray of int, shape (N, 2)
+    adjacent : ndarray of int, shape (N, 2), or None
         Parameter-space neighbors of each node (used by the singular
-        quadrature correction); -1 marks a missing neighbor.  All -1 for
+        quadrature correction); -1 marks a missing neighbor.  None for
         n=2, where the correction is not applied.
     beta, gamma : ndarray or None
         Colatitude and longitude of each node for n=2 grids.
@@ -76,8 +76,7 @@ class SphereGrid:
     nodes: np.ndarray
     weights: np.ndarray
     boundary_mask: np.ndarray
-    chord: np.ndarray
-    dots: np.ndarray
+    chord2: np.ndarray
     h: float | None = None
     phi: np.ndarray | None = None
     adjacent: np.ndarray | None = None
@@ -235,11 +234,13 @@ def build_grid(n: int, resolution: int, topology: str) -> SphereGrid:
     raise ValueError(f"surface dimension must be 1 or 2, got {n}")
 
 
-def _pairwise(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dots = np.clip(nodes @ nodes.T, -1.0, 1.0)
-    chord2 = np.maximum(2.0 - 2.0 * dots, 0.0)
+def _pairwise(nodes: np.ndarray) -> np.ndarray:
+    """Read-only |y - x|^2 = 2 - 2 x.y of unit nodes, zero on the diagonal;
+    the clip keeps every entry >= 0."""
+    chord2 = 2.0 - 2.0 * np.clip(nodes @ nodes.T, -1.0, 1.0)
     np.fill_diagonal(chord2, 0.0)
-    return np.sqrt(chord2), dots
+    chord2.setflags(write=False)
+    return chord2
 
 
 def _build_circle(resolution: int, topology: str) -> SphereGrid:
@@ -263,80 +264,56 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
             [(np.arange(N) - 1) % N, (np.arange(N) + 1) % N]
         )
     nodes = np.column_stack([np.cos(phi), np.sin(phi)])
-    chord, dots = _pairwise(nodes)
     return SphereGrid(
         n=1,
         topology=topology,
         nodes=nodes,
         weights=weights,
         boundary_mask=boundary,
-        chord=chord,
-        dots=dots,
+        chord2=_pairwise(nodes),
         h=h,
         phi=phi,
         adjacent=adjacent,
     )
 
 
-def _sphere2_layout(n_rings: int, topology: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ring colatitudes, per-ring node counts, and nodes per full ring."""
-    dbeta = 0.5 * math.pi / (n_rings - 1)
-    if topology == "hemisphere":
-        betas = dbeta * np.arange(n_rings)
-    else:
-        betas = dbeta * np.arange(2 * n_rings - 1)
-    n_gamma = 2 * n_rings + (2 * n_rings) % 4  # multiple of 4 for pole stencils
-    counts = np.full(betas.size, n_gamma)
-    counts[np.isclose(betas, 0.0) | np.isclose(betas, math.pi)] = 1
-    return betas, counts, n_gamma
+def _rings(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First node of each ring, ring of each node, and each node's position
+    in its ring, for nodes stored ring by ring."""
+    start = np.cumsum(counts) - counts
+    ring = np.repeat(np.arange(counts.size), counts)
+    return start, ring, np.arange(ring.size) - start[ring]
 
 
 def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
-    betas, counts, n_gamma = _sphere2_layout(resolution, topology)
+    hemisphere = topology == "hemisphere"
     dbeta = 0.5 * math.pi / (resolution - 1)
+    betas = dbeta * np.arange(resolution if hemisphere else 2 * resolution - 1)
+    n_gamma = 2 * resolution + (2 * resolution) % 4  # multiple of 4 for pole stencils
     dgamma = 2.0 * math.pi / n_gamma
+    counts = np.full(betas.size, n_gamma)
+    poles = [0] if hemisphere else [0, -1]
+    counts[poles] = 1
+    lo = np.maximum(betas - 0.5 * dbeta, 0.0)
+    hi = np.minimum(betas + 0.5 * dbeta, 0.5 * math.pi if hemisphere else math.pi)
+    band = 2.0 * math.pi * (np.cos(lo) - np.cos(hi))
 
-    nodes, weights, boundary, betalist, gammalist = [], [], [], [], []
-    for beta, count in zip(betas, counts):
-        lo = max(beta - 0.5 * dbeta, 0.0)
-        hi = min(beta + 0.5 * dbeta, math.pi if topology == "full-sphere" else 0.5 * math.pi)
-        band = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
-        for j in range(count):
-            gamma = j * dgamma
-            nodes.append(
-                (
-                    math.sin(beta) * math.cos(gamma),
-                    math.sin(beta) * math.sin(gamma),
-                    math.cos(beta),
-                )
-            )
-            weights.append(band / count)
-            boundary.append(
-                topology == "hemisphere" and math.isclose(beta, 0.5 * math.pi)
-            )
-            betalist.append(beta)
-            gammalist.append(gamma)
-
-    nodes = np.asarray(nodes)
-    # Pole nodes sit exactly on the axis.
-    nodes[np.isclose(betalist, 0.0)] = (0.0, 0.0, 1.0)
-    nodes[np.isclose(betalist, math.pi)] = (0.0, 0.0, -1.0)
-    weights = np.asarray(weights)
-    boundary = np.asarray(boundary, dtype=bool)
-    chord, dots = _pairwise(nodes)
+    start, ring, pos = _rings(counts)
+    beta, gamma = betas[ring], pos * dgamma
+    nodes = np.column_stack(
+        [np.sin(beta) * np.cos(gamma), np.sin(beta) * np.sin(gamma), np.cos(beta)]
+    )
+    # Pole nodes sit exactly on the axis (cos beta is exactly +-1 there).
+    nodes[start[poles], :2] = 0.0
     return SphereGrid(
         n=2,
         topology=topology,
         nodes=nodes,
-        weights=weights,
-        boundary_mask=boundary,
-        chord=chord,
-        dots=dots,
-        h=None,
-        phi=None,
-        adjacent=np.full((nodes.shape[0], 2), -1, dtype=int),
-        beta=np.asarray(betalist),
-        gamma=np.asarray(gammalist),
+        weights=(band / counts)[ring],
+        boundary_mask=hemisphere & (ring == counts.size - 1),
+        chord2=_pairwise(nodes),
+        beta=beta,
+        gamma=gamma,
         dbeta=dbeta,
         dgamma=dgamma,
         ring_counts=counts,
@@ -367,17 +344,12 @@ def double_grid(grid: SphereGrid) -> tuple[SphereGrid, np.ndarray]:
         k = np.arange(full.size)
         index_map = np.where(k < N, k, 2 * (N - 1) - k)
     else:
-        n_rings = grid.ring_counts.size
-        full = build_grid(2, n_rings, "full-sphere")
-        ring_of = np.rint(full.beta / full.dbeta).astype(int)
-        mirrored = np.minimum(ring_of, 2 * (n_rings - 1) - ring_of)
+        full = build_grid(2, grid.ring_counts.size, "full-sphere")
+        _, ring, pos = _rings(full.ring_counts)
+        mirrored = np.minimum(ring, ring[-1] - ring)
         # Node ordering within a ring is by gamma in both grids, so the
-        # hemisphere index is the ring offset plus the in-ring position.
-        offsets = np.concatenate([[0], np.cumsum(grid.ring_counts)])
-        pos_in_ring = np.concatenate([np.arange(c) for c in full.ring_counts])
-        index_map = offsets[mirrored] + np.where(
-            grid.ring_counts[mirrored] == 1, 0, pos_in_ring
-        )
+        # hemisphere index is the ring's first node plus the in-ring position.
+        index_map = _rings(grid.ring_counts)[0][mirrored] + pos
     grid._doubled = (full, index_map)
     return grid._doubled
 
@@ -404,22 +376,15 @@ def gradient_values(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
         raise ValueError("sample count does not match grid size")
-    if grid.n == 1:
-        dv = _dphi(grid, values)
-        tau = np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
-        return dv[:, None] * tau
-    return _gradient_sphere2(grid, values)
-
-
-def _dphi(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
-    h = grid.h
-    if grid.topology == "full-sphere":
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return du
+    if grid.n == 2:
+        return _gradient_sphere2(grid, values)
+    du = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * grid.h)
+    grad = du[:, None] * np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
+    if grid.topology == "hemisphere":
+        # One-sided at the endpoints, where the conormal is -+ the tangent.
+        st = grid.stencils()
+        grad[st.boundary] = st.boundary_gradient(values)[1]
+    return grad
 
 
 def _build_stencils(grid: SphereGrid) -> Stencils:
@@ -436,9 +401,7 @@ def _build_stencils(grid: SphereGrid) -> Stencils:
         )
 
     counts = grid.ring_counts
-    start = np.cumsum(counts) - counts
-    ring_of = np.repeat(np.arange(counts.size), counts)
-    pos = np.arange(grid.size) - start[ring_of]
+    start, ring_of, pos = _rings(counts)
     last = counts.size - 1
 
     def at(r: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -455,7 +418,7 @@ def _build_stencils(grid: SphereGrid) -> Stencils:
         [np.cos(beta) * np.cos(gamma), np.cos(beta) * np.sin(gamma), -np.sin(beta)]
     )
     e_gamma = np.column_stack([-np.sin(gamma), np.cos(gamma), np.zeros_like(gamma)])
-    sin_beta = np.array([math.sin(b) for b in beta])
+    sin_beta = np.sin(beta)
     poles = np.flatnonzero(counts[ring_of] == 1)
     sin_beta[poles] = 1.0
     north = ring_of[poles] == 0
@@ -504,7 +467,7 @@ def conormal_derivative(rho: RadialField, b: int) -> float:
     grid = rho.grid
     if grid.topology != "hemisphere":
         raise ValueError("conormal derivative requires a hemisphere grid")
-    if not grid.boundary_mask[b]:
+    if not (0 <= b < grid.size and grid.boundary_mask[b]):
         raise ValueError(f"node {b} is not on the boundary")
     st = grid.stencils()
     k = int(np.searchsorted(st.boundary, b))

@@ -213,10 +213,12 @@ def kernel_K(
     """
     single = np.ndim(y) == 0 and np.ndim(x) == 0
     y, x = np.atleast_1d(y, x)
+    r, grid = rho.values, rho.grid
+    if np.any((np.minimum(y, x) < 0) | (np.maximum(y, x) >= grid.size)):
+        raise ValueError(f"node indices must lie in [0, {grid.size})")
     if np.any(y == x):
         raise ValueError("kernel is singular at y = x")
-    r, grid = rho.values, rho.grid
-    d2 = _image_dist2(xi, r[x], r[y], 2.0 - 2.0 * grid.dots[y, x])
+    d2 = _image_dist2(xi, r[x], r[y], grid.chord2[y, x])
     out = d2 ** (-0.5 * (grid.n + 1 + params.s))
     return float(out[0]) if single else out
 
@@ -228,7 +230,7 @@ def kernel_K(
 
 def _chord_kernel(grid: SphereGrid, exponent: float, targets: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        K = grid.chord[targets] ** (-exponent)
+        K = np.sqrt(grid.chord2[targets]) ** (-exponent)
     K[np.arange(targets.size), targets] = 0.0
     return K
 
@@ -279,7 +281,7 @@ def injectivity_ratio(rho: RadialField) -> float:
     targets = np.arange(grid.size)
     least = np.inf
     for _, tb, col in _blocks(targets):
-        A0 = 2.0 - 2.0 * grid.dots[tb]
+        A0 = grid.chord2[tb]
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio2 = _image_dist2(1.0, r[tb, None], r, A0) / A0
         ratio2[col] = np.inf
@@ -323,7 +325,7 @@ def _remainder_pair(
     r2 = np.empty(targets.size)
     for sl, tb, col in _blocks(targets):
         ut = u[tb][:, None]
-        A0 = 2.0 - 2.0 * grid.dots[tb]
+        A0 = grid.chord2[tb]
         A1h = 0.5 * (ut + u) * A0
         A2 = (ut - u) ** 2 + ut * u * A0
         S = np.zeros_like(A0)
@@ -451,7 +453,7 @@ def homotopy_derivative(
     out = np.empty(grid.size)
     for sl, tb, col in _blocks(targets):
         ut = u[tb, None]
-        A0 = 2.0 - 2.0 * grid.dots[tb]
+        A0 = grid.chord2[tb]
         D2 = _image_dist2(tprime, r[tb, None], r, A0)
         D2[col] = 1.0  # the punctured target column, as in _remainder_pair
         K = D2 ** (-0.5 * (grid.n + 1 + params.s))

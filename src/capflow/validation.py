@@ -321,13 +321,13 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=0.5, seed=2026):
         D2 = np.maximum(
             np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2), 0.0
         )
-        ratio2 = D2 / np.maximum(grid.chord**2, 1e-300)
+        ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
         kappa = float(np.sqrt(ratio2.min())) ** -p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
         i, j = idx[idx[:, 0] != idx[:, 1]].T
         val = kernel_K(xi, rho, j, i, params)
-        worst = max(worst, float(np.max(val * grid.chord[i, j] ** p / kappa)))
+        worst = max(worst, float(np.max(val * np.sqrt(grid.chord2[i, j]) ** p / kappa)))
     return worst
 
 

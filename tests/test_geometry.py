@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capflow import geometry
 from capflow.geometry import (
     RadialField,
     build_grid,
@@ -92,6 +93,62 @@ def reference_conormal_derivative(grid, u, b):
     return (3.0 * u[b] - 4.0 * u1 + u2) / (2.0 * grid.dbeta)
 
 
+def reference_sphere2_layout(resolution, topology):
+    """Nodes, weights, boundary mask, beta and gamma of the n = 2 grid,
+    built node by node with scalar trig."""
+    dbeta = 0.5 * math.pi / (resolution - 1)
+    if topology == "hemisphere":
+        betas = dbeta * np.arange(resolution)
+    else:
+        betas = dbeta * np.arange(2 * resolution - 1)
+    n_gamma = 2 * resolution + (2 * resolution) % 4
+    counts = np.full(betas.size, n_gamma)
+    counts[np.isclose(betas, 0.0) | np.isclose(betas, math.pi)] = 1
+    dgamma = 2.0 * math.pi / n_gamma
+
+    nodes, weights, boundary, betalist, gammalist = [], [], [], [], []
+    for beta, count in zip(betas, counts):
+        lo = max(beta - 0.5 * dbeta, 0.0)
+        hi = min(beta + 0.5 * dbeta, math.pi if topology == "full-sphere" else 0.5 * math.pi)
+        band = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+        for j in range(count):
+            gamma = j * dgamma
+            nodes.append(
+                (
+                    math.sin(beta) * math.cos(gamma),
+                    math.sin(beta) * math.sin(gamma),
+                    math.cos(beta),
+                )
+            )
+            weights.append(band / count)
+            boundary.append(
+                topology == "hemisphere" and math.isclose(beta, 0.5 * math.pi)
+            )
+            betalist.append(beta)
+            gammalist.append(gamma)
+    nodes = np.asarray(nodes)
+    nodes[np.isclose(betalist, 0.0)] = (0.0, 0.0, 1.0)
+    nodes[np.isclose(betalist, math.pi)] = (0.0, 0.0, -1.0)
+    return {
+        "nodes": nodes,
+        "weights": np.asarray(weights),
+        "boundary_mask": np.asarray(boundary, dtype=bool),
+        "beta": np.asarray(betalist),
+        "gamma": np.asarray(gammalist),
+        "ring_counts": counts,
+    }
+
+
+def reference_sphere2_index_map(grid, full):
+    """Hemisphere node of each doubled n = 2 node, ring by ring."""
+    n_rings = grid.ring_counts.size
+    ring_of = np.rint(full.beta / full.dbeta).astype(int)
+    mirrored = np.minimum(ring_of, 2 * (n_rings - 1) - ring_of)
+    offsets = np.concatenate([[0], np.cumsum(grid.ring_counts)])
+    pos_in_ring = np.concatenate([np.arange(c) for c in full.ring_counts])
+    return offsets[mirrored] + np.where(grid.ring_counts[mirrored] == 1, 0, pos_in_ring)
+
+
 def sample_fields(grid):
     rng = np.random.default_rng(20260)
     return {
@@ -130,10 +187,38 @@ def test_weight_positivity():
 
 def test_chord_symmetric_zero_diagonal():
     g = build_grid(1, 32, "full-sphere")
-    assert np.allclose(g.chord, g.chord.T)
-    assert np.all(np.diag(g.chord) == 0.0)
     # spot value: antipodal nodes two apart
-    assert abs(g.chord[0, 16] - 2.0) < 1e-12
+    assert abs(np.sqrt(g.chord2[0, 16]) - 2.0) < 1e-12
+    grids = [(1, 33, "hemisphere"), (1, 32, "full-sphere"), (2, 9, "hemisphere"), (2, 9, "full-sphere")]
+    for n, resolution, topology in grids:
+        g = build_grid(n, resolution, topology)
+        assert np.array_equal(g.chord2, g.chord2.T)
+        assert np.all(np.diag(g.chord2) == 0.0)
+        off = ~np.eye(g.size, dtype=bool)
+        expect = 2.0 - 2.0 * np.clip(g.nodes @ g.nodes.T, -1.0, 1.0)
+        assert np.array_equal(g.chord2[off], expect[off])
+        assert np.all(g.chord2 >= 0.0)
+        with pytest.raises(ValueError):
+            g.chord2[0, 1] = 1.0
+        # the one N x N array of a grid
+        square = [k for k, v in vars(g).items() if np.shape(v) == (g.size, g.size)]
+        assert square == ["chord2"]
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_sphere2_grid_matches_node_loop(topology, monkeypatch):
+    # chord2 has its own test; skipping it keeps the sweep to resolution 40
+    # (6242 doubled nodes) free of N x N arrays
+    monkeypatch.setattr(geometry, "_pairwise", lambda nodes: None)
+    for resolution in range(8, 41):
+        g = build_grid(2, resolution, topology)
+        ref = reference_sphere2_layout(resolution, topology)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(g, name), value), (resolution, name)
+        assert g.adjacent is None and g.h is None and g.phi is None
+        if topology == "hemisphere":
+            full, index_map = double_grid(g)
+            assert np.array_equal(index_map, reference_sphere2_index_map(g, full))
 
 
 def test_build_grid_rejects_bad_input():
@@ -259,8 +344,10 @@ def test_conormal_derivative_values():
     assert abs(conormal_derivative(sin_field, 0) - (-1.0)) < 1e-3
     cos_field = RadialField(g, 2.0 + np.cos(g.phi))
     assert abs(conormal_derivative(cos_field, 0)) < 1e-3
-    with pytest.raises(ValueError):
-        conormal_derivative(sin_field, 5)
+    # -1 would alias the last node, 129 is past the end
+    for b in (5, -1, -129, 129):
+        with pytest.raises(ValueError, match="not on the boundary"):
+            conormal_derivative(sin_field, b)
 
 
 def test_conormal_derivative_sphere2():

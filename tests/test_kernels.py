@@ -43,7 +43,8 @@ def _image_dist2(r, grid, xi, targets):
     """Squared distances |Phi_xi(y_j) - Phi_xi(x_t)| for target rows."""
     a = 1.0 + xi * (r - 1.0)
     at = a[targets]
-    D2 = at[:, None] ** 2 + a[None, :] ** 2 - 2.0 * np.outer(at, a) * grid.dots[targets]
+    dots = 1.0 - 0.5 * grid.chord2[targets]
+    D2 = at[:, None] ** 2 + a[None, :] ** 2 - 2.0 * np.outer(at, a) * dots
     return np.maximum(D2, 0.0)
 
 
@@ -64,6 +65,7 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     at = a[targets]
     rm = r - 1.0
     rt = rm[targets]
+    dots = 1.0 - 0.5 * grid.chord2[targets]
     D2 = _image_dist2(r, grid, xi, targets)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = D2 ** (-0.5 * p)
@@ -74,7 +76,7 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     W = (
         a[None, :] * rm[None, :]
         + at[:, None] * rt[:, None]
-        - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * grid.dots[targets]
+        - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * dots
     )
     Bn1 = a[None, :] ** (n - 1)
     dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
@@ -97,7 +99,7 @@ def reference_remainder_R2(rho, params, rule):
     """R2 at every node, one kernel pass and two corrected sums per rule node."""
     grid, r = rho.grid, rho.values
     tgt = np.arange(grid.size)
-    chord2 = 2.0 * (1.0 - grid.dots[tgt])
+    chord2 = grid.chord2[tgt]
     mass = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
     out = _corrected_sum(mass, grid, tgt, params)
     g = gradient_values(grid, r)
@@ -128,7 +130,7 @@ def reference_injectivity_ratio(rho):
     grid = rho.grid
     D2 = _image_dist2(rho.values, grid, 1.0, np.arange(grid.size))
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio2 = D2 / grid.chord**2
+        ratio2 = D2 / grid.chord2
     np.fill_diagonal(ratio2, np.inf)
     return float(np.sqrt(np.nanmin(ratio2)))
 
@@ -144,7 +146,7 @@ def reference_homotopy_derivative(tprime, rho, params):
         K = _image_dist2(r, grid, tprime, tgt) ** (-0.5 * (grid.n + 1 + params.s))
     _zero_target_cols(K, tgt)
     dr = r[None, :] - r[:, None]
-    one_minus = 1.0 - grid.dots
+    one_minus = 0.5 * grid.chord2
     xdotg = grid.nodes @ g.T
     Bn1 = B[None, :] ** (grid.n - 1)
     F = 2.0 * K * (
@@ -208,7 +210,7 @@ def test_kernel_on_round_sphere_is_chord_power():
     rho = RadialField(grid, np.ones(grid.size))
     params = KernelParams(s=0.5)
     for y, x in [(3, 40), (0, 1), (10, 33)]:
-        expect = grid.chord[y, x] ** (-(grid.n + 1 + params.s))
+        expect = np.sqrt(grid.chord2[y, x]) ** (-(grid.n + 1 + params.s))
         assert kernel_K(0.7, rho, y, x, params) == pytest.approx(expect, rel=1e-14)
 
 
@@ -217,7 +219,7 @@ def test_kernel_scaling_on_dilated_sphere():
     c = 1.7
     rho = RadialField(grid, np.full(grid.size, c))
     params = KernelParams(s=0.3)
-    expect = (c * grid.chord[5, 20]) ** (-(grid.n + 1 + params.s))
+    expect = (c * np.sqrt(grid.chord2[5, 20])) ** (-(grid.n + 1 + params.s))
     assert kernel_K(1.0, rho, 5, 20, params) == pytest.approx(expect, rel=1e-13)
 
 
@@ -238,6 +240,13 @@ def test_kernel_rejects_coincident_nodes():
         kernel_K(0.5, rho, 8, 8, params)
     with pytest.raises(ValueError):
         kernel_K(0.5, rho, np.array([3, 8, 9]), np.array([4, 8, 1]), params)
+    # a negative index names the same node as its wrap-around, and an index
+    # past the end names none: both are rejected before the kernel is formed
+    for y, x in [(-1, 64), (64, -1), (-65, 0), (65, 3), (3, 65)]:
+        with pytest.raises(ValueError, match="must lie in"):
+            kernel_K(0.5, rho, y, x, params)
+    with pytest.raises(ValueError, match="must lie in"):
+        kernel_K(0.5, rho, np.array([3, -1]), np.array([4, 64]), params)
 
 
 def test_kernel_on_index_arrays_matches_pairwise_calls():
@@ -300,7 +309,7 @@ def test_kernel_dxi_constant_field_closed_form(n):
     params = KernelParams(s=0.6)
     y, x = 2, 11
     p = grid.n + 1 + params.s
-    expect = (c - 1.0) * (n - p) * grid.chord[y, x] ** (-p)
+    expect = (c - 1.0) * (n - p) * np.sqrt(grid.chord2[y, x]) ** (-p)
     assert kernel_dxi(0.0, rho, y, x, params) == pytest.approx(expect, rel=1e-12)
 
 
@@ -318,7 +327,7 @@ def test_kernel_lower_bound_over_random_pairs():
             continue
         xi = rng.random()
         a_lo = min(1.0 + xi * (vals[y] - 1.0), 1.0 + xi * (vals[x] - 1.0), a_min)
-        bound = (a_lo * grid.chord[y, x]) ** (-(grid.n + 1 + params.s))
+        bound = (a_lo * np.sqrt(grid.chord2[y, x])) ** (-(grid.n + 1 + params.s))
         assert kernel_K(xi, rho, y, x, params) <= bound * (1.0 + 1e-12)
 
 
@@ -339,7 +348,7 @@ def test_raw_punctured_mass_is_much_worse():
     params = KernelParams(s=0.5)
     exact = circle_mass(params.s)
     grid = build_grid(1, 256, "full-sphere")
-    row = grid.chord[0].copy()
+    row = np.sqrt(grid.chord2[0])
     row[0] = 1.0
     f = row ** (-params.s)
     f[0] = 0.0
@@ -373,13 +382,13 @@ def test_kernel_bound_excess_matches_pairwise_loop():
     for xi in (0.0, 0.37, 1.0):
         pts = (1.0 + xi * (rho.values - 1.0))[:, None] * grid.nodes
         D2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        ratio2 = D2 / np.maximum(grid.chord**2, 1e-300)
+        ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
         kappa = float(np.sqrt(ratio2.min())) ** -p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
         for i, j in idx[idx[:, 0] != idx[:, 1]]:
             val = kernel_K(xi, rho, int(j), int(i), params)
-            worst = max(worst, val * grid.chord[i, j] ** p / kappa)
+            worst = max(worst, val * np.sqrt(grid.chord2[i, j]) ** p / kappa)
     assert kernel_bound_excess(resolution, pairs, s, seed) == worst
 
 
