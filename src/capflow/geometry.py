@@ -89,6 +89,8 @@ class SphereGrid:
         default=None, repr=False, compare=False
     )
     _stencils: "Stencils | None" = field(default=None, repr=False, compare=False)
+    # s -> read-only corrected mass row sums, filled by nonlocal_ops
+    _mass: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:

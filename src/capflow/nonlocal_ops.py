@@ -15,8 +15,12 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 along the homotopy, the injectivity guard, and an independent curvature
 oracle based on the divergence theorem.  The squared image distance has
 one definition (`_image_dist2`), and every pass that reduces over node
-pairs walks the target rows in blocks of ROW_BLOCK (`_blocks`), so
-temporaries stay small and rows are bitwise independent of the block size.
+pairs walks the target rows in near-equal blocks of at most ROW_BLOCK rows
+(`_blocks`), so temporaries stay small and rows are bitwise independent of
+the block size.  The remainder pass (`_remainder_pair`) checks injectivity
+inside its own kernel pass, and forms what does not change with the block
+once per call (rule-node factors, work buffers) and the chord mass once per
+grid and s; `injectivity_ratio` is the standalone guard for other callers.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -146,6 +150,7 @@ def _corrected_sum(
     targets: np.ndarray,
     params: KernelParams,
     boundary_correction: bool = False,
+    stencil: list | None = None,
 ) -> np.ndarray:
     """Punctured quadrature of integrand rows with the lattice correction.
 
@@ -155,14 +160,18 @@ def _corrected_sum(
     only a one-sided sample exists, which estimates the singular amplitude
     correctly only for integrands with an even leading singularity; set
     `boundary_correction` for those, leave it off for odd/PV-type rows.
+    A caller summing several integrands over the same targets passes their
+    `_lattice_stencil`, as a list, in `stencil`, so it is built once.
     """
     # a row-by-row reduction: a matrix-vector product may round a row
     # differently depending on how many rows it is given
     base = np.einsum("tj,j->t", F, grid.weights)
     if grid.n != 1:
         return base
+    if stencil is None:
+        stencil = _lattice_stencil(grid, targets, boundary_correction)
     corr = np.zeros(targets.size)
-    for rows, cols in _lattice_stencil(grid, targets, boundary_correction):
+    for rows, cols in stencil:
         corr[rows] += F[rows, cols]
     return base - riemann_zeta(params.s) * grid.h * corr
 
@@ -173,11 +182,15 @@ ROW_BLOCK = 64
 
 
 def _blocks(targets: np.ndarray):
-    """Per block of at most ROW_BLOCK target rows: the rows' slice, their
-    targets, and the index of each row's own (target) column."""
-    for start in range(0, targets.size, ROW_BLOCK):
-        tb = targets[start : start + ROW_BLOCK]
-        yield slice(start, start + tb.size), tb, (np.arange(tb.size), tb)
+    """Per block of target rows: the rows' slice, their targets, and the
+    index of each row's own (target) column.  The targets are split into
+    ceil(N / ROW_BLOCK) blocks whose sizes differ by at most one, so no
+    block is a short tail; no targets give no block."""
+    count = -(-targets.size // ROW_BLOCK)
+    for k in range(count):
+        sl = slice(k * targets.size // count, (k + 1) * targets.size // count)
+        tb = targets[sl]
+        yield sl, tb, (np.arange(tb.size), tb)
 
 
 # ----------------------------------------------------------------------
@@ -273,25 +286,37 @@ def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def injectivity_ratio(rho: RadialField) -> float:
-    """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map."""
-    if rho._inj_ratio is not None:
-        return rho._inj_ratio
-    grid, r = rho.grid, rho.values
-    targets = np.arange(grid.size)
+def _least_ratio2(rho: RadialField, pick: np.ndarray) -> float:
+    """Least |Phi(y) - Phi(x)|^2 / |y - x|^2 over the pairs of distinct
+    nodes x, y that the boolean mask `pick` selects, walked in row blocks."""
+    r, chord2 = rho.values, rho.grid.chord2
+    nodes = np.flatnonzero(pick)
+    every = nodes.size == pick.size
+    r_nodes = r[nodes]
     least = np.inf
-    for _, tb, col in _blocks(targets):
-        A0 = grid.chord2[tb]
+    for sl, tb, _ in _blocks(nodes):
+        # take keeps the rows contiguous, where [:, nodes] would not
+        A0 = chord2[tb] if every else chord2[tb].take(nodes, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio2 = _image_dist2(1.0, r[tb, None], r, A0) / A0
-        ratio2[col] = np.inf
+            ratio2 = _image_dist2(1.0, r[tb, None], r_nodes, A0) / A0
+        ratio2[np.arange(tb.size), np.arange(sl.start, sl.stop)] = np.inf
         least = min(least, np.nanmin(ratio2))
-    rho._inj_ratio = float(np.sqrt(least))
+    return float(least)
+
+
+def injectivity_ratio(rho: RadialField) -> float:
+    """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map.
+
+    The standalone guard, cached on the field; the remainder pass checks
+    the same pairs inside its own kernel pass (`_remainder_pair`).
+    """
+    if rho._inj_ratio is None:
+        every = np.ones(rho.grid.size, dtype=bool)
+        rho._inj_ratio = float(np.sqrt(_least_ratio2(rho, every)))
     return rho._inj_ratio
 
 
-def _guard_injectivity(rho: RadialField) -> None:
-    ratio = injectivity_ratio(rho)
+def _raise_if_pinched(ratio: float) -> None:
     if ratio < INJECTIVITY_RATIO_MIN:
         raise InjectivityError(
             f"radial map contracts node pairs by {ratio:.3g} "
@@ -299,10 +324,29 @@ def _guard_injectivity(rho: RadialField) -> None:
         )
 
 
+def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
+    """Corrected row sums of |y - x|^(-(n-1+s)) at every node, computed once
+    per grid and s and kept on the grid, read-only.
+
+    No one-sided boundary correction: the same (un)corrected mass appears
+    on both sides of the homotopy identity.
+    """
+    mass = grid._mass.get(params.s)
+    if mass is None:
+        mass = np.empty(grid.size)
+        for sl, tb, _ in _blocks(np.arange(grid.size)):
+            K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
+            mass[sl] = _corrected_sum(K, grid, tb, params)
+        mass.setflags(write=False)
+        grid._mass[params.s] = mass
+    return mass
+
+
 def _remainder_pair(
     rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R1 and R2 at the target rows, from one kernel pass per rule node.
+    """R1 and R2 at the target rows, from one kernel pass per rule node,
+    with the injectivity guard folded in.
 
     With u = rho - 1 and A0 = |y - x|^2 = 2 - 2 x.y, the squared image
     distance (`_image_dist2`), expanded in xi and updated in place, is
@@ -314,26 +358,64 @@ def _remainder_pair(
     remainder then takes corrected row sums of them:
     R1 = 2 sum (rho(y) - rho(x)) S and
     R2 = mass + sum A0 S - 2 sum ((y - x) . grad rho(y)) S3.
+
+    The column factors of each rule node are formed once per call, the
+    work buffers once per call at the largest block's size, and the mass
+    once per grid and s (`_mass_rows`).  Before its xi loop each block
+    checks the ratio D2(1) / A0 of its pairs; the pairs with neither end
+    among the targets are checked first by `_least_ratio2`.  Both raise
+    InjectivityError below INJECTIVITY_RATIO_MIN, so a pinched field never
+    reaches a fractional power.
     """
     grid, r = rho.grid, rho.values
     n = grid.n
     p = n + 1 + params.s
+    # the ratio is symmetric in the pair, so the target rows cover every
+    # pair with one end among the targets; the rest needs its own pass
+    rest = np.ones(grid.size, dtype=bool)
+    rest[targets] = False
+    _raise_if_pinched(math.sqrt(max(_least_ratio2(rho, rest), 0.0)))
     u = r - 1.0
-    g = gradient_values(grid, r)
-    xs, ws = rule.tprime()
+    # (y - x) . grad rho(y) = x . (-grad rho(y)) by tangency of the gradient
+    neg_g = -gradient_values(grid, r)
+    mass = _mass_rows(grid, params)
+    # per rule node: xi and the column factors of the p-term and n-term of
+    # dK (weighted by w (1 - xi)) and of the S3 integrand (weighted by w xi)
+    factors = []
+    for xv, wv in zip(*rule.tprime()):
+        B = 1.0 + xv * u
+        Bn1 = B ** (n - 1)
+        c = wv * (1.0 - xv)
+        factors.append((xv, (c * p) * (Bn1 * B), (c * n) * (u * Bn1), (wv * xv) * Bn1))
+    blocks = list(_blocks(targets))
+    rows = max((tb.size for _, tb, _ in blocks), default=0)
+    work = np.empty((7, rows, grid.size))
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
-    for sl, tb, col in _blocks(targets):
+    for sl, tb, col in blocks:
+        S, S3, D2, W, K, A1h, A2 = work[:, : tb.size]
         ut = u[tb][:, None]
         A0 = grid.chord2[tb]
-        A1h = 0.5 * (ut + u) * A0
-        A2 = (ut - u) ** 2 + ut * u * A0
-        S = np.zeros_like(A0)
-        S3 = np.zeros_like(A0)
-        D2 = np.empty_like(A0)
-        W = np.empty_like(A0)
-        K = np.empty_like(A0)
-        for xv, wv in zip(xs, ws):
+        # A1h = A1/2 = (u(x) + u(y)) A0 / 2, A2 = (u(x) - u(y))^2 + u(x) u(y) A0
+        np.add(ut, u, out=A1h)
+        A1h *= 0.5
+        A1h *= A0
+        np.subtract(ut, u, out=A2)
+        np.square(A2, out=A2)
+        np.multiply(ut, u, out=W)
+        W *= A0
+        A2 += W
+        # the guard: D2(1) / A0 = |Phi(y) - Phi(x)|^2 / |y - x|^2
+        np.multiply(A1h, 2.0, out=D2)
+        D2 += A0
+        D2 += A2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            D2 /= A0
+        D2[col] = np.inf
+        _raise_if_pinched(math.sqrt(max(np.nanmin(D2), 0.0)))
+        S.fill(0.0)
+        S3.fill(0.0)
+        for xv, pB, nB, xB in factors:
             # W = A1/2 + xi A2, D2 = A0 + xi (W + A1/2)
             np.multiply(A2, xv, out=W)
             W += A1h
@@ -346,27 +428,24 @@ def _remainder_pair(
             np.power(D2, -0.5 * p, out=K)
             K[col] = 0.0
             Kp2 = np.divide(K, D2, out=D2)
-            B = 1.0 + xv * u
-            Bn1 = B ** (n - 1)
             # dK = n u(y) B^(n-1) K - p B^n W K / D2, weighted by w (1 - xi)
-            c = wv * (1.0 - xv)
             W *= Kp2
-            W *= (c * p) * (Bn1 * B)
+            W *= pB
             S -= W
-            np.multiply(K, (c * n) * (u * Bn1), out=W)
+            np.multiply(K, nB, out=W)
             S += W
-            np.multiply(K, (wv * xv) * Bn1, out=W)
+            np.multiply(K, xB, out=W)
             S3 += W
-        # (y - x) . grad rho(y) = -x . grad rho(y) by tangency of the gradient
-        ydotg = -_x_dot_grad(grid.nodes[tb], g)
-        # no one-sided boundary correction in the mass: the same
-        # (un)corrected mass appears on both sides of the homotopy identity
-        mass = _chord_kernel(grid, n - 1 + params.s, tb)
-        r1[sl] = 2.0 * _corrected_sum((u - ut) * S, grid, tb, params)
+        stencil = list(_lattice_stencil(grid, tb)) if n == 1 else None
+        np.subtract(u, ut, out=W)
+        W *= S
+        r1[sl] = 2.0 * _corrected_sum(W, grid, tb, params, stencil=stencil)
+        np.multiply(A0, S, out=W)
+        S3 *= _x_dot_grad(grid.nodes[tb], neg_g)
         r2[sl] = (
-            _corrected_sum(mass, grid, tb, params)
-            + _corrected_sum(A0 * S, grid, tb, params)
-            - 2.0 * _corrected_sum(ydotg * S3, grid, tb, params)
+            mass[tb]
+            + _corrected_sum(W, grid, tb, params, stencil=stencil)
+            - 2.0 * _corrected_sum(S3, grid, tb, params, stencil=stencil)
         )
     return r1, r2
 
@@ -382,8 +461,9 @@ def _remainders_of(
 
     The field's values are read-only, so the memo cannot go stale; the
     cached arrays are read-only too, so no caller can change the other's.
+    A pinched field raises InjectivityError from the pass and leaves the
+    memo as it was.
     """
-    _guard_injectivity(rho)
     if targets is None:
         targets = np.arange(rho.grid.size)
     targets = np.asarray(targets, dtype=np.intp)
@@ -409,7 +489,9 @@ def remainder_R1(
     (1 - xi) times the moment, taken with `rule`.  R1 and R2 come from one
     shared blocked kernel pass (`_remainder_pair`), kept on the field for
     the matching `remainder_R2` call.  `targets` selects rows (default:
-    all nodes); the returned array is read-only.
+    all nodes); the returned array is read-only.  The pass raises
+    InjectivityError when any node pair, with or without an end among the
+    targets, contracts below INJECTIVITY_RATIO_MIN.
     """
     return _remainders_of(rho, params, rule, targets)[0]
 
@@ -443,7 +525,7 @@ def homotopy_derivative(
     the closed forms nu J = B^n y - B^(n-1) t' grad rho(y), written out in
     dot products of unit nodes, at every node.
     """
-    _guard_injectivity(rho)
+    _raise_if_pinched(injectivity_ratio(rho))
     grid, r = rho.grid, rho.values
     targets = np.arange(grid.size)
     g = gradient_values(grid, r)

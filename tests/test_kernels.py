@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from capflow import (
     riemann_zeta,
 )
 from capflow import nonlocal_ops
-from capflow.nonlocal_ops import _chord_kernel, _corrected_sum, _wetted_disk_samples
+from capflow.nonlocal_ops import (
+    InjectivityError,
+    _blocks,
+    _chord_kernel,
+    _corrected_sum,
+    _wetted_disk_samples,
+)
 
 
 def circle_mass(s):
@@ -478,10 +485,16 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
     rho, params, rule = REMAINDER_CASES["hemisphere2_13"]
     grid = rho.grid
     limit = 0.5 * grid.size**2 * 8  # bytes of 0.5 N_work^2 doubles
+    # the hemisphere rows of the doubled grid leave the mirror half's pairs
+    # to the separate guard pass
+    hemisphere_rows = np.arange(build_grid(2, 13, "hemisphere").size)
     calls = {
         "injectivity_ratio": injectivity_ratio,
         "homotopy_derivative": lambda f: homotopy_derivative(0.6, f, params),
         "remainder_R1": lambda f: remainder_R1(f, params, rule),
+        "remainder_R1 hemisphere rows": lambda f: remainder_R1(
+            f, params, rule, targets=hemisphere_rows
+        ),
     }
     for name, call in calls.items():
         call(RadialField(grid, rho.values))  # fills the grid's own caches
@@ -496,6 +509,8 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
 
 
 def _guard_cases():
+    """Name, work field and the rows a flow step evaluates: the hemisphere
+    rows of a doubled grid, all rows (None) of a full-sphere grid."""
     rng = np.random.default_rng(5)
     for base in (
         build_grid(1, 129, "hemisphere"),
@@ -506,8 +521,9 @@ def _guard_cases():
     ):
         if base.topology == "hemisphere":
             work, index = double_grid(base)
+            rows = np.arange(base.size)
         else:
-            work, index = base, np.arange(base.size)
+            work, index, rows = base, np.arange(base.size), None
         x = base.nodes
         fields = {
             "height": 1.0 + 0.05 * x[:, -1],
@@ -516,10 +532,13 @@ def _guard_cases():
             "cos2phi": 1.0 + 0.3 * (x[:, 0] ** 2 - x[:, 1] ** 2),
         }
         for label, vals in fields.items():
-            yield f"{base.topology}{base.n}_{base.size}_{label}", RadialField(work, vals[index])
+            name = f"{base.topology}{base.n}_{base.size}_{label}"
+            yield name, RadialField(work, vals[index]), rows
 
 
-GUARD_CASES = dict(_guard_cases())
+_GUARD = list(_guard_cases())
+GUARD_CASES = {name: rho for name, rho, _ in _GUARD}
+GUARD_ROWS = {name: rows for name, _, rows in _GUARD}
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_CASES))
@@ -595,3 +614,145 @@ def test_remainder_memo_targets_keyed_by_index_values():
     two = remainder_R1(rho, params, rule, targets=np.array([1, 0], dtype=np.int32))
     assert one.shape == (1,) and two.shape == (2,)
     assert two[0] == one[0]
+
+
+# ----------------------------------------------------------------------
+# the guard folded into the remainder pass, the mass cache and the blocks
+# ----------------------------------------------------------------------
+
+GUARD_RULE = HomotopyRule(order=2)
+
+
+def _folded_pass_raises(rho, targets):
+    """Whether the remainder pass on a fresh copy of rho raises the guard."""
+    fresh = RadialField(rho.grid, rho.values)
+    try:
+        remainder_R1(fresh, KernelParams(s=0.5), GUARD_RULE, targets=targets)
+    except InjectivityError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_folded_guard_decides_like_standalone_routine(name):
+    rho, rows = GUARD_CASES[name], GUARD_ROWS[name]
+    limit = nonlocal_ops.INJECTIVITY_RATIO_MIN
+    ratio = injectivity_ratio(RadialField(rho.grid, rho.values))
+    # the ratio scales with the field: maps pinched just under and just
+    # over the limit, and the field itself
+    for scale in (1.0, (1.0 - 1e-3) * limit / ratio, (1.0 + 1e-3) * limit / ratio):
+        scaled = RadialField(rho.grid, scale * rho.values)
+        pinched = injectivity_ratio(RadialField(rho.grid, scaled.values)) < limit
+        assert pinched == (scale < limit / ratio)
+        for targets in [None] if rows is None else [None, rows]:
+            assert _folded_pass_raises(scaled, targets) == pinched, (scale, targets)
+
+
+def _dimpled(grid, nodes):
+    """Unit field with rho = 0.05 at `nodes`: adjacent dimple nodes
+    contract by 0.05, while every pair with one end outside the dimple
+    keeps a ratio of at least (1 + 0.05) / 2."""
+    vals = np.ones(grid.size)
+    vals[nodes] = 0.05
+    return RadialField(grid, vals)
+
+
+def test_folded_guard_sees_pinches_off_the_target_rows():
+    hemi = build_grid(1, 129, "hemisphere")
+    work, _ = double_grid(hemi)
+    circle = build_grid(1, 128, "full-sphere")
+    cases = [
+        # pinched only in the mirror half of the doubled grid
+        (_dimpled(work, [180, 181, 182]), np.arange(hemi.size)),
+        # pinched away from the one target row
+        (_dimpled(circle, [60, 61]), np.array([10])),
+    ]
+    for rho, targets in cases:
+        assert injectivity_ratio(RadialField(rho.grid, rho.values)) == pytest.approx(0.05)
+        with pytest.raises(InjectivityError, match="contracts node pairs by 0.05 "):
+            remainder_R1(rho, KernelParams(s=0.5), GUARD_RULE, targets=targets)
+
+
+@pytest.mark.parametrize("where", ["targets", "mirror"])
+def test_folded_guard_raises_before_any_warning(where):
+    hemi = build_grid(1, 129, "hemisphere")
+    work, _ = double_grid(hemi)
+    # adjacent images this close underflow the squared distance to zero, so
+    # the kernel power would divide by zero past the guard
+    nodes = [40, 41] if where == "targets" else [200, 201]
+    vals = np.ones(work.size)
+    vals[nodes] = 1e-200
+    rho = RadialField(work, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InjectivityError):
+            remainder_R2(rho, KernelParams(s=0.5), GUARD_RULE, targets=np.arange(hemi.size))
+    assert rho._remainders is None
+    assert rho._inj_ratio is None
+
+
+def test_mass_row_sums_computed_once_per_grid(monkeypatch):
+    grid = build_grid(1, 65, "hemisphere")
+    params, rule = KernelParams(s=0.4), HomotopyRule(order=3)
+    mass_rows = []
+    chord_kernel = nonlocal_ops._chord_kernel
+
+    def counting(grid_, exponent, targets):
+        if exponent == grid_.n - 1 + params.s:
+            mass_rows.append(targets)
+        return chord_kernel(grid_, exponent, targets)
+
+    monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
+    for eps in (0.05, -0.03):
+        rho = RadialField(grid, 1.0 + eps * grid.nodes[:, 1])
+        remainder_R2(rho, params, rule, targets=np.arange(5, 40))
+    # each node's row is formed once, by the first call
+    assert np.array_equal(np.concatenate(mass_rows), np.arange(grid.size))
+    mass = grid._mass[params.s]
+    assert not mass.flags.writeable
+    with pytest.raises(ValueError):
+        mass[0] = 0.0
+
+
+def _per_block_mass(grid, params, targets):
+    """The mass as the remainder pass formed it per block of 64 target
+    rows before it was cached: every target's row, NaN elsewhere."""
+    mass = np.full(grid.size, np.nan)
+    for start in range(0, targets.size, 64):
+        tb = targets[start : start + 64]
+        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
+        mass[tb] = _corrected_sum(K, grid, tb, params)
+    return mass
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
+def test_cached_mass_keeps_remainder_R2_bitwise(name, monkeypatch):
+    rho, params, rule = REMAINDER_CASES[name]
+    size = rho.grid.size
+    for targets in (np.arange(size), np.arange(size // 2 + 1), np.array([size - 1, 2])):
+        cached = remainder_R2(RadialField(rho.grid, rho.values), params, rule, targets)
+        with monkeypatch.context() as m:
+            m.setattr(
+                nonlocal_ops,
+                "_mass_rows",
+                lambda grid, prm: _per_block_mass(grid, prm, targets),
+            )
+            per_block = remainder_R2(RadialField(rho.grid, rho.values), params, rule, targets)
+        assert np.array_equal(cached, per_block)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 65, 129, 337])
+def test_blocks_are_balanced_and_cover_the_targets(block, count, monkeypatch):
+    monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", block)
+    targets = np.arange(3, 3 + count)[::-1]
+    blocks = list(_blocks(targets))
+    assert len(blocks) == -(-count // block)
+    sizes = [tb.size for _, tb, _ in blocks]
+    if count:
+        assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    pieces = [targets[sl] for sl, _, _ in blocks]
+    assert np.array_equal(np.concatenate(pieces or [targets[:0]]), targets)
+    for sl, tb, col in blocks:
+        assert np.array_equal(tb, targets[sl])
+        assert np.array_equal(col[0], np.arange(tb.size)) and np.array_equal(col[1], tb)
