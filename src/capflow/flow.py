@@ -341,7 +341,7 @@ class _Context:
         self.hs_ref = hs_reference(self.work, self.params, hs_ref_mode)[
             : self.grid.size
         ]
-        M_work = frac_laplacian_matrix(self.work, self.params)[: self.grid.size]
+        M_work = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
         if self.folded:
             MT = np.zeros((self.grid.size, self.grid.size))
             np.add.at(MT, self.index_map, M_work.T)

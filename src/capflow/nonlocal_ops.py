@@ -14,13 +14,15 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 (from one shared kernel pass per rule node), the derivative of curvature
 along the homotopy, the injectivity guard, and an independent curvature
 oracle based on the divergence theorem.  The squared image distance has
-one definition (`_image_dist2`), and every pass that reduces over node
-pairs walks the target rows in near-equal blocks of at most ROW_BLOCK rows
-(`_blocks`), so temporaries stay small and rows are bitwise independent of
-the block size.  The remainder pass (`_remainder_pair`) checks injectivity
-inside its own kernel pass, and forms what does not change with the block
-once per call (rule-node factors, work buffers) and the chord mass once per
-grid and s; `injectivity_ratio` is the standalone guard for other callers.
+one definition (`_image_dist2`), and every pass over node pairs walks the
+target rows in near-equal blocks of at most ROW_BLOCK rows (`_blocks`), so
+temporaries stay small and rows are bitwise independent of the block size;
+the one larger array is the matrix `frac_laplacian_matrix` returns.  The
+chord mass is summed once per grid and s (`_mass_rows`), for the remainder
+pass and the full-sphere reference.  The remainder pass (`_remainder_pair`)
+checks injectivity inside its own kernel pass and forms what does not
+change with the block once per call; `injectivity_ratio` is the standalone
+guard for other callers.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -262,22 +264,27 @@ def frac_laplacian(
     return frac_laplacian_matrix(grid, params) @ (u - u[0])
 
 
-def frac_laplacian_matrix(grid: SphereGrid, params: KernelParams) -> np.ndarray:
-    """Dense matrix of the discrete fractional Laplacian.
+def frac_laplacian_matrix(
+    grid: SphereGrid, params: KernelParams, targets: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows of the dense matrix of the discrete fractional Laplacian.
 
     Off-diagonal entries 2 w_j K0(i,j) plus the lattice correction at the
     two parameter neighbors of interior n = 1 rows; the diagonal is set
-    for exact zero row sums, so constants are annihilated.
+    for exact zero row sums, so constants are annihilated.  `targets`
+    selects rows (default: all nodes), built one block of rows at a time.
     """
-    targets = np.arange(grid.size)
-    K = _chord_kernel(grid, grid.n + 1 + params.s, targets)
-    M = 2.0 * K * grid.weights[None, :]
-    if grid.n == 1:
-        z = riemann_zeta(params.s)
-        for rows, cols in _lattice_stencil(grid, targets):
-            M[rows, cols] += -2.0 * z * grid.h * K[rows, cols]
-    np.fill_diagonal(M, 0.0)
-    np.fill_diagonal(M, -M.sum(axis=1))
+    targets = np.arange(grid.size) if targets is None else np.asarray(targets)
+    M = np.empty((targets.size, grid.size))
+    for sl, tb, col in _blocks(targets):
+        K = _chord_kernel(grid, grid.n + 1 + params.s, tb)
+        Mb = M[sl]
+        np.multiply(2.0 * K, grid.weights, out=Mb)
+        if grid.n == 1:
+            for rows, cols in _lattice_stencil(grid, tb):
+                Mb[rows, cols] += -2.0 * riemann_zeta(params.s) * grid.h * K[rows, cols]
+        Mb[col] = 0.0
+        Mb[col] = -Mb.sum(axis=1)
     return M
 
 
@@ -622,31 +629,32 @@ def _wetted_disk_samples(n: int, count: int = 2048) -> tuple[np.ndarray, np.ndar
 def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarray:
     """Reference curvature H^s of the unit configuration, per node.
 
-    mode "full-sphere": the constant curvature of the unit sphere,
-    computed on the given full-sphere grid with the divergence oracle
-    (the integrand reduces to chord^(-s)/s on the unit sphere).
+    On the unit sphere (y-x).y = |y-x|^2/2, so the divergence identity
+    reduces to the chord mass int |y - x|^(-(n-1+s)) over s.
+
+    mode "full-sphere": the constant curvature of the unit sphere, the
+    full-sphere grid's cached mass (`_mass_rows`) over s.
 
     mode "half-ball": curvature of the unit half-ball boundary (free
     hemisphere plus wetted equatorial patch) at each free-surface node of
-    a hemisphere grid.
+    a hemisphere grid, per block of rows.  The free part's integrand is
+    even, so the hemisphere endpoints take the one-sided correction.
     """
     needs = {"full-sphere": "full-sphere", "half-ball": "hemisphere"}
     if mode not in needs:
         raise ValueError(f"unknown reference mode {mode!r}")
     if grid.topology != needs[mode]:
         raise ValueError(f"{mode} reference needs a {needs[mode]} grid")
-    targets = np.arange(grid.size)
-    mass = _chord_kernel(grid, grid.n - 1 + params.s, targets)
-    # (y-x).y = |y-x|^2/2 exactly on the unit sphere; the mass integrand is
-    # even, so the hemisphere endpoints take the one-sided correction
-    free = _corrected_sum(mass, grid, targets, params, boundary_correction=True) / params.s
     if mode == "full-sphere":
-        return free
+        return _mass_rows(grid, params) / params.s
     dn, dw = _wetted_disk_samples(grid.n)
-    for sl, tb, _ in _blocks(targets):
+    out = np.empty(grid.size)
+    for sl, tb, _ in _blocks(np.arange(grid.size)):
+        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
+        free = _corrected_sum(K, grid, tb, params, boundary_correction=True) / params.s
         diff = dn - grid.nodes[tb, None, :]
         dist2 = np.einsum("tkd,tkd->tk", diff, diff)
         flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
         # (y - x) . nu on the flat patch equals the height of x
-        free[sl] += (2.0 / params.s) * grid.nodes[tb, -1] * flat
-    return free
+        out[sl] = free + (2.0 / params.s) * grid.nodes[tb, -1] * flat
+    return out

@@ -27,7 +27,13 @@ from .flow import (
     run_flow,
     step,
 )
-from .geometry import RadialField, build_grid, quad_integrate, reflect_field
+from .geometry import (
+    RadialField,
+    build_grid,
+    double_grid,
+    quad_integrate,
+    reflect_field,
+)
 from .nonlocal_ops import (
     HomotopyRule,
     KernelParams,
@@ -89,7 +95,7 @@ def m1_relative_residual(resolution, s=0.5, order=8):
     grid = build_grid(1, resolution, "hemisphere")
     params = KernelParams(s)
     rule = HomotopyRule(order=order)
-    ref = np.full(grid.size, hs_reference(build_grid(1, 2 * (resolution - 1), "full-sphere"), params, "full-sphere")[0])
+    ref = np.full(grid.size, hs_reference(double_grid(grid)[0], params, "full-sphere")[0])
     tp, tw = rule.tprime()
     out = {}
     for shape_name, shape in M1_SHAPES:
@@ -255,19 +261,17 @@ def suite_bc(resolution=129, steps=50, dt=2e-4):
         )
         if theta == HALF_PI:
             rho0 = apply_bc(initial_field(traj.grid, "height:0.05"), theta)
-            full = build_grid(1, 2 * (resolution - 1), "full-sphere")
+            full = reflect_field(rho0)  # lives on double_grid(traj.grid)[0]
             cfg_f = FlowConfig(
                 s=0.5,
                 theta=theta,
                 dt=dt,
-                resolution=full.size,
+                resolution=full.grid.size,
                 topology="full-sphere",
                 homotopy_order=4,
                 refresh_remainders="per-step",
             )
-            state = FlowState(
-                t=0.0, rho=RadialField(full, reflect_field(rho0).values), dt=dt
-            )
+            state = FlowState(t=0.0, rho=full, dt=dt)
             saved = {round(t / dt): v for t, v in traj.saved}
             worst_match = 0.0
             for k in range(steps):

@@ -11,6 +11,7 @@ from capflow import (
     RadialField,
     build_grid,
     double_grid,
+    frac_laplacian_matrix,
     gradient_values,
     homotopy_derivative,
     hs_reference,
@@ -20,12 +21,13 @@ from capflow import (
     remainder_R2,
     riemann_zeta,
 )
-from capflow import nonlocal_ops
+from capflow import flow, nonlocal_ops
 from capflow.nonlocal_ops import (
     InjectivityError,
     _blocks,
     _chord_kernel,
     _corrected_sum,
+    _lattice_stencil,
     _wetted_disk_samples,
 )
 
@@ -446,16 +448,42 @@ def test_remainders_match_per_remainder_reference(name):
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-# every pass over node pairs, as arrays whose rows are compared bitwise
+# the n and resolution of the hemisphere grid whose doubled grid a case's
+# field lives on
+CASE_HEMISPHERES = {"hemisphere129": (1, 129), "hemisphere2_13": (2, 13)}
+
+
+def _matrix_rows(rho, params, rule, hemi):
+    work = double_grid(hemi)[0]
+    return (
+        frac_laplacian_matrix(work, params),
+        frac_laplacian_matrix(work, params, targets=np.arange(hemi.size)),
+    )
+
+
+def _reference_curvatures(rho, params, rule, hemi):
+    return (
+        hs_reference(double_grid(hemi)[0], params, "full-sphere"),
+        hs_reference(hemi, params, "half-ball"),
+    )
+
+
+# every pass over node pairs, as arrays whose rows are compared bitwise;
+# `hemi` is the case's hemisphere grid, built afresh per block size, so no
+# mass cached on a grid carries over from one block size to the next
 BLOCKED_PASSES = {
-    "remainders": lambda rho, params, rule: (
+    "remainders": lambda rho, params, rule, hemi: (
         remainder_R1(rho, params, rule),
         remainder_R2(rho, params, rule),
     ),
-    "injectivity_ratio": lambda rho, params, rule: (np.array([injectivity_ratio(rho)]),),
-    "homotopy_derivative": lambda rho, params, rule: tuple(
+    "injectivity_ratio": lambda rho, params, rule, hemi: (
+        np.array([injectivity_ratio(rho)]),
+    ),
+    "homotopy_derivative": lambda rho, params, rule, hemi: tuple(
         homotopy_derivative(tp, rho, params) for tp in (0.3, 1.0)
     ),
+    "frac_laplacian_matrix": _matrix_rows,
+    "hs_reference": _reference_curvatures,
 }
 
 
@@ -465,7 +493,7 @@ BLOCKED_PASSES = {
         # the remainder cases keep the bare ids they had before the other passes
         pytest.param(name, op, id=name if op == "remainders" else f"{name}-{op}")
         for op in BLOCKED_PASSES
-        for name in ("hemisphere129", "hemisphere2_13")
+        for name in CASE_HEMISPHERES
     ],
 )
 def test_remainder_rows_independent_of_block_size(name, op, monkeypatch):
@@ -474,7 +502,8 @@ def test_remainder_rows_independent_of_block_size(name, op, monkeypatch):
     for block in (1, 7, nonlocal_ops.ROW_BLOCK, rho.grid.size + 5):
         monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", block)
         fresh = RadialField(rho.grid, rho.values)
-        results.append(BLOCKED_PASSES[op](fresh, params, rule))
+        hemi = build_grid(*CASE_HEMISPHERES[name], "hemisphere")
+        results.append(BLOCKED_PASSES[op](fresh, params, rule, hemi))
     for rows in results[1:]:
         for got, first in zip(rows, results[0], strict=True):
             assert np.array_equal(got, first)
@@ -488,23 +517,44 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
     # the hemisphere rows of the doubled grid leave the mirror half's pairs
     # to the separate guard pass
     hemisphere_rows = np.arange(build_grid(2, 13, "hemisphere").size)
+
+    def field():
+        return RadialField(grid, rho.values)
+
+    def fresh_doubled():
+        # no mass is cached on a new grid, so the traced call forms it
+        return double_grid(build_grid(2, 13, "hemisphere"))[0]
+
+    # name: (argument maker, call)
     calls = {
-        "injectivity_ratio": injectivity_ratio,
-        "homotopy_derivative": lambda f: homotopy_derivative(0.6, f, params),
-        "remainder_R1": lambda f: remainder_R1(f, params, rule),
-        "remainder_R1 hemisphere rows": lambda f: remainder_R1(
-            f, params, rule, targets=hemisphere_rows
+        "injectivity_ratio": (field, injectivity_ratio),
+        "homotopy_derivative": (field, lambda f: homotopy_derivative(0.6, f, params)),
+        "remainder_R1": (field, lambda f: remainder_R1(f, params, rule)),
+        "remainder_R1 hemisphere rows": (
+            field,
+            lambda f: remainder_R1(f, params, rule, targets=hemisphere_rows),
+        ),
+        "hs_reference full-sphere": (
+            fresh_doubled,
+            lambda g: hs_reference(g, params, "full-sphere"),
+        ),
+        "frac_laplacian_matrix hemisphere rows": (
+            field,
+            lambda f: frac_laplacian_matrix(f.grid, params, targets=hemisphere_rows),
         ),
     }
-    for name, call in calls.items():
-        call(RadialField(grid, rho.values))  # fills the grid's own caches
-        fresh = RadialField(grid, rho.values)
+    for name, (make, call) in calls.items():
+        call(make())  # fills the grid's own caches
+        arg = make()
         tracemalloc.start()
         try:
-            call(fresh)
+            out = call(arg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if name.startswith("frac_laplacian_matrix"):
+            # the returned rows are the one array allowed past a block
+            peak -= out.nbytes
         assert peak < limit, (name, peak / (grid.size**2 * 8))
 
 
@@ -756,3 +806,91 @@ def test_blocks_are_balanced_and_cover_the_targets(block, count, monkeypatch):
     for sl, tb, col in blocks:
         assert np.array_equal(tb, targets[sl])
         assert np.array_equal(col[0], np.arange(tb.size)) and np.array_equal(col[1], tb)
+
+
+# ----------------------------------------------------------------------
+# the flow context's fixed parts, against the whole-grid routes they were
+# built by before the matrix and the reference curvature were blocked
+# ----------------------------------------------------------------------
+
+
+def reference_hs_reference(grid, params, mode):
+    """The reference curvature from one whole-grid chord kernel: the mass
+    with the one-sided endpoint correction, over s, plus the wetted patch
+    in half-ball mode."""
+    tgt = np.arange(grid.size)
+    K = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
+    free = _corrected_sum(K, grid, tgt, params, boundary_correction=True) / params.s
+    if mode == "full-sphere":
+        return free
+    dn, dw = _wetted_disk_samples(grid.n)
+    diff = dn - grid.nodes[:, None, :]
+    dist2 = np.einsum("tkd,tkd->tk", diff, diff)
+    flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
+    return free + (2.0 / params.s) * grid.nodes[:, -1] * flat
+
+
+def reference_frac_laplacian_matrix(grid, params):
+    """The whole matrix at once: every row's kernel, lattice terms and
+    diagonal in one N x N array."""
+    tgt = np.arange(grid.size)
+    K = _chord_kernel(grid, grid.n + 1 + params.s, tgt)
+    M = 2.0 * K * grid.weights[None, :]
+    if grid.n == 1:
+        z = riemann_zeta(params.s)
+        for rows, cols in _lattice_stencil(grid, tgt):
+            M[rows, cols] += -2.0 * z * grid.h * K[rows, cols]
+    np.fill_diagonal(M, 0.0)
+    np.fill_diagonal(M, -M.sum(axis=1))
+    return M
+
+
+def reference_context_parts(n, resolution, mode, s):
+    """M and hs_ref of a hemisphere flow context: the whole work-grid
+    matrix and reference, sliced to the hemisphere rows, with the matrix
+    folded back onto the hemisphere when the work grid is doubled."""
+    grid = build_grid(n, resolution, "hemisphere")
+    params = KernelParams(s)
+    work, index = double_grid(grid) if mode == "full-sphere" else (grid, None)
+    hs_ref = reference_hs_reference(work, params, mode)[: grid.size]
+    M_work = reference_frac_laplacian_matrix(work, params)[: grid.size]
+    if index is None:
+        return M_work, hs_ref
+    MT = np.zeros((grid.size, grid.size))
+    np.add.at(MT, index, M_work.T)
+    return MT.T, hs_ref
+
+
+@pytest.mark.parametrize("mode", ["full-sphere", "half-ball"])
+@pytest.mark.parametrize("n, resolution", [(1, 129), (2, 13)])
+def test_context_fixed_parts_match_whole_grid_routes(n, resolution, mode):
+    s = 0.5
+    ctx = flow._Context(n, s, resolution, "hemisphere", mode, 4)
+    M, hs_ref = reference_context_parts(n, resolution, mode, s)
+    assert np.array_equal(ctx.M, M)
+    assert np.array_equal(ctx.hs_ref, hs_ref)
+    hemi = build_grid(n, resolution, "hemisphere")
+    work = double_grid(hemi)[0] if mode == "full-sphere" else hemi
+    ref = reference_hs_reference(work, KernelParams(s), mode)
+    assert np.array_equal(hs_reference(work, KernelParams(s), mode), ref)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 65), (2, 9)])
+def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
+    s = 0.4
+    mass_rows = []
+    chord_kernel = nonlocal_ops._chord_kernel
+
+    def counting(grid_, exponent, targets):
+        if exponent == grid_.n - 1 + s:
+            mass_rows.append(targets)
+        return chord_kernel(grid_, exponent, targets)
+
+    monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
+    ctx = flow._Context(n, s, resolution, "hemisphere", "full-sphere", 3)
+    # the full-sphere reference forms each work-grid row once ...
+    assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
+    mass_rows.clear()
+    # ... and the first remainder pass reads it from the grid
+    flow._remainders(ctx, ctx.to_work(1.0 + 0.05 * ctx.grid.nodes[:, -1]))
+    assert mass_rows == []
