@@ -6,10 +6,10 @@ Commands:
     capflow inspect <snapshot>
 
 The config file is plain key=value text (blank lines and # comments
-ignored).  Required keys: s, theta, dt, resolution, topology.  Optional:
-t_end, n, hs_ref_mode, initial, save_every, homotopy_order,
-refresh_remainders, picard_tol, max_picard, bc_tol, output.  Angles are
-radians.  Outputs carry the full run manifest in their headers and are
+ignored).  Its keys are the fields of `flow.FlowConfig`, cast by their
+annotations, plus `output`; the fields without a default (s, theta, dt,
+resolution, topology) are required.  Angles are radians.  Outputs carry
+the full run manifest (`snapshots.run_manifest`) in their headers and are
 byte-identical across reruns of the same config.
 
 Exit codes: 0 ok, 2 config error, 3 nonconvergence, 4 extinction,
@@ -20,14 +20,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, fields
 
-from . import __version__
 from .flow import ConfigError, FlowConfig, run_flow
 from .snapshots import (
     SnapshotError,
     frame_record,
     read_snapshot,
+    run_manifest,
     write_csv,
     write_snapshot,
 )
@@ -47,47 +47,16 @@ _STATUS_CODES = {
     "injectivity": EXIT_INJECTIVITY,
 }
 
-_FLOAT_KEYS = ("s", "theta", "dt", "t_end", "picard_tol", "bc_tol")
-_INT_KEYS = ("resolution", "n", "save_every", "homotopy_order", "max_picard")
-_STR_KEYS = ("topology", "hs_ref_mode", "initial", "refresh_remainders")
-_REQUIRED = ("s", "theta", "dt", "resolution", "topology")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + ("output",)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Self-describing record of one run, embedded in every output header.
-
-    Holds the full config echo, the grid spec, the initial-condition
-    spec, a deterministic marker (no seeds exist anywhere), and the
-    artifact version.  Round-trips losslessly through to_dict/from_dict.
-    """
-
-    config: dict
-    grid: dict
-    initial: str
-    deterministic: bool = True
-    version: str = __version__
-
-    @classmethod
-    def from_config(cls, cfg: FlowConfig) -> "RunManifest":
-        echo = asdict(cfg)
-        return cls(
-            config=echo,
-            grid={
-                "n": cfg.n,
-                "resolution": cfg.resolution,
-                "topology": cfg.topology,
-            },
-            initial=cfg.initial,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(**d)
+# Cast and the noun of its error message for each FlowConfig annotation;
+# a field with any other annotation fails here, at import.
+_ANNOTATION_CASTS = {
+    "float": (float, "a number"),
+    "float | None": (float, "a number"),
+    "int": (int, "an integer"),
+    "str": (str, None),
+}
+_FIELDS = fields(FlowConfig)
+_CASTS = {f.name: _ANNOTATION_CASTS[f.type] for f in _FIELDS}
 
 
 def parse_config(path):
@@ -111,35 +80,30 @@ def parse_config(path):
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CASTS and key != "output":
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; legal keys: "
-                + ", ".join(sorted(_ALL_KEYS))
+                + ", ".join(sorted([*_CASTS, "output"]))
             )
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-    missing = [k for k in _REQUIRED if k not in raw]
+    missing = [
+        f.name
+        for f in _FIELDS
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+    ]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     kwargs = {}
     for key, value in raw.items():
         if key == "output":
             continue
-        if key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{key} must be an integer, got {value!r}"
-                ) from None
-        else:
-            kwargs[key] = value
+        cast, noun = _CASTS[key]
+        try:
+            kwargs[key] = cast(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
     try:
         cfg = FlowConfig(**kwargs)
     except ValueError as exc:
@@ -150,7 +114,7 @@ def parse_config(path):
 
 def cmd_run(args):
     cfg, base = parse_config(args.config)
-    manifest = RunManifest.from_config(cfg).to_dict()
+    manifest = run_manifest(cfg)
     traj = run_flow(cfg)
     by_time = {d["t"]: d for d in traj.diagnostics}
     frames = [

@@ -76,6 +76,8 @@ __all__ = [
 
 EXTINCTION_THRESHOLD = 0.05
 MAX_DT_HALVINGS = 5
+# Newton iterations allowed per boundary node in apply_bc
+MAX_BC_ITERATIONS = 50
 # Factorisations (inverses of I - dt M) kept per context: the step dt, a
 # shortened last step and a halving or two
 LU_CACHE = 4
@@ -241,13 +243,12 @@ def _max_bc_residual(rho: RadialField, theta: float) -> float:
     return float(np.abs(bres).max()) if bres.size else 0.0
 
 
-def apply_bc(
-    rho: RadialField, theta: float, tol: float = 1e-6, max_iter: int = 50
-) -> RadialField:
+def apply_bc(rho: RadialField, theta: float, tol: float = 1e-6) -> RadialField:
     """Adjust boundary values until the contact-angle residual is below tol.
 
     Interior values stay fixed; each boundary node solves its scalar
-    residual equation by damped Newton with a finite-difference slope.
+    residual equation by damped Newton with a finite-difference slope.  A
+    grid without boundary nodes returns rho unchanged.
     """
     grid = rho.grid
     st = grid.stencils()
@@ -255,18 +256,16 @@ def apply_bc(
         return rho
     vals = rho.values.copy()
 
+    # Node k is the only one evaluated while it iterates, and its final
+    # value is stored after the loop, so a trial value is never restored.
     def residual_at(k: int, v: float) -> float:
-        b = st.boundary[k]
-        old = vals[b]
-        vals[b] = v
-        r = _contact_residual(st, vals, theta, slice(k, k + 1))[0]
-        vals[b] = old
-        return r
+        vals[st.boundary[k]] = v
+        return _contact_residual(st, vals, theta, slice(k, k + 1))[0]
 
     for k, b in enumerate(st.boundary):
         v = float(vals[b])
         r = residual_at(k, v)
-        for _ in range(max_iter):
+        for _ in range(MAX_BC_ITERATIONS):
             if abs(r) <= tol:
                 break
             dv = 1e-7 * max(1.0, abs(v))
@@ -291,7 +290,8 @@ def apply_bc(
                 )
         else:
             raise NonconvergenceError(
-                f"contact angle not met at node {b} after {max_iter} iterations"
+                f"contact angle not met at node {b} after {MAX_BC_ITERATIONS} "
+                "iterations"
             )
         vals[b] = v
     return RadialField(grid, vals)
@@ -518,7 +518,6 @@ class _Reject(Exception):
 def _picard(
     ctx: _Context, cfg: FlowConfig, rho_old: np.ndarray, dt: float
 ) -> tuple[np.ndarray, int]:
-    has_bc = ctx.grid.boundary_indices().size > 0
     hat = rho_old.copy()
     solve = ctx.solver(dt)
     frozen = None
@@ -540,10 +539,7 @@ def _picard(
         u = solve(rhs)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:
             raise _Reject("implicit solve left the star-shaped regime")
-        if has_bc:
-            u = apply_bc(
-                RadialField(ctx.grid, u), cfg.theta, tol=cfg.bc_tol
-            ).values
+        u = apply_bc(RadialField(ctx.grid, u), cfg.theta, tol=cfg.bc_tol).values
         delta = np.abs(u - hat).max()
         hat = u
         if delta <= cfg.picard_tol * max(1.0, np.abs(u).max()):
@@ -603,20 +599,22 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
     grid = ctx.grid
     traj = Trajectory(config=cfg, grid=grid)
     rho = initial_field(grid, cfg.initial)
-    if grid.boundary_indices().size > 0:
-        try:
-            rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)
-        except NonconvergenceError as exc:
-            # frame 0 keeps the unprojected field as the restart point
-            traj.status, traj.message = "nonconvergence", str(exc)
+    try:
+        rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)
+    except NonconvergenceError as exc:
+        # frame 0 keeps the unprojected field as the restart point
+        traj.status, traj.message = "nonconvergence", str(exc)
     state = FlowState(
         t=0.0, rho=rho, dt=cfg.dt, bc_residual_max=_max_bc_residual(rho, cfg.theta)
     )
     _record(traj, state, grid, cfg)
     horizon = cfg.horizon
-    end = horizon - 1e-12 * max(1.0, horizon)
-    while traj.status == "completed" and state.t < end:
-        dt = min(cfg.dt, horizon - state.t)
+    slack = 1e-12 * max(1.0, horizon)
+    while traj.status == "completed" and state.t < horizon - slack:
+        # t is a running sum, so a remainder within the slack of dt is a
+        # full step: it keeps the cached factorisation of I - dt M
+        left = horizon - state.t
+        dt = cfg.dt if left > cfg.dt - slack else left
         state = replace(state, dt=dt)
         try:
             state = step(state, cfg)

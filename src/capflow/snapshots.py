@@ -1,8 +1,9 @@
 """Snapshot and diagnostics-table output for flow runs.
 
 A snapshot is a line-delimited JSON file: the first line is a header
-carrying the schema tag and the run manifest, every following line is one
-saved frame (time, node values, boundary residual, volume, min rho).
+carrying the schema tag and the run manifest (`run_manifest`), every
+following line is one saved frame (time, node values, boundary residual,
+volume, min rho).
 Floats pass through json, which writes them with repr, the shortest
 decimal form that parses back to the identical double, so node values
 round-trip bit-exactly.  Nothing in the file depends on wall-clock state,
@@ -10,9 +11,11 @@ which keeps reruns byte-identical.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
+from . import __version__
 from .geometry import build_grid
 
 SCHEMA = "capflow-snapshot/1"
@@ -26,6 +29,7 @@ __all__ = [
     "SnapshotError",
     "SchemaMismatchError",
     "CorruptRecordError",
+    "run_manifest",
     "frame_record",
     "write_snapshot",
     "read_snapshot",
@@ -44,6 +48,23 @@ class SchemaMismatchError(SnapshotError):
 
 class CorruptRecordError(SnapshotError):
     """A record is truncated, unparseable, or missing fields."""
+
+
+def run_manifest(cfg):
+    """Self-describing record of one run, embedded in every output header.
+
+    Holds the full echo of the FlowConfig cfg, the grid spec that
+    load_snapshot rebuilds the grid from, the initial-condition spec, a
+    deterministic marker (no seeds exist anywhere), and the package
+    version.  Plain JSON types only, so it round-trips through json.
+    """
+    return {
+        "config": asdict(cfg),
+        "grid": {"n": cfg.n, "resolution": cfg.resolution, "topology": cfg.topology},
+        "initial": cfg.initial,
+        "deterministic": True,
+        "version": __version__,
+    }
 
 
 def frame_record(t, values, bc_residual, volume):

@@ -158,17 +158,12 @@ def suite_scaling(resolution=512):
 # ----------------------------------------------------------------------
 
 
-def shrinking_circle_constant(resolution=2048, s=0.5):
-    """Curvature of the unit circle from the refined independent oracle."""
-    grid = build_grid(1, resolution, "full-sphere")
-    return divergence_oracle_Hs(
-        grid.nodes, grid.nodes, grid.weights, 0, KernelParams(s)
-    )
-
-
 def suite_shrinking_circle(resolution=256, dt=5e-4):
     s = 0.5
-    c = shrinking_circle_constant()
+    # Curvature of the unit circle in closed form: the divergence identity
+    # with (y - x).y = |y - x|^2 / 2 gives H^s(S^1) = 2 pi Gamma(1 - s) /
+    # (s Gamma(1 - s/2)^2)
+    c = 2 * math.pi * math.gamma(1 - s) / (s * math.gamma(1 - s / 2) ** 2)
     t_star = (1.0 - 0.5 ** (1 + s)) / ((1 + s) * c)
     cfg = FlowConfig(
         s=s,
@@ -193,7 +188,7 @@ def suite_shrinking_circle(resolution=256, dt=5e-4):
             f"radius law down to R=0.5 ({len(traj.diagnostics) - 1} steps)",
             worst,
             1e-2,
-            "radius power law with the rate from a 2048-node oracle",
+            "radius power law with the closed-form rate",
         )
     )
     # volume balance: (V1-V0)/dt against the quadrature of the rate,

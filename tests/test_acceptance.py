@@ -38,7 +38,7 @@ def shrink_rows():
 def test_criterion_1_homotopy_identity_with_refinement():
     rows = run_suite("m1-identity")
     _report(1, rows)
-    r512 = max(m1_relative_residual(512).values())
+    r512 = max(r.measured for r in rows)  # the suite runs at 512 nodes
     r1024 = max(m1_relative_residual(1024).values())
     improved = r1024 <= r512 / 2 or r1024 <= 1e-6
     print(

@@ -1,13 +1,15 @@
 """Config parsing, snapshot round-trips, and command exit codes."""
 
+import dataclasses
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
 
-from capflow import RadialField, bc_residual, build_grid
-from capflow.cli import ConfigError, RunManifest, main, parse_config
+from capflow import FlowConfig, RadialField, bc_residual, build_grid
+from capflow.cli import ConfigError, main, parse_config
 from capflow.snapshots import (
     SCHEMA,
     CorruptRecordError,
@@ -15,6 +17,7 @@ from capflow.snapshots import (
     frame_record,
     load_snapshot,
     read_snapshot,
+    run_manifest,
     write_csv,
     write_snapshot,
 )
@@ -127,12 +130,53 @@ def test_parse_config_missing_file():
 def test_manifest_roundtrips_through_json(tmp_path):
     path = _write_config(tmp_path, BASE_CONFIG)
     cfg, _ = parse_config(path)
-    manifest = RunManifest.from_config(cfg)
-    wire = json.loads(json.dumps(manifest.to_dict()))
-    assert RunManifest.from_dict(wire) == manifest
-    assert manifest.deterministic is True
-    assert manifest.grid == {"n": 1, "resolution": 64, "topology": "full-sphere"}
-    assert manifest.config["s"] == 0.5
+    manifest = run_manifest(cfg)
+    assert json.loads(json.dumps(manifest)) == manifest
+    assert sorted(manifest) == ["config", "deterministic", "grid", "initial", "version"]
+    assert manifest["deterministic"] is True
+    assert manifest["grid"] == {"n": 1, "resolution": 64, "topology": "full-sphere"}
+    assert manifest["config"]["s"] == 0.5
+    assert FlowConfig(**manifest["config"]) == cfg
+
+
+# Every FlowConfig key, each away from its default
+ALL_KEYS = {
+    "s": 0.4,
+    "theta": 1.2,
+    "dt": 5e-4,
+    "resolution": 32,
+    "topology": "hemisphere",
+    "n": 2,
+    "t_end": 2e-3,
+    "hs_ref_mode": "half-ball",
+    "initial": "height:0.1",
+    "save_every": 2,
+    "homotopy_order": 6,
+    "refresh_remainders": "per-step",
+    "picard_tol": 1e-8,
+    "max_picard": 12,
+    "bc_tol": 1e-7,
+}
+ANNOTATED_TYPES = {"float": float, "float | None": float, "int": int, "str": str}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(FlowConfig), ids=lambda f: f.name)
+def test_parse_config_casts_every_field_by_annotation(tmp_path, field):
+    def config(**changed):
+        return "".join(f"{k} = {changed.get(k, v)}\n" for k, v in ALL_KEYS.items())
+
+    cfg, _ = parse_config(_write_config(tmp_path, config()))
+    value = getattr(cfg, field.name)
+    assert value == ALL_KEYS[field.name] != field.default
+    assert type(value) is ANNOTATED_TYPES[field.type]
+    assert run_manifest(cfg)["config"][field.name] == value
+    if field.type == "str":
+        return
+    wrong, noun = ("2.5", "an integer") if field.type == "int" else ("many", "a number")
+    bad = config(**{field.name: wrong})
+    message = f"{field.name} must be {noun}, got '{wrong}'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(_write_config(tmp_path, bad))
 
 
 # ----------------------------------------------------------------------

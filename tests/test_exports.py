@@ -10,7 +10,13 @@ import capflow
 MODULES = ("cli", "diagnostics", "flow", "geometry", "nonlocal_ops", "snapshots", "validation")
 
 # gone from the package and from every module
-GONE = ["first_moment_psi", "kernel_K_dxi", "tangential_gradient"]
+GONE = [
+    "RunManifest",
+    "first_moment_psi",
+    "kernel_K_dxi",
+    "shrinking_circle_constant",
+    "tangential_gradient",
+]
 # still public in their own modules, no longer re-exported by the package
 UNEXPORTED = [
     "CheckResult",
