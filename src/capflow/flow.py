@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    MIN_RESOLUTION,
     RadialField,
     SphereGrid,
     Stencils,
@@ -125,9 +126,9 @@ class FlowConfig:
                 raise ValueError(f"{key} must be finite and positive, got {value}")
         if self.max_picard < 1:
             raise ValueError(f"max_picard must be at least 1, got {self.max_picard}")
-        if self.resolution < 8:
+        if self.resolution < MIN_RESOLUTION:
             raise ValueError(
-                f"resolution must be at least 8, got {self.resolution}"
+                f"resolution must be at least {MIN_RESOLUTION}, got {self.resolution}"
             )
         if self.topology not in ("hemisphere", "full-sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
@@ -216,16 +217,32 @@ def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ----------------------------------------------------------------------
 
 
-def _contact_residual(
-    st: Stencils, u: np.ndarray, theta: float, k: slice = slice(None)
-) -> np.ndarray:
-    """Contact-angle residual of samples u at boundary positions k."""
-    dn, g = st.boundary_gradient(u, k)
-    # float_power squares with libm pow, as numpy's float64 scalars do, so
-    # a node-by-node evaluation agrees bit for bit; ** on an array
-    # multiplies instead, which can differ in the last bit.
-    W = np.sqrt(np.float_power(u[st.boundary[k]], 2) + np.sum(g * g, axis=1))
-    return np.cos(theta) - dn / W
+def _node_residual(
+    st: Stencils, u: np.ndarray, cos_theta: float, k: int
+) -> Callable[[float], float]:
+    """Contact-angle residual at boundary position k as a function of its
+    value v; the other inputs (4 u and u at the inward nodes and, on n = 2,
+    the in-ring gradient term) are read now, as Python floats.  It works
+    in the order `gradient_values` does, and math.pow is libm pow, as
+    numpy's float_power, so the residual is bitwise the one read off the
+    full gradient.
+    """
+    b, (i1, i2) = st.boundary[k], st.inward[k]
+    u1, u2, two_step = 4.0 * float(u[i1]), float(u[i2]), 2.0 * st.step
+    eta, ring = st.eta[k].tolist(), [0.0] * st.eta.shape[1]
+    if st.ring is not None:
+        ug = (u[st.ring[b, 1]] - u[st.ring[b, 0]]) / (2.0 * st.dgamma)
+        ring = ((ug / st.sin_beta[b]) * st.e_gamma[b]).tolist()
+
+    def residual(v: float) -> float:
+        dn = ((3.0 * v - u1) + u2) / two_step
+        gg = 0.0
+        for e, q in zip(eta, ring):
+            g = dn * e + q
+            gg += g * g
+        return cos_theta - dn / math.sqrt(math.pow(v, 2) + gg)
+
+    return residual
 
 
 def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
@@ -234,8 +251,11 @@ def bc_residual(rho: RadialField, theta: float) -> np.ndarray:
     At a contact node the ambient wall normal coincides with the spherical
     conormal, so the angle condition <nu, wall normal> = -cos(theta)
     becomes cos(theta) - (d rho / d eta) / sqrt(rho^2 + |grad rho|^2) = 0.
+    Each node's residual is `apply_bc`'s per-node one, at its own value.
     """
-    return _contact_residual(rho.grid.stencils(), rho.values, theta)
+    st, u, cos_theta = rho.grid.stencils(), rho.values, float(np.cos(theta))
+    nodes = enumerate(st.boundary)
+    return np.array([_node_residual(st, u, cos_theta, k)(u[b]) for k, b in nodes])
 
 
 def _max_bc_residual(rho: RadialField, theta: float) -> float:
@@ -246,30 +266,25 @@ def _max_bc_residual(rho: RadialField, theta: float) -> float:
 def apply_bc(rho: RadialField, theta: float, tol: float = 1e-6) -> RadialField:
     """Adjust boundary values until the contact-angle residual is below tol.
 
-    Interior values stay fixed; each boundary node solves its scalar
-    residual equation by damped Newton with a finite-difference slope.  A
-    grid without boundary nodes returns rho unchanged.
+    One Gauss-Seidel sweep in boundary order: node k solves its scalar
+    residual by damped Newton (finite-difference slope, halving line
+    search) with the interior values fixed and, on n = 2, its ring
+    neighbours as they stand at its turn, k - 1 updated and k + 1 not yet.
+    A grid without boundary nodes returns rho unchanged.
     """
-    grid = rho.grid
-    st = grid.stencils()
+    grid, st = rho.grid, rho.grid.stencils()
     if st.boundary.size == 0:
         return rho
-    vals = rho.values.copy()
-
-    # Node k is the only one evaluated while it iterates, and its final
-    # value is stored after the loop, so a trial value is never restored.
-    def residual_at(k: int, v: float) -> float:
-        vals[st.boundary[k]] = v
-        return _contact_residual(st, vals, theta, slice(k, k + 1))[0]
-
+    vals, cos_theta = rho.values.copy(), float(np.cos(theta))
     for k, b in enumerate(st.boundary):
+        residual = _node_residual(st, vals, cos_theta, k)
         v = float(vals[b])
-        r = residual_at(k, v)
+        r = residual(v)
         for _ in range(MAX_BC_ITERATIONS):
             if abs(r) <= tol:
                 break
             dv = 1e-7 * max(1.0, abs(v))
-            slope = (residual_at(k, v + dv) - r) / dv
+            slope = (residual(v + dv) - r) / dv
             if slope == 0.0:
                 raise NonconvergenceError(
                     f"flat contact-angle residual at boundary node {b}"
@@ -279,7 +294,7 @@ def apply_bc(rho: RadialField, theta: float, tol: float = 1e-6) -> RadialField:
             while lam > 1e-4:
                 cand = v + lam * stepv
                 if cand > 0.0:
-                    rc = residual_at(k, cand)
+                    rc = residual(cand)
                     if abs(rc) < abs(r):
                         v, r = cand, rc
                         break

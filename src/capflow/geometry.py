@@ -34,6 +34,9 @@ __all__ = [
     "quad_integrate",
 ]
 
+# Least grid resolution: nodes for n = 1, latitude rings for n = 2
+MIN_RESOLUTION = 8
+
 
 @dataclass(eq=False)
 class SphereGrid:
@@ -187,21 +190,6 @@ class Stencils:
         b, i1, i2 = self.boundary[k], self.inward[k, 0], self.inward[k, 1]
         return (3.0 * u[b] - 4.0 * u[i1] + u[i2]) / (2.0 * self.step)
 
-    def boundary_gradient(
-        self, u: np.ndarray, k: slice = slice(None)
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Conormal derivative and tangential gradient at boundary positions k.
-
-        Equal, bit for bit, to the rows of `gradient_values` at those nodes.
-        """
-        dn = self.conormal(u, k)
-        g = dn[:, None] * self.eta[k]
-        if self.ring is not None:
-            b = self.boundary[k]
-            ug = (u[self.ring[b, 1]] - u[self.ring[b, 0]]) / (2.0 * self.dgamma)
-            g = g + (ug / self.sin_beta[b])[:, None] * self.e_gamma[b]
-        return dn, g
-
 
 # ----------------------------------------------------------------------
 # grid construction
@@ -216,7 +204,8 @@ def build_grid(n: int, resolution: int, topology: str) -> SphereGrid:
     n : int
         Surface dimension, 1 or 2.
     resolution : int
-        Node count for n=1; number of latitude rings for n=2.  At least 8.
+        Node count for n=1; number of latitude rings for n=2.  At least
+        MIN_RESOLUTION.
     topology : str
         "hemisphere" or "full-sphere".
 
@@ -227,8 +216,10 @@ def build_grid(n: int, resolution: int, topology: str) -> SphereGrid:
     """
     if topology not in ("hemisphere", "full-sphere"):
         raise ValueError(f"unknown topology {topology!r}")
-    if resolution < 8:
-        raise ValueError(f"resolution must be at least 8, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(
+            f"resolution must be at least {MIN_RESOLUTION}, got {resolution}"
+        )
     if n == 1:
         return _build_circle(resolution, topology)
     if n == 2:
@@ -385,7 +376,7 @@ def gradient_values(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     if grid.topology == "hemisphere":
         # One-sided at the endpoints, where the conormal is -+ the tangent.
         st = grid.stencils()
-        grad[st.boundary] = st.boundary_gradient(values)[1]
+        grad[st.boundary] = st.conormal(values)[:, None] * st.eta
     return grad
 
 

@@ -117,7 +117,7 @@ def read_snapshot(path):
         raise SchemaMismatchError(
             f"{path}: schema {header['schema']!r} does not match {SCHEMA!r}"
         )
-    if "manifest" not in header:
+    if not isinstance(header.get("manifest"), dict):
         raise CorruptRecordError(f"{path}: header lacks a manifest")
     frames = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -129,6 +129,8 @@ def read_snapshot(path):
             raise CorruptRecordError(
                 f"{path}:{lineno}: truncated or unparseable frame"
             ) from exc
+        if not isinstance(frame, dict):
+            raise CorruptRecordError(f"{path}:{lineno}: frame is not a JSON object")
         missing = [k for k in FRAME_KEYS if k not in frame]
         if missing:
             raise CorruptRecordError(

@@ -10,6 +10,7 @@ import pytest
 
 from capflow import FlowConfig, RadialField, bc_residual, build_grid
 from capflow.cli import ConfigError, main, parse_config
+from capflow.geometry import MIN_RESOLUTION
 from capflow.snapshots import (
     SCHEMA,
     CorruptRecordError,
@@ -441,6 +442,50 @@ def test_validate_unknown_suite_exit_code(capsys):
     assert "unknown suite 'nope'" in err
     for name in ("bc", "identities", "m1-identity", "scaling", "shrinking-circle"):
         assert name in err
+
+
+@pytest.mark.parametrize("resolution", [3, 0, -5])
+def test_validate_resolution_below_minimum_is_config_error(capsys, resolution):
+    assert main(["validate", "bc", "--resolution", str(resolution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: resolution must be at least {MIN_RESOLUTION}, "
+        f"got {resolution}\n"
+    )
+    assert captured.out == ""
+
+
+def _snapshot_with_frame_line(tmp_path, line):
+    """A snapshot on the BASE_CONFIG grid whose last frame line is `line`."""
+    manifest = {"grid": {"n": 1, "resolution": 64, "topology": "full-sphere"}}
+    path = tmp_path / "seed.snap"
+    write_snapshot(path, manifest, [frame_record(0.0, np.ones(64), 0.0, 1.0)])
+    path.write_text(path.read_text() + line + "\n")
+    return path
+
+
+@pytest.mark.parametrize("line", ["null", "7", "[1, 2]", '"values"'])
+def test_inspect_rejects_frame_that_is_not_an_object(tmp_path, capsys, line):
+    path = _snapshot_with_frame_line(tmp_path, line)
+    assert main(["inspect", str(path)]) == 6
+    assert capsys.readouterr().err == (
+        f"snapshot error: {path}:3: frame is not a JSON object\n"
+    )
+
+
+def test_inspect_rejects_header_without_manifest_object(tmp_path, capsys):
+    path = tmp_path / "seed.snap"
+    write_snapshot(path, None, [frame_record(0.0, np.ones(64), 0.0, 1.0)])
+    assert main(["inspect", str(path)]) == 6
+    assert "header lacks a manifest" in capsys.readouterr().err
+
+
+def test_restart_from_frame_that_is_not_an_object_exits_6(tmp_path, capsys):
+    seed = _snapshot_with_frame_line(tmp_path, "null")
+    path = _write_config(tmp_path, BASE_CONFIG + f"initial = snapshot:{seed}\n")
+    assert main(["run", str(path)]) == 6
+    assert "frame is not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "run.snap").exists()
 
 
 def test_inspect_summarizes_snapshot(tmp_path, capsys):

@@ -12,6 +12,7 @@ MODULES = ("cli", "diagnostics", "flow", "geometry", "nonlocal_ops", "snapshots"
 # gone from the package and from every module
 GONE = [
     "RunManifest",
+    "_contact_residual",
     "first_moment_psi",
     "kernel_K_dxi",
     "shrinking_circle_constant",

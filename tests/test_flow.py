@@ -184,8 +184,9 @@ def reference_bc_residual(rho, theta):
     )
 
 
-def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50):
-    """apply_bc with every trial value rebuilding the full gradient."""
+def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50, lams=None):
+    """apply_bc with every trial value rebuilding the full gradient; the
+    line-search factor of each accepted step is appended to lams."""
     grid = rho.grid
     bidx = grid.boundary_indices()
     if bidx.size == 0:
@@ -219,6 +220,8 @@ def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50):
                     rc = residual_at(b, cand)
                     if abs(rc) < abs(r):
                         v, r = cand, rc
+                        if lams is not None:
+                            lams.append(lam)
                         break
                 lam *= 0.5
             else:
@@ -233,24 +236,68 @@ def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50):
     return RadialField(grid, vals)
 
 
-@pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
-@pytest.mark.parametrize("field", ["height", "random"])
-@pytest.mark.parametrize("theta", [np.pi / 3, HALF_PI, 2 * np.pi / 3])
-def test_contact_residual_matches_full_gradient_reference(n, resolution, field, theta):
-    grid = build_grid(n, resolution, "hemisphere")
-    rho = RadialField(grid, sample_fields(grid)[field])
+def _assert_matches_reference(rho, theta, lams=None):
+    """apply_bc and bc_residual against the full-gradient references, bit for
+    bit; returns the message of the NonconvergenceError both raise, if any."""
     assert np.array_equal(bc_residual(rho, theta), reference_bc_residual(rho, theta))
     try:
-        expect = reference_apply_bc(rho, theta)
+        expect = reference_apply_bc(rho, theta, lams=lams)
     except NonconvergenceError as exc:
         # The same failure, at the same node.
         with pytest.raises(NonconvergenceError) as raised:
             apply_bc(rho, theta)
         assert str(raised.value) == str(exc)
-        return
+        return str(exc)
     out = apply_bc(rho, theta)
     assert np.array_equal(out.values, expect.values)
     assert np.array_equal(bc_residual(out, theta), reference_bc_residual(out, theta))
+    return None
+
+
+@pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
+@pytest.mark.parametrize("field", ["height", "random"])
+@pytest.mark.parametrize("theta", [np.pi / 3, HALF_PI, 2 * np.pi / 3])
+def test_contact_residual_matches_full_gradient_reference(n, resolution, field, theta):
+    grid = build_grid(n, resolution, "hemisphere")
+    _assert_matches_reference(RadialField(grid, sample_fields(grid)[field]), theta)
+
+
+def _hard_fields(grid):
+    return {
+        # the rim three times as high as the rest
+        "rim": np.where(grid.boundary_mask, 3.0, 1.0),
+        "rough": 1.0 + 0.3 * np.random.default_rng(3).uniform(-1.0, 1.0, grid.size),
+        "height": sample_fields(grid)["height"],
+    }
+
+
+# Inputs off the easy path: None marks a projection whose line search
+# accepts some lambda below 1, a string the error both raise.
+@pytest.mark.parametrize(
+    "n,resolution,field,theta,outcome",
+    [
+        (1, 129, "rim", HALF_PI, None),
+        (1, 65, "rough", 2 * np.pi / 3, None),
+        (1, 129, "rough", 3.0, None),
+        (2, 13, "rim", 2 * np.pi / 3, None),
+        (2, 25, "rough", 0.3, None),
+        (2, 13, "rough", np.pi / 3, None),
+        (2, 13, "height", 0.1, "flat contact-angle residual at boundary node 325"),
+        (2, 13, "rim", 2.8, "contact-angle update stalled at boundary node 310"),
+        (2, 25, "rough", np.pi / 3, "contact-angle update stalled at boundary node 1202"),
+    ],
+)
+def test_contact_residual_matches_reference_off_the_easy_path(
+    n, resolution, field, theta, outcome
+):
+    grid = build_grid(n, resolution, "hemisphere")
+    lams = []
+    raised = _assert_matches_reference(
+        RadialField(grid, _hard_fields(grid)[field]), theta, lams
+    )
+    assert raised == outcome
+    if outcome is None:
+        assert min(lams) < 1.0
 
 
 def test_apply_bc_sphere2_keeps_interior_values():
