@@ -23,7 +23,6 @@ import sys
 from dataclasses import MISSING, fields
 
 from .flow import ConfigError, FlowConfig, run_flow
-from .geometry import MIN_RESOLUTION
 from .snapshots import (
     SnapshotError,
     frame_record,
@@ -142,10 +141,9 @@ def cmd_validate(args):
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    if args.resolution is not None and args.resolution < MIN_RESOLUTION:
-        raise ConfigError(
-            f"resolution must be at least {MIN_RESOLUTION}, got {args.resolution}"
-        )
+    least = SUITES[args.suite].min_resolution
+    if args.resolution is not None and args.resolution < least:
+        raise ConfigError(f"resolution must be at least {least}, got {args.resolution}")
     rows = run_suite(args.suite, resolution=args.resolution)
     name_w = max(len(r.name) for r in rows)
     failures = 0

@@ -12,8 +12,9 @@ from the grid (or, for the point-cloud oracle, the point dimension), so
 the exponent always matches the surface.  The module provides the
 principal-value fractional Laplacian, the two homotopy remainder terms
 (from one shared kernel pass per rule node), the derivative of curvature
-along the homotopy, the injectivity guard, and an independent curvature
-oracle based on the divergence theorem.  The squared image distance has
+along the homotopy (at one t' or, in one blocked pass, at a sequence of
+them), the injectivity guard, and an independent curvature oracle based
+on the divergence theorem.  The squared image distance has
 one definition (`_image_dist2`), and every pass over node pairs walks the
 target rows in near-equal blocks of at most ROW_BLOCK rows (`_blocks`), so
 temporaries stay small and rows are bitwise independent of the block size;
@@ -200,13 +201,25 @@ def _blocks(targets: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _image_dist2(xi: float, r_x: np.ndarray, r_y: np.ndarray, A0: np.ndarray):
+def _image_dist2(
+    xi: float,
+    r_x: np.ndarray,
+    r_y: np.ndarray,
+    A0: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared image distance |Phi_xi(y) - Phi_xi(x)|^2 of unit nodes x, y:
     with a = 1 + xi (rho - 1) and A0 = |y - x|^2 = 2 - 2 x.y, it is
-    (a_x - a_y)^2 + a_x a_y A0.  Broadcasts over pairs or target rows."""
+    (a_x - a_y)^2 + a_x a_y A0.  Broadcasts over pairs or target rows;
+    written into `out` when given (it must have the broadcast shape)."""
     a_x = 1.0 + xi * (r_x - 1.0)
     a_y = 1.0 + xi * (r_y - 1.0)
-    return (a_x - a_y) ** 2 + a_x * a_y * A0
+    # the product term first, so `out` holds it; a sum's bits do not
+    # depend on the order of its two terms
+    d2 = np.multiply(a_x, a_y, out=out)
+    d2 *= A0
+    d2 += (a_x - a_y) ** 2
+    return d2
 
 
 def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -524,33 +537,69 @@ def remainder_R2(
 
 
 def homotopy_derivative(
-    tprime: float, rho: RadialField, params: KernelParams
+    tprime: float | np.ndarray, rho: RadialField, params: KernelParams
 ) -> np.ndarray:
     """Minus the t'-derivative of curvature along the homotopy.
 
     Evaluates 2 int ((rho(y)-1)y - (rho(x)-1)x) . nu(Phi(y)) K J dH_y with
     the closed forms nu J = B^n y - B^(n-1) t' grad rho(y), written out in
     dot products of unit nodes, at every node.
+
+    `tprime` is one value, giving an (N,) array, or a 1-D sequence of T
+    values, giving a (T, N) array whose row k is bitwise equal to the call
+    at tprime[k].  A sequence takes one blocked pass: the guard, the
+    gradient and the factors of each t' are formed once per call, and the
+    t'-independent parts of the integrand, (rho(y) - rho(x)) + u(x) A0 / 2
+    and x . grad rho(y), once per block, in work buffers sized to the
+    largest block; each t' then costs one fractional power per block.
+    A pinched field raises InjectivityError before any power is taken.
     """
+    single = np.ndim(tprime) == 0
+    tps = np.atleast_1d(tprime)
+    if tps.ndim != 1:
+        raise ValueError("tprime must be a number or a 1-D sequence")
     _raise_if_pinched(injectivity_ratio(rho))
     grid, r = rho.grid, rho.values
-    targets = np.arange(grid.size)
+    n = grid.n
+    power = -0.5 * (n + 1 + params.s)
     g = gradient_values(grid, r)
     u = r - 1.0
-    B = 1.0 + tprime * u
-    Bn1 = B ** (grid.n - 1)
-    out = np.empty(grid.size)
-    for sl, tb, col in _blocks(targets):
+    # per t': B = 1 + t' u, B^(n-1) and B^(n-1) B
+    factors = []
+    for tp in tps:
+        B = 1.0 + tp * u
+        Bn1 = B ** (n - 1)
+        factors.append((tp, Bn1, Bn1 * B))
+    blocks = list(_blocks(np.arange(grid.size)))
+    rows = max((tb.size for _, tb, _ in blocks), default=0)
+    work = np.empty((4, rows, grid.size))
+    out = np.empty((tps.size, grid.size))
+    for sl, tb, col in blocks:
+        P, D2, K, F = work[:, : tb.size]
+        r_x = r[tb, None]
         ut = u[tb, None]
         A0 = grid.chord2[tb]
-        D2 = _image_dist2(tprime, r[tb, None], r, A0)
-        D2[col] = 1.0  # the punctured target column, as in _remainder_pair
-        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
-        K[col] = 0.0
-        xdotg = _x_dot_grad(grid.nodes[tb], g)
-        F = Bn1 * B * (r - r[tb, None] + ut * (0.5 * A0)) + tprime * ut * xdotg * Bn1
-        out[sl] = _corrected_sum(2.0 * K * F, grid, tb, params)
-    return out
+        # P = (rho(y) - rho(x)) + u(x) A0 / 2
+        np.multiply(A0, 0.5, out=F)
+        F *= ut
+        np.subtract(r, r_x, out=P)
+        P += F
+        X = _x_dot_grad(grid.nodes[tb], g)
+        stencil = list(_lattice_stencil(grid, tb)) if n == 1 else None
+        for k, (tp, Bn1, BnB) in enumerate(factors):
+            _image_dist2(tp, r_x, r, A0, out=D2)
+            D2[col] = 1.0  # the punctured target column, as in _remainder_pair
+            np.power(D2, power, out=K)
+            K[col] = 0.0
+            # F = B^(n-1) B P + ((t' u(x)) X) B^(n-1)
+            np.multiply(X, tp * ut, out=F)
+            F *= Bn1
+            np.multiply(P, BnB, out=D2)
+            F += D2
+            K *= 2.0
+            K *= F
+            out[k, sl] = _corrected_sum(K, grid, tb, params, stencil=stencil)
+    return out[0] if single else out
 
 
 def parametrized_Hs(

@@ -91,14 +91,20 @@ def write_snapshot(path, manifest, frames):
             fh.write(_dumps(frame) + "\n")
 
 
+def _is_number(value):
+    """A JSON number: an int or float, not a bool (json reads true as True)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_snapshot(path):
     """Read and validate a snapshot file.
 
     Returns (manifest, frames).  Raises SchemaMismatchError when the header
     names a different schema and CorruptRecordError for anything
-    structurally wrong: unparseable lines, missing fields, or a file cut
-    off mid-record.  All lines are checked before anything is returned, so
-    a truncated file never yields partial state.
+    structurally wrong: unparseable lines, missing fields, fields that are
+    not numbers (`values` a list of them), or a file cut off mid-record.
+    All lines are checked before anything is returned, so a truncated file
+    never yields partial state.
     """
     try:
         with open(path) as fh:
@@ -135,6 +141,18 @@ def read_snapshot(path):
         if missing:
             raise CorruptRecordError(
                 f"{path}:{lineno}: frame lacks fields {missing}"
+            )
+        not_numbers = [
+            k for k in FRAME_KEYS if k != "values" and not _is_number(frame[k])
+        ]
+        if not_numbers:
+            raise CorruptRecordError(
+                f"{path}:{lineno}: frame fields {not_numbers} are not numbers"
+            )
+        values = frame["values"]
+        if not isinstance(values, list) or not all(map(_is_number, values)):
+            raise CorruptRecordError(
+                f"{path}:{lineno}: frame values are not a list of numbers"
             )
         frames.append(frame)
     if not frames:

@@ -22,6 +22,7 @@ from capflow.snapshots import (
     write_csv,
     write_snapshot,
 )
+from capflow.validation import SUITES
 
 BASE_CONFIG = """\
 s = 0.5
@@ -455,6 +456,19 @@ def test_validate_resolution_below_minimum_is_config_error(capsys, resolution):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("resolution", [8, 15])
+def test_validate_identities_below_its_minimum_is_config_error(capsys, resolution):
+    # the suite's refinement rows build a grid at half the resolution
+    least = SUITES["identities"].min_resolution
+    assert least == 2 * MIN_RESOLUTION == 16
+    assert main(["validate", "identities", "--resolution", str(resolution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: resolution must be at least {least}, got {resolution}\n"
+    )
+    assert captured.out == ""
+
+
 def _snapshot_with_frame_line(tmp_path, line):
     """A snapshot on the BASE_CONFIG grid whose last frame line is `line`."""
     manifest = {"grid": {"n": 1, "resolution": 64, "topology": "full-sphere"}}
@@ -486,6 +500,49 @@ def test_restart_from_frame_that_is_not_an_object_exits_6(tmp_path, capsys):
     assert main(["run", str(path)]) == 6
     assert "frame is not a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "run.snap").exists()
+
+
+def _frame_line(**changes):
+    """A JSON frame line on the BASE_CONFIG grid with some fields replaced."""
+    frame = frame_record(1e-3, np.ones(64), 0.0, 1.0)
+    frame.update(changes)
+    return json.dumps(frame)
+
+
+@pytest.mark.parametrize(
+    "changes, fragment",
+    [
+        ({"min_rho": "x"}, "frame fields ['min_rho'] are not numbers"),
+        ({"time": None, "volume": True}, "frame fields ['time', 'volume'] are not numbers"),
+        ({"bc_residual": [0.0]}, "frame fields ['bc_residual'] are not numbers"),
+        ({"values": ["1.0"] * 64}, "frame values are not a list of numbers"),
+        ({"values": 1.0}, "frame values are not a list of numbers"),
+        ({"values": {"0": 1.0}}, "frame values are not a list of numbers"),
+    ],
+)
+def test_inspect_rejects_frame_fields_that_are_not_numbers(
+    tmp_path, capsys, changes, fragment
+):
+    path = _snapshot_with_frame_line(tmp_path, _frame_line(**changes))
+    assert main(["inspect", str(path)]) == 6
+    assert capsys.readouterr().err == f"snapshot error: {path}:3: {fragment}\n"
+
+
+def test_restart_from_values_written_as_strings_exits_6(tmp_path, capsys):
+    line = _frame_line(values=[repr(v) for v in 1.0 + 0.01 * np.arange(64)])
+    seed = _snapshot_with_frame_line(tmp_path, line)
+    path = _write_config(tmp_path, BASE_CONFIG + f"initial = snapshot:{seed}\n")
+    assert main(["run", str(path)]) == 6
+    assert "frame values are not a list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "run.snap").exists()
+
+
+def test_inspect_accepts_integer_frame_fields(tmp_path, capsys):
+    path = _snapshot_with_frame_line(
+        tmp_path, _frame_line(time=1, values=[1] * 64, min_rho=1, volume=3)
+    )
+    assert main(["inspect", str(path)]) == 0
+    assert "min 1, volume 3" in capsys.readouterr().out
 
 
 def test_inspect_summarizes_snapshot(tmp_path, capsys):

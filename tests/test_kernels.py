@@ -482,6 +482,9 @@ BLOCKED_PASSES = {
     "homotopy_derivative": lambda rho, params, rule, hemi: tuple(
         homotopy_derivative(tp, rho, params) for tp in (0.3, 1.0)
     ),
+    "homotopy_derivative_sequence": lambda rho, params, rule, hemi: (
+        homotopy_derivative([0.3, 0.7, 1.0], rho, params),
+    ),
     "frac_laplacian_matrix": _matrix_rows,
     "hs_reference": _reference_curvatures,
 }
@@ -529,6 +532,10 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
     calls = {
         "injectivity_ratio": (field, injectivity_ratio),
         "homotopy_derivative": (field, lambda f: homotopy_derivative(0.6, f, params)),
+        "homotopy_derivative sequence": (
+            field,
+            lambda f: homotopy_derivative([0.2, 0.6, 1.0], f, params),
+        ),
         "remainder_R1": (field, lambda f: remainder_R1(f, params, rule)),
         "remainder_R1 hemisphere rows": (
             field,
@@ -601,6 +608,100 @@ def test_blocked_guard_and_derivative_match_full_matrix_routes(name):
         ref = reference_homotopy_derivative(tp, rho, params)
         out = homotopy_derivative(tp, rho, params)
         assert np.max(np.abs(out - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def single_tprime_homotopy_derivative(tprime, rho, params):
+    """One t' per pass, in the operation order of the blocked single-t'
+    route: the bitwise reference for both call forms."""
+    grid, r = rho.grid, rho.values
+    g = gradient_values(grid, r)
+    u = r - 1.0
+    B = 1.0 + tprime * u
+    Bn1 = B ** (grid.n - 1)
+    out = np.empty(grid.size)
+    for sl, tb, col in _blocks(np.arange(grid.size)):
+        ut = u[tb, None]
+        A0 = grid.chord2[tb]
+        a_x = 1.0 + tprime * (r[tb, None] - 1.0)
+        a_y = 1.0 + tprime * (r - 1.0)
+        D2 = (a_x - a_y) ** 2 + a_x * a_y * A0
+        D2[col] = 1.0
+        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
+        K[col] = 0.0
+        xt = grid.nodes[tb]
+        xdotg = sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
+        F = Bn1 * B * (r - r[tb, None] + ut * (0.5 * A0)) + tprime * ut * xdotg * Bn1
+        out[sl] = _corrected_sum(2.0 * K * F, grid, tb, params)
+    return out
+
+
+def _sequence_cases():
+    """Full sphere, hemisphere and doubled hemisphere fields for n = 1, 2."""
+    for n, res_full, res_hemi in ((1, 128, 129), (2, 9, 9)):
+        full = build_grid(n, res_full, "full-sphere")
+        hemi = build_grid(n, res_hemi, "hemisphere")
+        work, mirror = double_grid(hemi)
+        for label, grid, base, pick in (
+            ("full", full, full, None),
+            ("hemisphere", hemi, hemi, None),
+            ("doubled", work, hemi, mirror),
+        ):
+            x = base.nodes
+            vals = 1.0 + 0.06 * x[:, -1] + 0.04 * x[:, 0] ** 2
+            yield f"n{n}-{label}", RadialField(grid, vals if pick is None else vals[pick])
+
+
+SEQUENCE_CASES = dict(_sequence_cases())
+SEQUENCE_TPRIMES = [0.0, 0.3, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
+def test_homotopy_derivative_sequence_is_bitwise_the_scalar_calls(name):
+    rho = SEQUENCE_CASES[name]
+    params = KernelParams(s=0.5)
+    rows = homotopy_derivative(SEQUENCE_TPRIMES, rho, params)
+    scalar = np.stack([homotopy_derivative(tp, rho, params) for tp in SEQUENCE_TPRIMES])
+    assert np.array_equal(rows, scalar)
+    # the rule nodes the m1 oracle passes, as an array
+    nodes = HomotopyRule(order=8).tprime()[0]
+    rows = homotopy_derivative(nodes, rho, params)
+    assert np.array_equal(rows, np.stack([homotopy_derivative(tp, rho, params) for tp in nodes]))
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
+def test_homotopy_derivative_keeps_the_single_tprime_operation_order(name):
+    rho = SEQUENCE_CASES[name]
+    params = KernelParams(s=0.5)
+    rows = homotopy_derivative(SEQUENCE_TPRIMES, rho, params)
+    for tp, row in zip(SEQUENCE_TPRIMES, rows, strict=True):
+        assert np.array_equal(row, single_tprime_homotopy_derivative(tp, rho, params))
+
+
+def test_homotopy_derivative_shape_contract():
+    rho = SEQUENCE_CASES["n1-hemisphere"]
+    params = KernelParams(s=0.5)
+    N = rho.grid.size
+    for scalar in (0.4, 1, np.float64(0.4), np.array(0.4)):
+        assert homotopy_derivative(scalar, rho, params).shape == (N,)
+    for seq in ([0.4], [0.1, 0.4, 1.0], (0.1, 0.4), np.array([0.1, 0.4, 1.0])):
+        assert homotopy_derivative(seq, rho, params).shape == (len(seq), N)
+    assert homotopy_derivative([], rho, params).shape == (0, N)
+    with pytest.raises(ValueError, match="1-D"):
+        homotopy_derivative([[0.1, 0.4]], rho, params)
+
+
+@pytest.mark.parametrize("tprime", [0.5, [0.2, 0.6, 1.0]])
+def test_homotopy_derivative_guard_raises_before_any_warning(tprime):
+    grid = build_grid(1, 129, "hemisphere")
+    # adjacent images this close underflow the squared distance to zero, so
+    # the kernel power would divide by zero past the guard
+    vals = np.ones(grid.size)
+    vals[[40, 41]] = 1e-200
+    rho = RadialField(grid, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InjectivityError):
+            homotopy_derivative(tprime, rho, KernelParams(s=0.5))
 
 
 @pytest.mark.parametrize("n, resolution", [(1, 129), (1, 257), (2, 9), (2, 13)])
