@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RadialField, SphereGrid, build_grid, gradient_values, quad_integrate
-from .nonlocal_ops import KernelParams, _corrected_sum
+from .nonlocal_ops import KernelParams, _corrected_sum, _lattice_stencil
 
 __all__ = [
     "HolderEstimate",
@@ -103,7 +103,8 @@ def _corrected_vector_sum(
     one corrected row per ambient component."""
     rows = F.T.copy()
     rows[:, x] = 0.0
-    return _corrected_sum(rows, grid, np.full(rows.shape[0], x), params)
+    stencil = _lattice_stencil(grid, np.full(rows.shape[0], x))
+    return _corrected_sum(rows, grid, stencil, params)
 
 
 def divergence_identity_residual(

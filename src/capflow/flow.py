@@ -411,9 +411,7 @@ def _explicit_part(
     return (A - 1.0) * lin + A * (r1 + r2 * (values - 1.0))
 
 
-def remainder_P(
-    rho: RadialField, cfg: FlowConfig, ctx: _Context | None = None
-) -> np.ndarray:
+def remainder_P(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
     """Explicitly treated part of the radial speed.
 
     P = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)), so that the full
@@ -421,18 +419,16 @@ def remainder_P(
     (M rho - Hs_ref) + P with the matrix part available for implicit
     treatment.
     """
-    ctx = ctx or _get_context(cfg)
+    ctx = _get_context(cfg)
     wf = ctx.to_work(rho.values)
     A = prefactor_A(wf)[: ctx.grid.size]
     return _explicit_part(ctx, rho.values, A, *_remainders(ctx, wf))
 
 
-def assemble_rhs(
-    rho: RadialField, cfg: FlowConfig, ctx: _Context | None = None
-) -> np.ndarray:
+def assemble_rhs(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
     """Full radial speed d rho / dt at the current field."""
-    ctx = ctx or _get_context(cfg)
-    return ctx.M @ rho.values - ctx.hs_ref + remainder_P(rho, cfg, ctx)
+    ctx = _get_context(cfg)
+    return ctx.M @ rho.values - ctx.hs_ref + remainder_P(rho, cfg)
 
 
 def normal_velocity(
@@ -441,7 +437,7 @@ def normal_velocity(
     """Normal speed of the surface: the radial speed divided by A."""
     ctx = _get_context(cfg)
     if rhs is None:
-        rhs = assemble_rhs(rho, cfg, ctx)
+        rhs = assemble_rhs(rho, cfg)
     A = prefactor_A(ctx.to_work(rho.values))[: ctx.grid.size]
     return rhs / A
 
@@ -513,6 +509,11 @@ def initial_field(grid: SphereGrid, spec: str) -> RadialField:
             f"initial: snapshot {args[0]} is on an n = {loaded.n} {loaded.topology} "
             f"grid of {loaded.size} nodes, the configured grid is n = {grid.n} "
             f"{grid.topology} with {grid.size} nodes"
+        )
+    if values.min() <= 0.0:
+        raise ConfigError(
+            f"initial: snapshot {args[0]} ends in a field that is not strictly "
+            f"positive (min {values.min():.6g})"
         )
     return RadialField(grid, values)
 

@@ -119,8 +119,6 @@ class RadialField:
 
     grid: SphereGrid
     values: np.ndarray
-    # min image/chord distance ratio, filled by nonlocal_ops.injectivity_ratio
-    _inj_ratio: float | None = field(default=None, repr=False, compare=False)
     # (key, (R1, R2)) of the last remainder pair, filled by nonlocal_ops
     _remainders: tuple | None = field(default=None, repr=False, compare=False)
 

@@ -14,16 +14,17 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 (from one shared kernel pass per rule node), the derivative of curvature
 along the homotopy (at one t' or, in one blocked pass, at a sequence of
 them), the injectivity guard, and an independent curvature oracle based
-on the divergence theorem.  The squared image distance has
-one definition (`_image_dist2`), and every pass over node pairs walks the
-target rows in near-equal blocks of at most ROW_BLOCK rows (`_blocks`), so
-temporaries stay small and rows are bitwise independent of the block size;
-the one larger array is the matrix `frac_laplacian_matrix` returns.  The
-chord mass is summed once per grid and s (`_mass_rows`), for the remainder
-pass and the full-sphere reference.  The remainder pass (`_remainder_pair`)
-checks injectivity inside its own kernel pass and forms what does not
-change with the block once per call; `injectivity_ratio` is the standalone
-guard for other callers.
+on the divergence theorem.  The squared image distance has two forms:
+`_image_dist2`, and in the remainder pass the expansion in xi,
+D2 = A0 + xi (A1 + xi A2), whose guard reads A0 + 2 A1h + A2.  Every pass
+over node pairs walks the target rows in near-equal blocks of at most
+ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are bitwise
+independent of the block size; the one larger array is the matrix
+`frac_laplacian_matrix` returns.  The chord mass is summed once per grid
+and s (`_mass_rows`), for the remainder pass and both reference modes.
+The remainder pass (`_remainder_pair`) checks injectivity inside its own
+kernel pass and forms what does not change with the block once per call;
+`injectivity_ratio` is the standalone guard for other callers.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -31,8 +32,9 @@ an even |phi|^(-s) singularity misses 2*zeta(s)*h^(1-s) times the singular
 amplitude (zeta the Riemann zeta function, negative on (0,1)), which is
 several percent at practical resolutions.  Sampling the integrand at the
 two parameter neighbors of the singular node estimates that amplitude and
-cancels the defect, leaving an O(h^2)-class error.  The correction is
-implemented for n = 1; n = 2 grids fall back to the plain punctured rule.
+cancels the defect, leaving an O(h^2)-class error.  `_lattice_stencil`
+alone decides which rows get the correction: interior rows of n = 1 grids;
+n = 2 grids fall back to the plain punctured rule.
 """
 
 from __future__ import annotations
@@ -136,44 +138,34 @@ def riemann_zeta(s: float) -> float:
     return float(eta / (1.0 - 2.0 ** (1.0 - s)))
 
 
-def _lattice_stencil(grid: SphereGrid, targets: np.ndarray, boundary_correction=False):
-    """Per side, the row positions and neighbor nodes of the n = 1 lattice
-    correction: every interior target, and the one-sided endpoints too
-    when `boundary_correction` is set."""
+def _lattice_stencil(grid: SphereGrid, targets: np.ndarray) -> list:
+    """Per side, the row positions of the interior targets and their
+    neighbor nodes: the one place that decides where the lattice correction
+    applies.  n = 2 grids get [], hemisphere endpoints no row; the half-ball
+    reference adds its own one-sided endpoint term (`hs_reference`)."""
+    if grid.n != 1:
+        return []
     adj = grid.adjacent[targets]
-    use = np.all(adj >= 0, axis=1) | boundary_correction
-    for side in (0, 1):
-        ok = use & (adj[:, side] >= 0)
-        yield np.flatnonzero(ok), adj[ok, side]
+    rows = np.flatnonzero(np.all(adj >= 0, axis=1))
+    return [(rows, adj[rows, side]) for side in (0, 1)]
 
 
 def _corrected_sum(
-    F: np.ndarray,
-    grid: SphereGrid,
-    targets: np.ndarray,
-    params: KernelParams,
-    boundary_correction: bool = False,
-    stencil: list | None = None,
+    F: np.ndarray, grid: SphereGrid, stencil: list, params: KernelParams
 ) -> np.ndarray:
     """Punctured quadrature of integrand rows with the lattice correction.
 
-    F[t, j] holds the integrand at node j for target node targets[t]; the
-    entry at j = targets[t] must already be zero.  Interior targets always
-    receive the two-sided neighbor correction.  At hemisphere endpoints
-    only a one-sided sample exists, which estimates the singular amplitude
-    correctly only for integrands with an even leading singularity; set
-    `boundary_correction` for those, leave it off for odd/PV-type rows.
-    A caller summing several integrands over the same targets passes their
-    `_lattice_stencil`, as a list, in `stencil`, so it is built once.
+    F[t, j] holds the integrand at node j for the target of row t; the
+    entry at the target's own column must already be zero.  `stencil` is
+    the rows' `_lattice_stencil`, built once by a caller that sums several
+    integrands over the same targets; [] leaves the plain punctured sums.
     """
     # a row-by-row reduction: a matrix-vector product may round a row
     # differently depending on how many rows it is given
     base = np.einsum("tj,j->t", F, grid.weights)
-    if grid.n != 1:
+    if not stencil:
         return base
-    if stencil is None:
-        stencil = _lattice_stencil(grid, targets, boundary_correction)
-    corr = np.zeros(targets.size)
+    corr = np.zeros(F.shape[0])
     for rows, cols in stencil:
         corr[rows] += F[rows, cols]
     return base - riemann_zeta(params.s) * grid.h * corr
@@ -283,9 +275,9 @@ def frac_laplacian_matrix(
     """Rows of the dense matrix of the discrete fractional Laplacian.
 
     Off-diagonal entries 2 w_j K0(i,j) plus the lattice correction at the
-    two parameter neighbors of interior n = 1 rows; the diagonal is set
-    for exact zero row sums, so constants are annihilated.  `targets`
-    selects rows (default: all nodes), built one block of rows at a time.
+    rows' `_lattice_stencil`; the diagonal is set for exact zero row sums,
+    so constants are annihilated.  `targets` selects rows (default: all
+    nodes), built one block of rows at a time.
     """
     targets = np.arange(grid.size) if targets is None else np.asarray(targets)
     M = np.empty((targets.size, grid.size))
@@ -293,9 +285,8 @@ def frac_laplacian_matrix(
         K = _chord_kernel(grid, grid.n + 1 + params.s, tb)
         Mb = M[sl]
         np.multiply(2.0 * K, grid.weights, out=Mb)
-        if grid.n == 1:
-            for rows, cols in _lattice_stencil(grid, tb):
-                Mb[rows, cols] += -2.0 * riemann_zeta(params.s) * grid.h * K[rows, cols]
+        for rows, cols in _lattice_stencil(grid, tb):
+            Mb[rows, cols] += -2.0 * riemann_zeta(params.s) * grid.h * K[rows, cols]
         Mb[col] = 0.0
         Mb[col] = -Mb.sum(axis=1)
     return M
@@ -327,13 +318,11 @@ def _least_ratio2(rho: RadialField, pick: np.ndarray) -> float:
 def injectivity_ratio(rho: RadialField) -> float:
     """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map.
 
-    The standalone guard, cached on the field; the remainder pass checks
-    the same pairs inside its own kernel pass (`_remainder_pair`).
+    The standalone guard; the remainder pass checks the same pairs inside
+    its own kernel pass (`_remainder_pair`).
     """
-    if rho._inj_ratio is None:
-        every = np.ones(rho.grid.size, dtype=bool)
-        rho._inj_ratio = float(np.sqrt(_least_ratio2(rho, every)))
-    return rho._inj_ratio
+    every = np.ones(rho.grid.size, dtype=bool)
+    return float(np.sqrt(_least_ratio2(rho, every)))
 
 
 def _raise_if_pinched(ratio: float) -> None:
@@ -348,15 +337,15 @@ def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
     """Corrected row sums of |y - x|^(-(n-1+s)) at every node, computed once
     per grid and s and kept on the grid, read-only.
 
-    No one-sided boundary correction: the same (un)corrected mass appears
-    on both sides of the homotopy identity.
+    No one-sided endpoint term: the same mass appears on both sides of the
+    homotopy identity; the half-ball reference adds it to a copy.
     """
     mass = grid._mass.get(params.s)
     if mass is None:
         mass = np.empty(grid.size)
         for sl, tb, _ in _blocks(np.arange(grid.size)):
             K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-            mass[sl] = _corrected_sum(K, grid, tb, params)
+            mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
         mass.setflags(write=False)
         grid._mass[params.s] = mass
     return mass
@@ -456,16 +445,16 @@ def _remainder_pair(
             S += W
             np.multiply(K, xB, out=W)
             S3 += W
-        stencil = list(_lattice_stencil(grid, tb)) if n == 1 else None
+        stencil = _lattice_stencil(grid, tb)
         np.subtract(u, ut, out=W)
         W *= S
-        r1[sl] = 2.0 * _corrected_sum(W, grid, tb, params, stencil=stencil)
+        r1[sl] = 2.0 * _corrected_sum(W, grid, stencil, params)
         np.multiply(A0, S, out=W)
         S3 *= _x_dot_grad(grid.nodes[tb], neg_g)
         r2[sl] = (
             mass[tb]
-            + _corrected_sum(W, grid, tb, params, stencil=stencil)
-            - 2.0 * _corrected_sum(S3, grid, tb, params, stencil=stencil)
+            + _corrected_sum(W, grid, stencil, params)
+            - 2.0 * _corrected_sum(S3, grid, stencil, params)
         )
     return r1, r2
 
@@ -585,7 +574,7 @@ def homotopy_derivative(
         np.subtract(r, r_x, out=P)
         P += F
         X = _x_dot_grad(grid.nodes[tb], g)
-        stencil = list(_lattice_stencil(grid, tb)) if n == 1 else None
+        stencil = _lattice_stencil(grid, tb)
         for k, (tp, Bn1, BnB) in enumerate(factors):
             _image_dist2(tp, r_x, r, A0, out=D2)
             D2[col] = 1.0  # the punctured target column, as in _remainder_pair
@@ -598,7 +587,7 @@ def homotopy_derivative(
             F += D2
             K *= 2.0
             K *= F
-            out[k, sl] = _corrected_sum(K, grid, tb, params, stencil=stencil)
+            out[k, sl] = _corrected_sum(K, grid, stencil, params)
     return out[0] if single else out
 
 
@@ -686,8 +675,10 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
 
     mode "half-ball": curvature of the unit half-ball boundary (free
     hemisphere plus wetted equatorial patch) at each free-surface node of
-    a hemisphere grid, per block of rows.  The free part's integrand is
-    even, so the hemisphere endpoints take the one-sided correction.
+    a hemisphere grid.  The free part is the grid's cached mass, where the
+    n = 1 endpoints also take the one-sided correction from their inward
+    neighbor, as the integrand is even; the patch is summed per block of
+    rows.
     """
     needs = {"full-sphere": "full-sphere", "half-ball": "hemisphere"}
     if mode not in needs:
@@ -696,14 +687,18 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
         raise ValueError(f"{mode} reference needs a {needs[mode]} grid")
     if mode == "full-sphere":
         return _mass_rows(grid, params) / params.s
+    out = _mass_rows(grid, params).copy()
+    if grid.n == 1:
+        st = grid.stencils()
+        b = st.boundary
+        K = np.sqrt(grid.chord2[b, st.inward[:, 0]]) ** (-(grid.n - 1 + params.s))
+        out[b] -= riemann_zeta(params.s) * grid.h * K
+    out /= params.s
     dn, dw = _wetted_disk_samples(grid.n)
-    out = np.empty(grid.size)
     for sl, tb, _ in _blocks(np.arange(grid.size)):
-        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-        free = _corrected_sum(K, grid, tb, params, boundary_correction=True) / params.s
         diff = dn - grid.nodes[tb, None, :]
         dist2 = np.einsum("tkd,tkd->tk", diff, diff)
         flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
         # (y - x) . nu on the flat patch equals the height of x
-        out[sl] = free + (2.0 / params.s) * grid.nodes[tb, -1] * flat
+        out[sl] += (2.0 / params.s) * grid.nodes[tb, -1] * flat
     return out

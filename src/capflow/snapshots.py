@@ -11,6 +11,7 @@ which keeps reruns byte-identical.
 """
 
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -92,8 +93,10 @@ def write_snapshot(path, manifest, frames):
 
 
 def _is_number(value):
-    """A JSON number: an int or float, not a bool (json reads true as True)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite double: an int or float, not a bool
+    (json reads true as True), nor NaN, Infinity or an int past the range."""
+    is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_num and abs(value) <= sys.float_info.max
 
 
 def read_snapshot(path):
@@ -102,7 +105,8 @@ def read_snapshot(path):
     Returns (manifest, frames).  Raises SchemaMismatchError when the header
     names a different schema and CorruptRecordError for anything
     structurally wrong: unparseable lines, missing fields, fields that are
-    not numbers (`values` a list of them), or a file cut off mid-record.
+    not finite numbers (`values` a list of them), or a file cut off
+    mid-record.
     All lines are checked before anything is returned, so a truncated file
     never yields partial state.
     """

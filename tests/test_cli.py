@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import re
 
 import numpy as np
@@ -534,6 +535,48 @@ def test_restart_from_values_written_as_strings_exits_6(tmp_path, capsys):
     path = _write_config(tmp_path, BASE_CONFIG + f"initial = snapshot:{seed}\n")
     assert main(["run", str(path)]) == 6
     assert "frame values are not a list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "run.snap").exists()
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+@pytest.mark.parametrize(
+    "field, fragment",
+    [
+        ("values", "frame values are not a list of numbers"),
+        ("volume", "frame fields ['volume'] are not numbers"),
+    ],
+    ids=["values", "volume"],
+)
+def test_inspect_rejects_frame_numbers_that_are_not_finite(
+    tmp_path, capsys, bad, field, fragment
+):
+    value = [1.0] * 63 + [bad] if field == "values" else bad
+    path = _snapshot_with_frame_line(tmp_path, _frame_line(**{field: value}))
+    assert main(["inspect", str(path)]) == 6
+    assert capsys.readouterr().err == f"snapshot error: {path}:3: {fragment}\n"
+
+
+def test_restart_from_non_finite_values_exits_6(tmp_path, capsys):
+    seed = _snapshot_with_frame_line(tmp_path, _frame_line(values=[math.nan] * 64))
+    path = _write_config(tmp_path, BASE_CONFIG + f"initial = snapshot:{seed}\n")
+    assert main(["run", str(path)]) == 6
+    assert "frame values are not a list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "run.snap").exists()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_restart_from_a_field_that_is_not_positive_is_config_error(
+    tmp_path, capsys, bad
+):
+    values = [1.0] * 63 + [bad]
+    seed = _snapshot_with_frame_line(tmp_path, _frame_line(values=values))
+    path = _write_config(tmp_path, BASE_CONFIG + f"initial = snapshot:{seed}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: initial: snapshot {seed} ends in a field")
+    assert "not strictly positive" in err
     assert not (tmp_path / "run.snap").exists()
 
 

@@ -32,6 +32,26 @@ from capflow.nonlocal_ops import (
 )
 
 
+def corrected_sum(F, grid, targets, params):
+    """`_corrected_sum` of rows over the targets' own lattice stencil."""
+    return _corrected_sum(F, grid, _lattice_stencil(grid, targets), params)
+
+
+def endpoint_corrected_sum(F, grid, targets, params):
+    """Punctured row sums with the n = 1 lattice correction at every
+    neighbor a target has, so one-sided at hemisphere endpoints: the free
+    part of the half-ball reference, written out."""
+    out = np.einsum("tj,j->t", F, grid.weights)
+    if grid.n != 1:
+        return out
+    corr = np.zeros(targets.size)
+    for side in (0, 1):
+        nb = grid.adjacent[targets, side]
+        rows = np.flatnonzero(nb >= 0)
+        corr[rows] += F[rows, nb[rows]]
+    return out - riemann_zeta(params.s) * grid.h * corr
+
+
 def circle_mass(s):
     """Analytic int over the unit circle of |y-x|^(-s) dH(y)."""
     return (
@@ -100,7 +120,7 @@ def reference_remainder_R1(rho, params, rule):
     out = np.zeros(tgt.size)
     for xv, wv in zip(*rule.tprime()):
         _, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
-        out += 2.0 * wv * (1.0 - xv) * _corrected_sum(dr * dK, grid, tgt, params)
+        out += 2.0 * wv * (1.0 - xv) * corrected_sum(dr * dK, grid, tgt, params)
     return out
 
 
@@ -110,15 +130,15 @@ def reference_remainder_R2(rho, params, rule):
     tgt = np.arange(grid.size)
     chord2 = grid.chord2[tgt]
     mass = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
-    out = _corrected_sum(mass, grid, tgt, params)
+    out = corrected_sum(mass, grid, tgt, params)
     g = gradient_values(grid, r)
     ydotg = -(grid.nodes[tgt] @ g.T)
     for xv, wv in zip(*rule.tprime()):
         K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
-        out += wv * (1.0 - xv) * _corrected_sum(chord2 * dK, grid, tgt, params)
+        out += wv * (1.0 - xv) * corrected_sum(chord2 * dK, grid, tgt, params)
         B = 1.0 + xv * (r - 1.0)
         F = ydotg * B[None, :] ** (grid.n - 1) * K
-        out += -2.0 * wv * xv * _corrected_sum(F, grid, tgt, params)
+        out += -2.0 * wv * xv * corrected_sum(F, grid, tgt, params)
     return out
 
 
@@ -162,7 +182,7 @@ def reference_homotopy_derivative(tprime, rho, params):
         Bn1 * B[None, :] * (dr + rt[:, None] * one_minus)
         + tprime * rt[:, None] * xdotg * Bn1
     )
-    return _corrected_sum(F, grid, tgt, params)
+    return corrected_sum(F, grid, tgt, params)
 
 
 def bumpy_field(grid, eps=0.2):
@@ -368,6 +388,18 @@ def test_raw_punctured_mass_is_much_worse():
     h = grid.h
     predicted = 2.0 * riemann_zeta(params.s) * h ** (1.0 - params.s)
     assert (raw - exact) == pytest.approx(predicted, rel=0.05)
+
+
+@pytest.mark.parametrize("topology", ["full-sphere", "hemisphere"])
+def test_surface_grids_take_the_plain_punctured_sums(topology):
+    grid = build_grid(2, 9, topology)
+    params = KernelParams(s=0.5)
+    targets = np.arange(grid.size)
+    stencil = _lattice_stencil(grid, targets)
+    assert stencil == []
+    K = _chord_kernel(grid, grid.n - 1 + params.s, targets)
+    plain = np.einsum("tj,j->t", K, grid.weights)
+    assert np.array_equal(_corrected_sum(K, grid, stencil, params), plain)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
@@ -631,7 +663,7 @@ def single_tprime_homotopy_derivative(tprime, rho, params):
         xt = grid.nodes[tb]
         xdotg = sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
         F = Bn1 * B * (r - r[tb, None] + ut * (0.5 * A0)) + tprime * ut * xdotg * Bn1
-        out[sl] = _corrected_sum(2.0 * K * F, grid, tb, params)
+        out[sl] = corrected_sum(2.0 * K * F, grid, tb, params)
     return out
 
 
@@ -710,7 +742,7 @@ def test_half_ball_reference_matches_per_target_loop(n, resolution):
     params = KernelParams(s=0.5)
     tgt = np.arange(grid.size)
     mass = _chord_kernel(grid, n - 1 + params.s, tgt)
-    expect = _corrected_sum(mass, grid, tgt, params, boundary_correction=True) / params.s
+    expect = endpoint_corrected_sum(mass, grid, tgt, params) / params.s
     dn, dw = _wetted_disk_samples(n)
     for t in tgt:
         dist2 = np.sum((dn - grid.nodes[t]) ** 2, axis=1)
@@ -839,7 +871,6 @@ def test_folded_guard_raises_before_any_warning(where):
         with pytest.raises(InjectivityError):
             remainder_R2(rho, KernelParams(s=0.5), GUARD_RULE, targets=np.arange(hemi.size))
     assert rho._remainders is None
-    assert rho._inj_ratio is None
 
 
 def test_mass_row_sums_computed_once_per_grid(monkeypatch):
@@ -872,7 +903,7 @@ def _per_block_mass(grid, params, targets):
     for start in range(0, targets.size, 64):
         tb = targets[start : start + 64]
         K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-        mass[tb] = _corrected_sum(K, grid, tb, params)
+        mass[tb] = corrected_sum(K, grid, tb, params)
     return mass
 
 
@@ -921,7 +952,7 @@ def reference_hs_reference(grid, params, mode):
     in half-ball mode."""
     tgt = np.arange(grid.size)
     K = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
-    free = _corrected_sum(K, grid, tgt, params, boundary_correction=True) / params.s
+    free = endpoint_corrected_sum(K, grid, tgt, params) / params.s
     if mode == "full-sphere":
         return free
     dn, dw = _wetted_disk_samples(grid.n)
@@ -976,8 +1007,16 @@ def test_context_fixed_parts_match_whole_grid_routes(n, resolution, mode):
     assert np.array_equal(hs_reference(work, KernelParams(s), mode), ref)
 
 
-@pytest.mark.parametrize("n, resolution", [(1, 65), (2, 9)])
-def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
+@pytest.mark.parametrize(
+    "n, resolution, mode",
+    [
+        pytest.param(1, 65, "full-sphere", id="1-65"),
+        pytest.param(2, 9, "full-sphere", id="2-9"),
+        pytest.param(1, 65, "half-ball", id="1-65-half-ball"),
+        pytest.param(2, 9, "half-ball", id="2-9-half-ball"),
+    ],
+)
+def test_context_set_up_sums_the_work_mass_once(n, resolution, mode, monkeypatch):
     s = 0.4
     mass_rows = []
     chord_kernel = nonlocal_ops._chord_kernel
@@ -988,8 +1027,8 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
         return chord_kernel(grid_, exponent, targets)
 
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
-    ctx = flow._Context(n, s, resolution, "hemisphere", "full-sphere", 3)
-    # the full-sphere reference forms each work-grid row once ...
+    ctx = flow._Context(n, s, resolution, "hemisphere", mode, 3)
+    # the reference forms each work-grid row once ...
     assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
     mass_rows.clear()
     # ... and the first remainder pass reads it from the grid
