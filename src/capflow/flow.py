@@ -19,7 +19,10 @@ extended across the contact plane, operator rows are restricted to the
 hemisphere, and the contact-angle condition is imposed on the boundary
 nodes after every inner iterate.  The even extension is exact for the
 ninety-degree angle; away from it the extension has a gradient kink at
-the contact nodes and the half-ball reference mode may be preferable.
+the contact nodes.  The half-ball reference mode is no remedy: against the
+divergence identity on the set it names, it misses the curvature by
+0.45-6.1% (n = 1, 257 nodes, fields 1 + a x_2 and 1 + a cos 2 phi with
+a = 0.025-0.2), a gap that grows with a and does not shrink with h.
 """
 
 from __future__ import annotations

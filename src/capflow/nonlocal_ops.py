@@ -16,14 +16,16 @@ along the homotopy (at one t' or, in one blocked pass, at a sequence of
 them), the injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has two forms:
 `_image_dist2`, and in the remainder pass the expansion in xi,
-D2 = A0 + xi (A1 + xi A2), whose guard reads A0 + 2 A1h + A2.  Every pass
+D2 = A0 + xi (A1 + xi A2), whose guard reads A0 + A1 + A2.  Every pass
 over node pairs walks the target rows in near-equal blocks of at most
 ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are bitwise
 independent of the block size; the one larger array is the matrix
 `frac_laplacian_matrix` returns.  The chord mass is summed once per grid
-and s (`_mass_rows`), for the remainder pass and both reference modes.
-The remainder pass (`_remainder_pair`) checks injectivity inside its own
-kernel pass and forms what does not change with the block once per call;
+and s (`_mass_rows`), for both reference modes.  The remainder pass
+(`_remainder_pair`) integrates the kernel's xi-derivative by parts, so it
+needs no mass (the mass term cancels) and per rule node only one power
+and n + 1 moment sums; it checks injectivity inside its own kernel pass
+and forms what does not change with the block once per call.
 `injectivity_ratio` is the standalone guard for other callers.
 
 Principal values are handled by puncturing the singular node and adding a
@@ -90,12 +92,13 @@ class KernelParams:
 class HomotopyRule:
     """Gauss-Legendre rule on [0, 1] for the homotopy variable.
 
-    The remainders integrate over the triangle 0 <= xi <= t' <= 1 an
-    integrand that depends on xi alone, so the t'-integral is done in
-    closed form, int_0^1 int_0^t' f(xi) dxi dt' = int_0^1 (1 - xi) f(xi) dxi,
-    and one `order`-point rule (default 8) on [0, 1] serves both the
-    weighted xi-integral and plain t'-integrals.  Doubling the order
-    changes the remainder terms far below their quadrature error.
+    The remainders integrate over the triangle 0 <= xi <= t' <= 1 the
+    xi-derivative F' of a kernel term F, so the t'-integral is done in
+    closed form, int_0^1 int_0^t' F'(xi) dxi dt' = int_0^1 (1 - xi) F'(xi)
+    dxi, and that is int_0^1 F dxi - F(0) by parts.  One `order`-point rule
+    (default 8) on [0, 1] serves the xi-integrals of F and plain
+    t'-integrals.  Doubling the order changes the remainder terms far below
+    their quadrature error.
     """
 
     order: int = 8
@@ -337,8 +340,8 @@ def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
     """Corrected row sums of |y - x|^(-(n-1+s)) at every node, computed once
     per grid and s and kept on the grid, read-only.
 
-    No one-sided endpoint term: the same mass appears on both sides of the
-    homotopy identity; the half-ball reference adds it to a copy.
+    No one-sided endpoint term: the full-sphere reference has no endpoints,
+    and the half-ball reference adds it to a copy.
     """
     mass = grid._mass.get(params.s)
     if mass is None:
@@ -358,104 +361,109 @@ def _remainder_pair(
     with the injectivity guard folded in.
 
     With u = rho - 1 and A0 = |y - x|^2 = 2 - 2 x.y, the squared image
-    distance (`_image_dist2`), expanded in xi and updated in place, is
-    D2(xi) = A0 + xi (A1 + xi A2) with A1 = (u(x) + u(y)) A0 and
-    A2 = (u(x) - u(y))^2 + u(x) u(y) A0, and the pairing of Phi(y) - Phi(x)
-    with u(y) y - u(x) x is W = A1/2 + xi A2.  Both remainders are linear
-    in the kernel matrices, so the xi-integrals are accumulated into
-    S = sum w (1 - xi) dK and S3 = sum w xi B^(n-1) K first, and each
-    remainder then takes corrected row sums of them:
-    R1 = 2 sum (rho(y) - rho(x)) S and
-    R2 = mass + sum A0 S - 2 sum ((y - x) . grad rho(y)) S3.
+    distance (`_image_dist2`), expanded in xi, is D2(xi) = A0 + xi (A1 +
+    xi A2) with A1 = (u(x) + u(y)) A0 and A2 = (u(x) - u(y))^2 +
+    u(x) u(y) A0.  Both remainders weight the xi-derivative of
+    F = B^n K_xi, B = 1 + xi u(y), by 1 - xi; integrated by parts,
+    int_0^1 (1 - xi) F' dxi = int_0^1 F dxi - K0 with K0 = |y - x|^(-p).
+    Expanding B^n in powers of xi u(y), the pass accumulates only the
+    moments P_k = sum w xi^k K_xi, k = 0..n, each with a scalar weight, and
+    applies the column factors once per block:
+    int F = sum_k C(n, k) u^k P_k, S3 = sum w xi B^(n-1) K =
+    sum_k C(n - 1, k) u^k P_(k+1), and with corrected row sums
+    R1 = 2 sum (rho(y) - rho(x)) (int F - K0) and
+    R2 = sum (A0 int F - 2 ((y - x) . grad rho(y)) S3).
+    The chord mass of R2 cancels against A0 K0, its integrand.
 
-    The column factors of each rule node are formed once per call, the
-    work buffers once per call at the largest block's size, and the mass
-    once per grid and s (`_mass_rows`).  Before its xi loop each block
-    checks the ratio D2(1) / A0 of its pairs; the pairs with neither end
-    among the targets are checked first by `_least_ratio2`.  Both raise
-    InjectivityError below INJECTIVITY_RATIO_MIN, so a pinched field never
-    reaches a fractional power.
+    The column factors are formed once per call, the work buffers (n + 5
+    of them) once per call at the largest block's size.  Before its xi
+    loop each block checks the ratio D2(1) / A0 of its pairs; the pairs
+    with neither end among the targets are checked first by
+    `_least_ratio2`.  Both raise InjectivityError below
+    INJECTIVITY_RATIO_MIN, so a pinched field never reaches a fractional
+    power.
     """
     grid, r = rho.grid, rho.values
     n = grid.n
-    p = n + 1 + params.s
+    power = -0.5 * (n + 1 + params.s)
     # the ratio is symmetric in the pair, so the target rows cover every
     # pair with one end among the targets; the rest needs its own pass
     rest = np.ones(grid.size, dtype=bool)
     rest[targets] = False
     _raise_if_pinched(math.sqrt(max(_least_ratio2(rho, rest), 0.0)))
     u = r - 1.0
-    # (y - x) . grad rho(y) = x . (-grad rho(y)) by tangency of the gradient
-    neg_g = -gradient_values(grid, r)
-    mass = _mass_rows(grid, params)
-    # per rule node: xi and the column factors of the p-term and n-term of
-    # dK (weighted by w (1 - xi)) and of the S3 integrand (weighted by w xi)
-    factors = []
-    for xv, wv in zip(*rule.tprime()):
-        B = 1.0 + xv * u
-        Bn1 = B ** (n - 1)
-        c = wv * (1.0 - xv)
-        factors.append((xv, (c * p) * (Bn1 * B), (c * n) * (u * Bn1), (wv * xv) * Bn1))
+    # 2 (y - x) . grad rho(y) = x . (-2 grad rho(y)) by tangency of the
+    # gradient
+    neg2_g = -2.0 * gradient_values(grid, r)
+    # per rule node: xi and the weights w xi^k of the moments P_0..P_n
+    nodes = [(xv, [wv * xv**k for k in range(n + 1)]) for xv, wv in zip(*rule.tprime())]
+    # the column factors of P_1..P_n in int F, and of P_2..P_n in S3
+    f_cols = [math.comb(n, k) * u**k for k in range(1, n + 1)]
+    s3_cols = [math.comb(n - 1, k) * u**k for k in range(1, n)]
     blocks = list(_blocks(targets))
     rows = max((tb.size for _, tb, _ in blocks), default=0)
-    work = np.empty((7, rows, grid.size))
+    work = np.empty((n + 5, rows, grid.size))
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
     for sl, tb, col in blocks:
-        S, S3, D2, W, K, A1h, A2 = work[:, : tb.size]
+        D2, T, A1, A2, *P = work[:, : tb.size]
         ut = u[tb][:, None]
         A0 = grid.chord2[tb]
-        # A1h = A1/2 = (u(x) + u(y)) A0 / 2, A2 = (u(x) - u(y))^2 + u(x) u(y) A0
-        np.add(ut, u, out=A1h)
-        A1h *= 0.5
-        A1h *= A0
+        # A1 = (u(x) + u(y)) A0, A2 = (u(x) - u(y))^2 + u(x) u(y) A0
+        np.add(ut, u, out=A1)
+        A1 *= A0
         np.subtract(ut, u, out=A2)
         np.square(A2, out=A2)
-        np.multiply(ut, u, out=W)
-        W *= A0
-        A2 += W
+        np.multiply(ut, u, out=T)
+        T *= A0
+        A2 += T
         # the guard: D2(1) / A0 = |Phi(y) - Phi(x)|^2 / |y - x|^2
-        np.multiply(A1h, 2.0, out=D2)
-        D2 += A0
+        np.add(A1, A0, out=D2)
         D2 += A2
         with np.errstate(invalid="ignore", divide="ignore"):
             D2 /= A0
         D2[col] = np.inf
         _raise_if_pinched(math.sqrt(max(np.nanmin(D2), 0.0)))
-        S.fill(0.0)
-        S3.fill(0.0)
-        for xv, pB, nB, xB in factors:
-            # W = A1/2 + xi A2, D2 = A0 + xi (W + A1/2)
-            np.multiply(A2, xv, out=W)
-            W += A1h
-            np.add(W, A1h, out=D2)
+        # the target column is punctured once per block: A2 = 1 there keeps
+        # D2 = xi^2 and its power finite, and the moments are zeroed there
+        A2[col] = 1.0
+        for Pk in P:
+            Pk.fill(0.0)
+        for xv, wk in nodes:
+            np.multiply(A2, xv, out=D2)
+            D2 += A1
             D2 *= xv
             D2 += A0
-            # the target column is punctured: 1 keeps its power and quotient
-            # finite, and K = 0 there zeroes every term built from it
-            D2[col] = 1.0
-            np.power(D2, -0.5 * p, out=K)
-            K[col] = 0.0
-            Kp2 = np.divide(K, D2, out=D2)
-            # dK = n u(y) B^(n-1) K - p B^n W K / D2, weighted by w (1 - xi)
-            W *= Kp2
-            W *= pB
-            S -= W
-            np.multiply(K, nB, out=W)
-            S += W
-            np.multiply(K, xB, out=W)
-            S3 += W
+            K = np.power(D2, power, out=D2)
+            for Pk, w in zip(P, wk):
+                np.multiply(K, w, out=T)
+                Pk += T
+        for Pk in P:
+            Pk[col] = 0.0
+        # int F into P_0, then S3 into P_1
+        F, S3 = P[0], P[1]
+        for Pk, c in zip(P[1:], f_cols):
+            np.multiply(Pk, c, out=T)
+            F += T
+        for Pk, c in zip(P[2:], s3_cols):
+            np.multiply(Pk, c, out=T)
+            S3 += T
         stencil = _lattice_stencil(grid, tb)
-        np.subtract(u, ut, out=W)
-        W *= S
-        r1[sl] = 2.0 * _corrected_sum(W, grid, stencil, params)
-        np.multiply(A0, S, out=W)
-        S3 *= _x_dot_grad(grid.nodes[tb], neg_g)
-        r2[sl] = (
-            mass[tb]
-            + _corrected_sum(W, grid, stencil, params)
-            - 2.0 * _corrected_sum(S3, grid, stencil, params)
-        )
+        # R2 integrand A0 int F - 2 ((y - x) . grad rho(y)) S3
+        S3 *= _x_dot_grad(grid.nodes[tb], neg2_g)
+        np.multiply(A0, F, out=T)
+        T -= S3
+        r2[sl] = _corrected_sum(T, grid, stencil, params)
+        # K0 = |y - x|^(-p), in place where `_chord_kernel` would allocate;
+        # 1 keeps the target column's power finite
+        np.copyto(D2, A0)
+        D2[col] = 1.0
+        K0 = np.power(D2, power, out=D2)
+        K0[col] = 0.0
+        F -= K0
+        np.subtract(u, ut, out=T)
+        T *= F
+        r1[sl] = 2.0 * _corrected_sum(T, grid, stencil, params)
     return r1, r2
 
 
@@ -494,8 +502,9 @@ def remainder_R1(
     """First homotopy remainder: the (rho(y)-rho(x)) moment of the kernel
     xi-derivative, integrated over 0 <= xi <= t' <= 1.
 
-    The t'-integral is done in closed form, leaving the 1-D integral of
-    (1 - xi) times the moment, taken with `rule`.  R1 and R2 come from one
+    The t'-integral is done in closed form and the xi-integral by parts,
+    leaving the moment of int_0^1 B^n K_xi dxi - K_0, taken with `rule`
+    (B = 1 + xi (rho(y) - 1), K_0 the round kernel).  R1 and R2 come from one
     shared blocked kernel pass (`_remainder_pair`), kept on the field for
     the matching `remainder_R2` call.  `targets` selects rows (default:
     all nodes); the returned array is read-only.  The pass raises
@@ -513,14 +522,15 @@ def remainder_R2(
 ) -> np.ndarray:
     """Second homotopy remainder (coefficient of rho(x) - 1).
 
-    Three pieces: the absolutely convergent chord integral
-    int |y-x|^(-(n-1+s)), the |y-x|^2 moment of the kernel xi-derivative
-    over 0 <= xi <= t' <= 1, and the gradient coupling
-    -2 int_0^1 int (y-x).t' grad rho(y) B^(n-1) K_t' dt'.  The moment's
-    t'-integral is done in closed form (weight 1 - xi), so both homotopy
-    integrals share the nodes of `rule`, and R1 and R2 share one blocked
-    kernel pass (`_remainder_pair`).  `targets` selects rows (default: all
-    nodes); the returned array is read-only.
+    Two pieces: the |y-x|^2 moment of int_0^1 B^n K_xi dxi, and the
+    gradient coupling -2 int_0^1 int (y-x).t' grad rho(y) B^(n-1) K_t' dt'.
+    They are what is left of the chord integral int |y-x|^(-(n-1+s)) plus
+    the |y-x|^2 moment of the kernel xi-derivative over
+    0 <= xi <= t' <= 1, once the t'-integral is done in closed form and the
+    xi-integral by parts: the boundary term -|y-x|^2 K_0 cancels the chord
+    integral.  Both integrals share the nodes of `rule`, and R1 and R2
+    share one blocked kernel pass (`_remainder_pair`).  `targets` selects
+    rows (default: all nodes); the returned array is read-only.
     """
     return _remainders_of(rho, params, rule, targets)[1]
 
@@ -577,7 +587,7 @@ def homotopy_derivative(
         stencil = _lattice_stencil(grid, tb)
         for k, (tp, Bn1, BnB) in enumerate(factors):
             _image_dist2(tp, r_x, r, A0, out=D2)
-            D2[col] = 1.0  # the punctured target column, as in _remainder_pair
+            D2[col] = 1.0  # the punctured target column
             np.power(D2, power, out=K)
             K[col] = 0.0
             # F = B^(n-1) B P + ((t' u(x)) X) B^(n-1)

@@ -63,8 +63,9 @@ def circle_mass(s):
 
 
 # ----------------------------------------------------------------------
-# the per-remainder kernel passes, kept as a reference for the shared
-# blocked pass in nonlocal_ops
+# whole-matrix remainder routes, kept as references for the shared blocked
+# pass in nonlocal_ops: the by-parts form it computes, and the derivative
+# form it replaced as a second oracle
 # ----------------------------------------------------------------------
 
 
@@ -112,8 +113,15 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     return K, dK
 
 
-def reference_remainder_R1(rho, params, rule):
-    """R1 at every node, one kernel pass and one corrected sum per rule node."""
+def _gradient_coupling(rho):
+    """(y - x) . grad rho(y) for every row x and column y."""
+    g = gradient_values(rho.grid, rho.values)
+    return -(rho.grid.nodes @ g.T)
+
+
+def derivative_remainder_R1(rho, params, rule):
+    """R1 at every node in the derivative form: the (1 - xi)-weighted rule
+    over the kernel xi-derivative, one corrected sum per rule node."""
     grid, r = rho.grid, rho.values
     tgt = np.arange(grid.size)
     dr = r[None, :] - r[tgt, None]
@@ -124,15 +132,16 @@ def reference_remainder_R1(rho, params, rule):
     return out
 
 
-def reference_remainder_R2(rho, params, rule):
-    """R2 at every node, one kernel pass and two corrected sums per rule node."""
+def derivative_remainder_R2(rho, params, rule):
+    """R2 at every node in the derivative form: the chord mass, the
+    (1 - xi)-weighted |y - x|^2 moment of the kernel xi-derivative and the
+    gradient coupling, two corrected sums per rule node."""
     grid, r = rho.grid, rho.values
     tgt = np.arange(grid.size)
     chord2 = grid.chord2[tgt]
     mass = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
     out = corrected_sum(mass, grid, tgt, params)
-    g = gradient_values(grid, r)
-    ydotg = -(grid.nodes[tgt] @ g.T)
+    ydotg = _gradient_coupling(rho)
     for xv, wv in zip(*rule.tprime()):
         K, dK = _kernel_and_dxi(r, grid, params, xv, tgt)
         out += wv * (1.0 - xv) * corrected_sum(chord2 * dK, grid, tgt, params)
@@ -140,6 +149,52 @@ def reference_remainder_R2(rho, params, rule):
         F = ydotg * B[None, :] ** (grid.n - 1) * K
         out += -2.0 * wv * xv * corrected_sum(F, grid, tgt, params)
     return out
+
+
+def _by_parts_integrals(rho, params, rule):
+    """int_0^1 F dxi - K0 with F = B^n K_xi, which integration by parts
+    makes equal to int_0^1 (1 - xi) F' dxi, and int_0^1 xi B^(n-1) K_xi
+    dxi, as whole matrices over the rule nodes."""
+    grid, r = rho.grid, rho.values
+    tgt = np.arange(grid.size)
+    p = grid.n + 1 + params.s
+    dF = -_chord_kernel(grid, p, tgt)
+    S3 = np.zeros_like(dF)
+    for xv, wv in zip(*rule.tprime()):
+        B = (1.0 + xv * (r - 1.0))[None, :]
+        # the chord form (a_x - a_y)^2 + a_x a_y |y - x|^2 of D2: the dot
+        # form of `_image_dist2` loses about eps / |y - x|^2 of it near the
+        # diagonal, which the difference int F - K0 would carry
+        D2 = (B.T - B) ** 2 + (B.T * B) * grid.chord2
+        with np.errstate(divide="ignore"):
+            K = _zero_target_cols(D2 ** (-0.5 * p), tgt)
+        dF += wv * B**grid.n * K
+        S3 += wv * xv * B ** (grid.n - 1) * K
+    return dF, S3
+
+
+def by_parts_remainder_R1(rho, params, rule):
+    """R1 at every node, with the xi-integral of the kernel derivative
+    integrated by parts."""
+    grid, r = rho.grid, rho.values
+    tgt = np.arange(grid.size)
+    dF, _ = _by_parts_integrals(rho, params, rule)
+    return 2.0 * corrected_sum((r[None, :] - r[:, None]) * dF, grid, tgt, params)
+
+
+def by_parts_remainder_R2(rho, params, rule):
+    """R2 at every node: the chord mass, the |y - x|^2 moment of the
+    integrated-by-parts kernel derivative and the gradient coupling, each
+    summed on its own, so the mass is not cancelled by hand."""
+    grid = rho.grid
+    tgt = np.arange(grid.size)
+    dF, S3 = _by_parts_integrals(rho, params, rule)
+    mass = corrected_sum(_chord_kernel(grid, grid.n - 1 + params.s, tgt), grid, tgt, params)
+    return (
+        mass
+        + corrected_sum(grid.chord2 * dF, grid, tgt, params)
+        - 2.0 * corrected_sum(_gradient_coupling(rho) * S3, grid, tgt, params)
+    )
 
 
 def kernel_dxi(xi, rho, y, x, params):
@@ -472,12 +527,42 @@ REMAINDER_CASES = {name: case for name, *case in _remainder_cases()}
 def test_remainders_match_per_remainder_reference(name):
     rho, params, rule = REMAINDER_CASES[name]
     for fn, ref_fn in (
-        (remainder_R1, reference_remainder_R1),
-        (remainder_R2, reference_remainder_R2),
+        (remainder_R1, by_parts_remainder_R1),
+        (remainder_R2, by_parts_remainder_R2),
     ):
         ref = ref_fn(rho, params, rule)
         out = fn(rho, params, rule)
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _kinked_capillary_case():
+    """The reflected field of a 129-node capillary curve at theta = pi/3:
+    1 + 0.05 x_2 with its contact values set by the angle condition, so the
+    even extension has a gradient kink at the contact rows."""
+    hemi = build_grid(1, 129, "hemisphere")
+    work, index = double_grid(hemi)
+    start = RadialField(hemi, 1.0 + 0.05 * hemi.nodes[:, -1])
+    vals = flow.apply_bc(start, math.pi / 3).values
+    return RadialField(work, vals[index]), KernelParams(s=0.5)
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_CASES) + ["kinked_capillary"])
+def test_remainder_forms_agree_at_high_order(name):
+    """The by-parts and the derivative form are one integral, so at an
+    order where both rules have converged they agree; at low orders they
+    differ by their quadrature errors."""
+    if name == "kinked_capillary":
+        rho, params = _kinked_capillary_case()
+    else:
+        rho, params, _ = REMAINDER_CASES[name]
+    rule = HomotopyRule(order=40)
+    for fn, ref_fn in (
+        (remainder_R1, derivative_remainder_R1),
+        (remainder_R2, derivative_remainder_R2),
+    ):
+        ref = ref_fn(rho, params, rule)
+        out = fn(RadialField(rho.grid, rho.values), params, rule)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # the n and resolution of the hemisphere grid whose doubled grid a case's
@@ -885,10 +970,12 @@ def test_mass_row_sums_computed_once_per_grid(monkeypatch):
         return chord_kernel(grid_, exponent, targets)
 
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
+    first = hs_reference(grid, params, "half-ball")
     for eps in (0.05, -0.03):
         rho = RadialField(grid, 1.0 + eps * grid.nodes[:, 1])
         remainder_R2(rho, params, rule, targets=np.arange(5, 40))
-    # each node's row is formed once, by the first call
+    assert np.array_equal(hs_reference(grid, params, "half-ball"), first)
+    # each node's row is formed once, by the first reference call
     assert np.array_equal(np.concatenate(mass_rows), np.arange(grid.size))
     mass = grid._mass[params.s]
     assert not mass.flags.writeable
@@ -896,31 +983,57 @@ def test_mass_row_sums_computed_once_per_grid(monkeypatch):
         mass[0] = 0.0
 
 
-def _per_block_mass(grid, params, targets):
-    """The mass as the remainder pass formed it per block of 64 target
-    rows before it was cached: every target's row, NaN elsewhere."""
-    mass = np.full(grid.size, np.nan)
-    for start in range(0, targets.size, 64):
-        tb = targets[start : start + 64]
-        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-        mass[tb] = corrected_sum(K, grid, tb, params)
-    return mass
+@pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
+def test_remainder_pass_never_reads_the_mass(name, monkeypatch):
+    rho, params, rule = REMAINDER_CASES[name]
+    expected = remainder_R2(RadialField(rho.grid, rho.values), params, rule)
+
+    def refuse(grid, prm):
+        raise AssertionError("the remainder pass read the chord mass")
+
+    monkeypatch.setattr(nonlocal_ops, "_mass_rows", refuse)
+    size = rho.grid.size
+    for targets in (None, np.arange(size // 2 + 1), np.array([size - 1, 2])):
+        fresh = RadialField(rho.grid, rho.values)
+        remainder_R1(fresh, params, rule, targets)
+        got = remainder_R2(fresh, params, rule, targets)
+        rows = np.arange(size) if targets is None else targets
+        assert np.array_equal(got, expected[rows])
+
+
+def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
+    """Every integrand the pass sums is zero at each row's own column, as
+    `_corrected_sum` requires: the moments there are punctured, not only
+    multiplied by factors that vanish up to rounding."""
+    stencil_, corrected_sum_ = nonlocal_ops._lattice_stencil, nonlocal_ops._corrected_sum
+    block = []  # the targets of the block whose stencil was built last
+
+    def recording(grid, targets):
+        block[:] = [targets]
+        return stencil_(grid, targets)
+
+    def checking(F, grid, stencil, params):
+        tb = block[0]
+        assert np.all(F[np.arange(tb.size), tb] == 0.0)
+        return corrected_sum_(F, grid, stencil, params)
+
+    monkeypatch.setattr(nonlocal_ops, "_lattice_stencil", recording)
+    monkeypatch.setattr(nonlocal_ops, "_corrected_sum", checking)
+    for rho, params, rule in REMAINDER_CASES.values():
+        remainder_R1(RadialField(rho.grid, rho.values), params, rule)
+    assert block
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
-def test_cached_mass_keeps_remainder_R2_bitwise(name, monkeypatch):
+def test_remainder_R2_at_unit_field_is_the_cached_mass(name):
+    """At rho = 1 every kernel of the homotopy is the chord kernel K0, so
+    R2 = sum A0 K0 is the chord mass, the term that cancels out of the
+    pass."""
     rho, params, rule = REMAINDER_CASES[name]
-    size = rho.grid.size
-    for targets in (np.arange(size), np.arange(size // 2 + 1), np.array([size - 1, 2])):
-        cached = remainder_R2(RadialField(rho.grid, rho.values), params, rule, targets)
-        with monkeypatch.context() as m:
-            m.setattr(
-                nonlocal_ops,
-                "_mass_rows",
-                lambda grid, prm: _per_block_mass(grid, prm, targets),
-            )
-            per_block = remainder_R2(RadialField(rho.grid, rho.values), params, rule, targets)
-        assert np.array_equal(cached, per_block)
+    grid = rho.grid
+    r2 = remainder_R2(RadialField(grid, np.ones(grid.size)), params, rule)
+    mass = nonlocal_ops._mass_rows(grid, params)
+    assert np.max(np.abs(r2 - mass)) <= 1e-13 * np.max(np.abs(mass))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
