@@ -46,10 +46,10 @@ from .geometry import (
 )
 from .diagnostics import volume
 from .nonlocal_ops import (
-    INJECTIVITY_RATIO_MIN,
     HomotopyRule,
     InjectivityError,
     KernelParams,
+    _raise_if_pinched,
     frac_laplacian_matrix,
     hs_reference,
     injectivity_ratio,
@@ -586,10 +586,7 @@ def step(state: FlowState, cfg: FlowConfig) -> FlowState:
                 f"{state.t + dt:.6g}"
             )
         rho_new = RadialField(ctx.grid, new_vals)
-        if injectivity_ratio(rho_new) < INJECTIVITY_RATIO_MIN:
-            raise InjectivityError(
-                "accepted step produced a nearly self-intersecting surface"
-            )
+        _raise_if_pinched(injectivity_ratio(rho_new))
         return FlowState(
             t=state.t + dt,
             rho=rho_new,

@@ -14,19 +14,20 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 (from one shared kernel pass per rule node), the derivative of curvature
 along the homotopy (at one t' or, in one blocked pass, at a sequence of
 them), the injectivity guard, and an independent curvature oracle based
-on the divergence theorem.  The squared image distance has two forms:
-`_image_dist2`, and in the remainder pass the expansion in xi,
-D2 = A0 + xi (A1 + xi A2), whose guard reads A0 + A1 + A2.  Every pass
-over node pairs walks the target rows in near-equal blocks of at most
-ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are bitwise
+on the divergence theorem.  The squared image distance has one form, the
+expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`); the guard
+reads its xi = 1 value over A0 in closed form.  Every pass over node
+pairs walks the target rows in near-equal blocks of at most ROW_BLOCK
+rows (`_blocks`), so temporaries stay small and rows are bitwise
 independent of the block size; the one larger array is the matrix
-`frac_laplacian_matrix` returns.  The chord mass is summed once per grid
-and s (`_mass_rows`), for both reference modes.  The remainder pass
-(`_remainder_pair`) integrates the kernel's xi-derivative by parts, so it
-needs no mass (the mass term cancels) and per rule node only one power
-and n + 1 moment sums; it checks injectivity inside its own kernel pass
-and forms what does not change with the block once per call.
-`injectivity_ratio` is the standalone guard for other callers.
+`frac_laplacian_matrix` returns.  The chord mass has one route
+(`_mass_rows`), summed on each `hs_reference` call in both reference
+modes.  The remainder pass (`_remainder_pair`) integrates the kernel's
+xi-derivative by parts, so it needs no mass (the mass term cancels) and
+per rule node only one power and n + 1 moment sums; it checks
+injectivity inside its own kernel pass and forms what does not change
+with the block once per call.  `injectivity_ratio` is the standalone
+guard for other callers.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -196,25 +197,26 @@ def _blocks(targets: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _image_dist2(
-    xi: float,
-    r_x: np.ndarray,
-    r_y: np.ndarray,
+def _dist2_coeffs(
+    u_x: np.ndarray,
+    u_y: np.ndarray,
     A0: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared image distance |Phi_xi(y) - Phi_xi(x)|^2 of unit nodes x, y:
-    with a = 1 + xi (rho - 1) and A0 = |y - x|^2 = 2 - 2 x.y, it is
-    (a_x - a_y)^2 + a_x a_y A0.  Broadcasts over pairs or target rows;
-    written into `out` when given (it must have the broadcast shape)."""
-    a_x = 1.0 + xi * (r_x - 1.0)
-    a_y = 1.0 + xi * (r_y - 1.0)
-    # the product term first, so `out` holds it; a sum's bits do not
-    # depend on the order of its two terms
-    d2 = np.multiply(a_x, a_y, out=out)
-    d2 *= A0
-    d2 += (a_x - a_y) ** 2
-    return d2
+    A1: np.ndarray | None = None,
+    A2: np.ndarray | None = None,
+    T: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A1, A2 of |Phi_xi(y) - Phi_xi(x)|^2 = A0 + xi (A1 + xi A2), unit x, y:
+    A1 = (u(x) + u(y)) A0, A2 = (u(x) - u(y))^2 + u(x) u(y) A0, u = rho - 1.
+    Broadcasts over pairs or target rows; written into A1 and A2, with T as
+    scratch, when given (each must have the broadcast shape)."""
+    A1 = np.add(u_x, u_y, out=A1)
+    A1 *= A0
+    A2 = np.subtract(u_x, u_y, out=A2)
+    np.square(A2, out=A2)
+    T = np.multiply(u_x, u_y, out=T)
+    T *= A0
+    A2 += T
+    return A1, A2
 
 
 def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -241,8 +243,9 @@ def kernel_K(
         raise ValueError(f"node indices must lie in [0, {grid.size})")
     if np.any(y == x):
         raise ValueError("kernel is singular at y = x")
-    d2 = _image_dist2(xi, r[x], r[y], grid.chord2[y, x])
-    out = d2 ** (-0.5 * (grid.n + 1 + params.s))
+    A0 = grid.chord2[y, x]
+    A1, A2 = _dist2_coeffs(r[x] - 1.0, r[y] - 1.0, A0)
+    out = (A0 + xi * (A1 + xi * A2)) ** (-0.5 * (grid.n + 1 + params.s))
     return float(out[0]) if single else out
 
 
@@ -302,7 +305,9 @@ def frac_laplacian_matrix(
 
 def _least_ratio2(rho: RadialField, pick: np.ndarray) -> float:
     """Least |Phi(y) - Phi(x)|^2 / |y - x|^2 over the pairs of distinct
-    nodes x, y that the boolean mask `pick` selects, walked in row blocks."""
+    nodes x, y that the boolean mask `pick` selects, walked in row blocks:
+    D2(1) / A0 (`_dist2_coeffs`) is rho(x) rho(y) + (rho(x) - rho(y))^2 / A0.
+    """
     r, chord2 = rho.values, rho.grid.chord2
     nodes = np.flatnonzero(pick)
     every = nodes.size == pick.size
@@ -312,7 +317,7 @@ def _least_ratio2(rho: RadialField, pick: np.ndarray) -> float:
         # take keeps the rows contiguous, where [:, nodes] would not
         A0 = chord2[tb] if every else chord2[tb].take(nodes, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio2 = _image_dist2(1.0, r[tb, None], r_nodes, A0) / A0
+            ratio2 = r[tb, None] * r_nodes + (r[tb, None] - r_nodes) ** 2 / A0
         ratio2[np.arange(tb.size), np.arange(sl.start, sl.stop)] = np.inf
         least = min(least, np.nanmin(ratio2))
     return float(least)
@@ -337,20 +342,15 @@ def _raise_if_pinched(ratio: float) -> None:
 
 
 def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
-    """Corrected row sums of |y - x|^(-(n-1+s)) at every node, computed once
-    per grid and s and kept on the grid, read-only.
+    """Corrected row sums of |y - x|^(-(n-1+s)) at every node.
 
     No one-sided endpoint term: the full-sphere reference has no endpoints,
-    and the half-ball reference adds it to a copy.
+    and the half-ball reference adds it.
     """
-    mass = grid._mass.get(params.s)
-    if mass is None:
-        mass = np.empty(grid.size)
-        for sl, tb, _ in _blocks(np.arange(grid.size)):
-            K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-            mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
-        mass.setflags(write=False)
-        grid._mass[params.s] = mass
+    mass = np.empty(grid.size)
+    for sl, tb, _ in _blocks(np.arange(grid.size)):
+        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
+        mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
     return mass
 
 
@@ -360,10 +360,8 @@ def _remainder_pair(
     """R1 and R2 at the target rows, from one kernel pass per rule node,
     with the injectivity guard folded in.
 
-    With u = rho - 1 and A0 = |y - x|^2 = 2 - 2 x.y, the squared image
-    distance (`_image_dist2`), expanded in xi, is D2(xi) = A0 + xi (A1 +
-    xi A2) with A1 = (u(x) + u(y)) A0 and A2 = (u(x) - u(y))^2 +
-    u(x) u(y) A0.  Both remainders weight the xi-derivative of
+    With u = rho - 1, the squared image distance is D2(xi) = A0 + xi (A1 +
+    xi A2) (`_dist2_coeffs`).  Both remainders weight the xi-derivative of
     F = B^n K_xi, B = 1 + xi u(y), by 1 - xi; integrated by parts,
     int_0^1 (1 - xi) F' dxi = int_0^1 F dxi - K0 with K0 = |y - x|^(-p).
     Expanding B^n in powers of xi u(y), the pass accumulates only the
@@ -409,14 +407,7 @@ def _remainder_pair(
         D2, T, A1, A2, *P = work[:, : tb.size]
         ut = u[tb][:, None]
         A0 = grid.chord2[tb]
-        # A1 = (u(x) + u(y)) A0, A2 = (u(x) - u(y))^2 + u(x) u(y) A0
-        np.add(ut, u, out=A1)
-        A1 *= A0
-        np.subtract(ut, u, out=A2)
-        np.square(A2, out=A2)
-        np.multiply(ut, u, out=T)
-        T *= A0
-        A2 += T
+        _dist2_coeffs(ut, u, A0, A1, A2, T)
         # the guard: D2(1) / A0 = |Phi(y) - Phi(x)|^2 / |y - x|^2
         np.add(A1, A0, out=D2)
         D2 += A2
@@ -549,7 +540,8 @@ def homotopy_derivative(
     at tprime[k].  A sequence takes one blocked pass: the guard, the
     gradient and the factors of each t' are formed once per call, and the
     t'-independent parts of the integrand, (rho(y) - rho(x)) + u(x) A0 / 2
-    and x . grad rho(y), once per block, in work buffers sized to the
+    and x . grad rho(y), and the coefficients A1, A2 of the squared image
+    distance (`_dist2_coeffs`) once per block, in work buffers sized to the
     largest block; each t' then costs one fractional power per block.
     A pinched field raises InjectivityError before any power is taken.
     """
@@ -571,22 +563,25 @@ def homotopy_derivative(
         factors.append((tp, Bn1, Bn1 * B))
     blocks = list(_blocks(np.arange(grid.size)))
     rows = max((tb.size for _, tb, _ in blocks), default=0)
-    work = np.empty((4, rows, grid.size))
+    work = np.empty((6, rows, grid.size))
     out = np.empty((tps.size, grid.size))
     for sl, tb, col in blocks:
-        P, D2, K, F = work[:, : tb.size]
-        r_x = r[tb, None]
+        P, D2, K, F, A1, A2 = work[:, : tb.size]
         ut = u[tb, None]
         A0 = grid.chord2[tb]
         # P = (rho(y) - rho(x)) + u(x) A0 / 2
         np.multiply(A0, 0.5, out=F)
         F *= ut
-        np.subtract(r, r_x, out=P)
+        np.subtract(r, r[tb, None], out=P)
         P += F
+        _dist2_coeffs(ut, u, A0, A1, A2, K)
         X = _x_dot_grad(grid.nodes[tb], g)
         stencil = _lattice_stencil(grid, tb)
         for k, (tp, Bn1, BnB) in enumerate(factors):
-            _image_dist2(tp, r_x, r, A0, out=D2)
+            np.multiply(A2, tp, out=D2)
+            D2 += A1
+            D2 *= tp
+            D2 += A0
             D2[col] = 1.0  # the punctured target column
             np.power(D2, power, out=K)
             K[col] = 0.0
@@ -681,11 +676,11 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
     reduces to the chord mass int |y - x|^(-(n-1+s)) over s.
 
     mode "full-sphere": the constant curvature of the unit sphere, the
-    full-sphere grid's cached mass (`_mass_rows`) over s.
+    full-sphere grid's mass (`_mass_rows`) over s.
 
     mode "half-ball": curvature of the unit half-ball boundary (free
     hemisphere plus wetted equatorial patch) at each free-surface node of
-    a hemisphere grid.  The free part is the grid's cached mass, where the
+    a hemisphere grid.  The free part is the grid's mass, where the
     n = 1 endpoints also take the one-sided correction from their inward
     neighbor, as the integrand is even; the patch is summed per block of
     rows.
@@ -697,7 +692,7 @@ def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarra
         raise ValueError(f"{mode} reference needs a {needs[mode]} grid")
     if mode == "full-sphere":
         return _mass_rows(grid, params) / params.s
-    out = _mass_rows(grid, params).copy()
+    out = _mass_rows(grid, params)
     if grid.n == 1:
         st = grid.stencils()
         b = st.boundary

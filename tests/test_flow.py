@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capflow import flow
 from capflow import (
     ExtinctionError,
     FlowConfig,
@@ -653,6 +654,17 @@ def test_run_flow_stops_at_injectivity_floor():
     assert traj.message != ""
     final_min = traj.final_field.values.min()
     assert 0.09 < final_min < 0.12
+
+
+def test_run_flow_names_the_measured_ratio_of_a_pinched_step(monkeypatch):
+    # the check of an accepted step raises through the one injectivity
+    # guard, so the message names the ratio it measured
+    monkeypatch.setattr(flow, "injectivity_ratio", lambda rho: 0.05)
+    cfg = _cfg(t_end=2e-3, homotopy_order=4, refresh_remainders="per-step")
+    traj = run_flow(cfg)
+    assert traj.status == "injectivity"
+    assert "0.05" in traj.message
+    assert len(traj.diagnostics) == 1
 
 
 def test_run_flow_saves_last_accepted_state_on_failure():

@@ -70,12 +70,13 @@ def circle_mass(s):
 
 
 def _image_dist2(r, grid, xi, targets):
-    """Squared distances |Phi_xi(y_j) - Phi_xi(x_t)| for target rows."""
+    """Squared distances |Phi_xi(y_j) - Phi_xi(x_t)|^2 for target rows, in
+    the chord form (a_x - a_y)^2 + a_x a_y |y - x|^2: the dot form
+    a_x^2 + a_y^2 - 2 a_x a_y (x . y) loses about eps / |y - x|^2 of it
+    near the diagonal."""
     a = 1.0 + xi * (r - 1.0)
-    at = a[targets]
-    dots = 1.0 - 0.5 * grid.chord2[targets]
-    D2 = at[:, None] ** 2 + a[None, :] ** 2 - 2.0 * np.outer(at, a) * dots
-    return np.maximum(D2, 0.0)
+    at = a[targets, None]
+    return (at - a) ** 2 + (at * a) * grid.chord2[targets]
 
 
 def _zero_target_cols(F, targets):
@@ -95,19 +96,18 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     at = a[targets]
     rm = r - 1.0
     rt = rm[targets]
-    dots = 1.0 - 0.5 * grid.chord2[targets]
     D2 = _image_dist2(r, grid, xi, targets)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = D2 ** (-0.5 * p)
         Kp2 = np.divide(K, D2, out=D2)
     _zero_target_cols(K, targets)
     _zero_target_cols(Kp2, targets)
-    # (Phi(y) - Phi(x)) . ((rho(y)-1) y - (rho(x)-1) x)
-    W = (
-        a[None, :] * rm[None, :]
-        + at[:, None] * rt[:, None]
-        - (a[None, :] * rt[:, None] + at[:, None] * rm[None, :]) * dots
-    )
+    # (Phi(y) - Phi(x)) . ((rho(y)-1) y - (rho(x)-1) x), in the chord form
+    # (a_y - a_x)(u_y - u_x) + (a_y u_x + a_x u_y) |y - x|^2 / 2, which, like
+    # D2, keeps its digits near the diagonal
+    W = (a[None, :] - at[:, None]) * (rm[None, :] - rt[:, None]) + (
+        a[None, :] * rt[:, None] + at[:, None] * rm[None, :]
+    ) * (0.5 * grid.chord2[targets])
     Bn1 = a[None, :] ** (n - 1)
     dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
     return K, dK
@@ -162,10 +162,7 @@ def _by_parts_integrals(rho, params, rule):
     S3 = np.zeros_like(dF)
     for xv, wv in zip(*rule.tprime()):
         B = (1.0 + xv * (r - 1.0))[None, :]
-        # the chord form (a_x - a_y)^2 + a_x a_y |y - x|^2 of D2: the dot
-        # form of `_image_dist2` loses about eps / |y - x|^2 of it near the
-        # diagonal, which the difference int F - K0 would carry
-        D2 = (B.T - B) ** 2 + (B.T * B) * grid.chord2
+        D2 = _image_dist2(r, grid, xv, tgt)
         with np.errstate(divide="ignore"):
             K = _zero_target_cols(D2 ** (-0.5 * p), tgt)
         dF += wv * B**grid.n * K
@@ -586,8 +583,8 @@ def _reference_curvatures(rho, params, rule, hemi):
 
 
 # every pass over node pairs, as arrays whose rows are compared bitwise;
-# `hemi` is the case's hemisphere grid, built afresh per block size, so no
-# mass cached on a grid carries over from one block size to the next
+# `hemi` is the case's hemisphere grid, built afresh per block size, so
+# nothing cached on a grid carries over from one block size to the next
 BLOCKED_PASSES = {
     "remainders": lambda rho, params, rule, hemi: (
         remainder_R1(rho, params, rule),
@@ -642,7 +639,7 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
         return RadialField(grid, rho.values)
 
     def fresh_doubled():
-        # no mass is cached on a new grid, so the traced call forms it
+        # a new grid, so the traced call finds nothing cached on it
         return double_grid(build_grid(2, 13, "hemisphere"))[0]
 
     # name: (argument maker, call)
@@ -729,7 +726,8 @@ def test_blocked_guard_and_derivative_match_full_matrix_routes(name):
 
 def single_tprime_homotopy_derivative(tprime, rho, params):
     """One t' per pass, in the operation order of the blocked single-t'
-    route: the bitwise reference for both call forms."""
+    route, with D2 in the expansion A0 + t' (A1 + t' A2): the bitwise
+    reference for both call forms."""
     grid, r = rho.grid, rho.values
     g = gradient_values(grid, r)
     u = r - 1.0
@@ -739,9 +737,9 @@ def single_tprime_homotopy_derivative(tprime, rho, params):
     for sl, tb, col in _blocks(np.arange(grid.size)):
         ut = u[tb, None]
         A0 = grid.chord2[tb]
-        a_x = 1.0 + tprime * (r[tb, None] - 1.0)
-        a_y = 1.0 + tprime * (r - 1.0)
-        D2 = (a_x - a_y) ** 2 + a_x * a_y * A0
+        A1 = (ut + u) * A0
+        A2 = (ut - u) ** 2 + ut * u * A0
+        D2 = (A2 * tprime + A1) * tprime + A0
         D2[col] = 1.0
         K = D2 ** (-0.5 * (grid.n + 1 + params.s))
         K[col] = 0.0
@@ -958,9 +956,12 @@ def test_folded_guard_raises_before_any_warning(where):
     assert rho._remainders is None
 
 
-def test_mass_row_sums_computed_once_per_grid(monkeypatch):
-    grid = build_grid(1, 65, "hemisphere")
-    params, rule = KernelParams(s=0.4), HomotopyRule(order=3)
+@pytest.mark.parametrize("mode", ["full-sphere", "half-ball"])
+@pytest.mark.parametrize("n, resolution", [(1, 65), (2, 9)])
+def test_hs_reference_forms_each_mass_row_once_per_call(n, resolution, mode, monkeypatch):
+    topology = "full-sphere" if mode == "full-sphere" else "hemisphere"
+    grid = build_grid(n, resolution, topology)
+    params = KernelParams(s=0.4)
     mass_rows = []
     chord_kernel = nonlocal_ops._chord_kernel
 
@@ -970,17 +971,13 @@ def test_mass_row_sums_computed_once_per_grid(monkeypatch):
         return chord_kernel(grid_, exponent, targets)
 
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
-    first = hs_reference(grid, params, "half-ball")
-    for eps in (0.05, -0.03):
-        rho = RadialField(grid, 1.0 + eps * grid.nodes[:, 1])
-        remainder_R2(rho, params, rule, targets=np.arange(5, 40))
-    assert np.array_equal(hs_reference(grid, params, "half-ball"), first)
-    # each node's row is formed once, by the first reference call
-    assert np.array_equal(np.concatenate(mass_rows), np.arange(grid.size))
-    mass = grid._mass[params.s]
-    assert not mass.flags.writeable
-    with pytest.raises(ValueError):
-        mass[0] = 0.0
+    results = []
+    for _ in range(2):
+        results.append(hs_reference(grid, params, mode))
+        # every node's row, once: a call neither skips nor repeats a row
+        assert np.array_equal(np.concatenate(mass_rows), np.arange(grid.size))
+        mass_rows.clear()
+    assert np.array_equal(results[1], results[0])
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
@@ -1025,7 +1022,7 @@ def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
-def test_remainder_R2_at_unit_field_is_the_cached_mass(name):
+def test_remainder_R2_at_unit_field_is_the_mass(name):
     """At rho = 1 every kernel of the homotopy is the chord kernel K0, so
     R2 = sum A0 K0 is the chord mass, the term that cancels out of the
     pass."""
@@ -1144,6 +1141,6 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, mode, monkeypatch
     # the reference forms each work-grid row once ...
     assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
     mass_rows.clear()
-    # ... and the first remainder pass reads it from the grid
+    # ... and the first remainder pass forms none
     flow._remainders(ctx, ctx.to_work(1.0 + 0.05 * ctx.grid.nodes[:, -1]))
     assert mass_rows == []
