@@ -30,7 +30,6 @@ __all__ = [
     "double_grid",
     "reflect_field",
     "gradient_values",
-    "conormal_derivative",
     "quad_integrate",
 ]
 
@@ -181,9 +180,13 @@ class Stencils:
     pole_arms: np.ndarray | None = None
     pole_sign: np.ndarray | None = None
 
-    def conormal(self, u: np.ndarray, k: slice = slice(None)) -> np.ndarray:
-        """Outward conormal derivative of samples u at boundary positions k."""
-        b, i1, i2 = self.boundary[k], self.inward[k, 0], self.inward[k, 1]
+    def conormal(self, u: np.ndarray) -> np.ndarray:
+        """Outward conormal derivative of samples u at every boundary node.
+
+        One-sided second-order stencil along the geodesic into the
+        interior, signed so that the conormal points out of the hemisphere.
+        """
+        b, i1, i2 = self.boundary, self.inward[:, 0], self.inward[:, 1]
         return (3.0 * u[b] - 4.0 * u[i1] + u[i2]) / (2.0 * self.step)
 
 
@@ -445,22 +448,6 @@ def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
     )
     grad[st.poles, 2] = 0.0
     return grad
-
-
-def conormal_derivative(rho: RadialField, b: int) -> float:
-    """Outward conormal derivative of rho at boundary node b.
-
-    One-sided second-order stencil along the geodesic into the interior,
-    signed so that the conormal points out of the hemisphere.
-    """
-    grid = rho.grid
-    if grid.topology != "hemisphere":
-        raise ValueError("conormal derivative requires a hemisphere grid")
-    if not (0 <= b < grid.size and grid.boundary_mask[b]):
-        raise ValueError(f"node {b} is not on the boundary")
-    st = grid.stencils()
-    k = int(np.searchsorted(st.boundary, b))
-    return float(st.conormal(rho.values, slice(k, k + 1))[0])
 
 
 def quad_integrate(grid: SphereGrid, samples: np.ndarray) -> float:

@@ -15,19 +15,19 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 along the homotopy (at one t' or, in one blocked pass, at a sequence of
 them), the injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has one form, the
-expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`); the guard
-reads its xi = 1 value over A0 in closed form.  Every pass over node
-pairs walks the target rows in near-equal blocks of at most ROW_BLOCK
-rows (`_blocks`), so temporaries stay small and rows are bitwise
-independent of the block size; the one larger array is the matrix
-`frac_laplacian_matrix` returns.  The chord mass has one route
+expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`).  The guard
+has one route, `injectivity_ratio`, which reads the xi = 1 value over A0
+in closed form on each unordered pair once; the remainder pass and
+`homotopy_derivative` call it before any fractional power.  Every pass
+over node pairs walks the target rows in near-equal blocks of at most
+ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are
+bitwise independent of the block size; the one larger array is the
+matrix `frac_laplacian_matrix` returns.  The chord mass has one route
 (`_mass_rows`), summed on each `hs_reference` call in both reference
 modes.  The remainder pass (`_remainder_pair`) integrates the kernel's
 xi-derivative by parts, so it needs no mass (the mass term cancels) and
-per rule node only one power and n + 1 moment sums; it checks
-injectivity inside its own kernel pass and forms what does not change
-with the block once per call.  `injectivity_ratio` is the standalone
-guard for other callers.
+per rule node only one power and n + 1 moment sums; it forms what does
+not change with the block once per call.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -303,34 +303,26 @@ def frac_laplacian_matrix(
 # ----------------------------------------------------------------------
 
 
-def _least_ratio2(rho: RadialField, pick: np.ndarray) -> float:
-    """Least |Phi(y) - Phi(x)|^2 / |y - x|^2 over the pairs of distinct
-    nodes x, y that the boolean mask `pick` selects, walked in row blocks:
-    D2(1) / A0 (`_dist2_coeffs`) is rho(x) rho(y) + (rho(x) - rho(y))^2 / A0.
-    """
-    r, chord2 = rho.values, rho.grid.chord2
-    nodes = np.flatnonzero(pick)
-    every = nodes.size == pick.size
-    r_nodes = r[nodes]
-    least = np.inf
-    for sl, tb, _ in _blocks(nodes):
-        # take keeps the rows contiguous, where [:, nodes] would not
-        A0 = chord2[tb] if every else chord2[tb].take(nodes, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio2 = r[tb, None] * r_nodes + (r[tb, None] - r_nodes) ** 2 / A0
-        ratio2[np.arange(tb.size), np.arange(sl.start, sl.stop)] = np.inf
-        least = min(least, np.nanmin(ratio2))
-    return float(least)
-
-
 def injectivity_ratio(rho: RadialField) -> float:
     """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map.
 
-    The standalone guard; the remainder pass checks the same pairs inside
-    its own kernel pass (`_remainder_pair`).
+    The one injectivity guard: every guarded operator calls it before any
+    fractional power.  The squared ratio D2(1) / A0 (`_dist2_coeffs`) is
+    rho(x) rho(y) + (rho(x) - rho(y))^2 / |y - x|^2, symmetric in the pair,
+    so each block of rows reads only the columns from its own first row on.
+    As |y - x|^2 <= 4 it is at least ((rho(x) + rho(y)) / 2)^2, so the
+    ratio is at least min rho.
     """
-    every = np.ones(rho.grid.size, dtype=bool)
-    return float(np.sqrt(_least_ratio2(rho, every)))
+    r, chord2 = rho.values, rho.grid.chord2
+    least = np.inf
+    for sl, tb, _ in _blocks(np.arange(r.size)):
+        rt, ry = r[tb, None], r[sl.start :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio2 = rt * ry + (rt - ry) ** 2 / chord2[tb, sl.start :]
+        # row k's own column is the block's column k
+        np.fill_diagonal(ratio2, np.inf)
+        least = min(least, np.nanmin(ratio2))
+    return float(np.sqrt(least))
 
 
 def _raise_if_pinched(ratio: float) -> None:
@@ -357,8 +349,7 @@ def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
 def _remainder_pair(
     rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R1 and R2 at the target rows, from one kernel pass per rule node,
-    with the injectivity guard folded in.
+    """R1 and R2 at the target rows, from one kernel pass per rule node.
 
     With u = rho - 1, the squared image distance is D2(xi) = A0 + xi (A1 +
     xi A2) (`_dist2_coeffs`).  Both remainders weight the xi-derivative of
@@ -374,21 +365,16 @@ def _remainder_pair(
     The chord mass of R2 cancels against A0 K0, its integrand.
 
     The column factors are formed once per call, the work buffers (n + 5
-    of them) once per call at the largest block's size.  Before its xi
-    loop each block checks the ratio D2(1) / A0 of its pairs; the pairs
-    with neither end among the targets are checked first by
-    `_least_ratio2`.  Both raise InjectivityError below
+    of them) once per call at the largest block's size.  The pass first
+    calls the one guard, `injectivity_ratio`, on every pair of the field,
+    targets or not, and raises InjectivityError below
     INJECTIVITY_RATIO_MIN, so a pinched field never reaches a fractional
     power.
     """
+    _raise_if_pinched(injectivity_ratio(rho))
     grid, r = rho.grid, rho.values
     n = grid.n
     power = -0.5 * (n + 1 + params.s)
-    # the ratio is symmetric in the pair, so the target rows cover every
-    # pair with one end among the targets; the rest needs its own pass
-    rest = np.ones(grid.size, dtype=bool)
-    rest[targets] = False
-    _raise_if_pinched(math.sqrt(max(_least_ratio2(rho, rest), 0.0)))
     u = r - 1.0
     # 2 (y - x) . grad rho(y) = x . (-2 grad rho(y)) by tangency of the
     # gradient
@@ -408,13 +394,6 @@ def _remainder_pair(
         ut = u[tb][:, None]
         A0 = grid.chord2[tb]
         _dist2_coeffs(ut, u, A0, A1, A2, T)
-        # the guard: D2(1) / A0 = |Phi(y) - Phi(x)|^2 / |y - x|^2
-        np.add(A1, A0, out=D2)
-        D2 += A2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            D2 /= A0
-        D2[col] = np.inf
-        _raise_if_pinched(math.sqrt(max(np.nanmin(D2), 0.0)))
         # the target column is punctured once per block: A2 = 1 there keeps
         # D2 = xi^2 and its power finite, and the moments are zeroed there
         A2[col] = 1.0
@@ -498,9 +477,10 @@ def remainder_R1(
     (B = 1 + xi (rho(y) - 1), K_0 the round kernel).  R1 and R2 come from one
     shared blocked kernel pass (`_remainder_pair`), kept on the field for
     the matching `remainder_R2` call.  `targets` selects rows (default:
-    all nodes); the returned array is read-only.  The pass raises
-    InjectivityError when any node pair, with or without an end among the
-    targets, contracts below INJECTIVITY_RATIO_MIN.
+    all nodes); the returned array is read-only.  The pass first calls the
+    one guard, `injectivity_ratio`, and raises InjectivityError when any
+    node pair, with or without an end among the targets, contracts below
+    INJECTIVITY_RATIO_MIN.
     """
     return _remainders_of(rho, params, rule, targets)[0]
 

@@ -13,6 +13,8 @@ MODULES = ("cli", "diagnostics", "flow", "geometry", "nonlocal_ops", "snapshots"
 GONE = [
     "RunManifest",
     "_contact_residual",
+    "_least_ratio2",
+    "conormal_derivative",
     "first_moment_psi",
     "kernel_K_dxi",
     "shrinking_circle_constant",
@@ -27,7 +29,6 @@ UNEXPORTED = [
     "SnapshotError",
     "SphereGrid",
     "Trajectory",
-    "conormal_derivative",
     "load_snapshot",
     "quad_integrate",
     "read_snapshot",

@@ -7,7 +7,6 @@ from capflow import geometry
 from capflow.geometry import (
     RadialField,
     build_grid,
-    conormal_derivative,
     double_grid,
     gradient_values,
     quad_integrate,
@@ -326,8 +325,6 @@ def test_boundary_stencil_matches_full_gradient(n, resolution):
         dn = st.conormal(u)
         ref = [reference_conormal_derivative(g, u, b) for b in st.boundary]
         assert np.array_equal(dn, ref)
-        rho = RadialField(g, u)
-        assert [conormal_derivative(rho, b) for b in st.boundary] == ref
         # the conormal component of the boundary rows of the full gradient
         grad = gradient_values(g, u)[st.boundary]
         np.testing.assert_allclose(np.sum(grad * st.eta, axis=1), dn, rtol=1e-13)
@@ -335,25 +332,19 @@ def test_boundary_stencil_matches_full_gradient(n, resolution):
 
 def test_conormal_derivative_values():
     g = build_grid(1, 129, "hemisphere")
-    const = RadialField(g, np.full(g.size, 1.7))
-    assert abs(conormal_derivative(const, 0)) < 1e-12
-    sin_field = RadialField(g, 1.5 + np.sin(g.phi))
+    st = g.stencils()
+    assert st.boundary[0] == 0
+    assert abs(st.conormal(np.full(g.size, 1.7))[0]) < 1e-12
     # rho grows moving inward from phi=0, so the outward derivative is -1
-    assert abs(conormal_derivative(sin_field, 0) - (-1.0)) < 1e-3
-    cos_field = RadialField(g, 2.0 + np.cos(g.phi))
-    assert abs(conormal_derivative(cos_field, 0)) < 1e-3
-    # -1 would alias the last node, 129 is past the end
-    for b in (5, -1, -129, 129):
-        with pytest.raises(ValueError, match="not on the boundary"):
-            conormal_derivative(sin_field, b)
+    assert abs(st.conormal(1.5 + np.sin(g.phi))[0] - (-1.0)) < 1e-3
+    assert abs(st.conormal(2.0 + np.cos(g.phi))[0]) < 1e-3
 
 
 def test_conormal_derivative_sphere2():
     g = build_grid(2, 24, "hemisphere")
-    rho = RadialField(g, 1.5 + g.nodes[:, 2])
-    b = g.boundary_indices()[0]
+    dn = g.stencils().conormal(1.5 + g.nodes[:, 2])
     # d(cos beta)/d beta = -sin beta = -1 at the equator; eta = +e_beta
-    assert abs(conormal_derivative(rho, b) - (-1.0)) < 5e-3
+    assert abs(dn[0] - (-1.0)) < 5e-3
 
 
 def test_reflect_constant_and_sin():
@@ -385,7 +376,7 @@ def test_reflect_conormal_jump():
     d_up = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     d_down = (3.0 * u[0] - 4.0 * u[-1] + u[-2]) / (2.0 * h)
     jump = d_up - d_down
-    eta_deriv = conormal_derivative(rho, 0)
+    eta_deriv = g.stencils().conormal(rho.values)[0]
     assert abs(abs(jump) - 2.0 * abs(eta_deriv)) < 1e-3
 
 

@@ -631,8 +631,7 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
     rho, params, rule = REMAINDER_CASES["hemisphere2_13"]
     grid = rho.grid
     limit = 0.5 * grid.size**2 * 8  # bytes of 0.5 N_work^2 doubles
-    # the hemisphere rows of the doubled grid leave the mirror half's pairs
-    # to the separate guard pass
+    # the rows a flow step evaluates on the doubled grid
     hemisphere_rows = np.arange(build_grid(2, 13, "hemisphere").size)
 
     def field():
@@ -883,7 +882,8 @@ def test_remainder_memo_targets_keyed_by_index_values():
 
 
 # ----------------------------------------------------------------------
-# the guard folded into the remainder pass, the mass cache and the blocks
+# the one injectivity guard as the remainder pass calls it, the chord mass
+# rows and the blocks
 # ----------------------------------------------------------------------
 
 GUARD_RULE = HomotopyRule(order=2)
@@ -912,6 +912,62 @@ def test_folded_guard_decides_like_standalone_routine(name):
         assert pinched == (scale < limit / ratio)
         for targets in [None] if rows is None else [None, rows]:
             assert _folded_pass_raises(scaled, targets) == pinched, (scale, targets)
+
+
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+def test_each_remainder_pass_calls_the_guard_once(folded, monkeypatch):
+    if folded:
+        hemi = build_grid(1, 129, "hemisphere")
+        grid, mirror = double_grid(hemi)
+        vals, targets = (1.0 + 0.05 * hemi.nodes[:, 1])[mirror], np.arange(hemi.size)
+    else:
+        grid = build_grid(1, 128, "full-sphere")
+        vals, targets = 1.0 + 0.05 * grid.nodes[:, 1], None
+    calls = []
+    guard = nonlocal_ops.injectivity_ratio
+
+    def counting(rho):
+        calls.append(rho)
+        return guard(rho)
+
+    monkeypatch.setattr(nonlocal_ops, "injectivity_ratio", counting)
+    params = KernelParams(s=0.5)
+    rho = RadialField(grid, vals)
+    # R1 and R2 share one pass, and so one guard call
+    remainder_R1(rho, params, GUARD_RULE, targets=targets)
+    remainder_R2(rho, params, GUARD_RULE, targets=targets)
+    assert calls == [rho]
+    # a pass over other rows is a new pass, guarded again
+    remainder_R1(rho, params, GUARD_RULE, targets=[3, 7])
+    assert calls == [rho, rho]
+
+
+def _lower_bound_cases():
+    """Seeded random positive fields on hemisphere, full-sphere and doubled
+    grids, n = 1 and 2."""
+    rng = np.random.default_rng(18)
+    for n, res_full, res_hemi in ((1, 128, 129), (2, 9, 9)):
+        full = build_grid(n, res_full, "full-sphere")
+        hemi = build_grid(n, res_hemi, "hemisphere")
+        work, mirror = double_grid(hemi)
+        for label, grid, base, pick in (
+            ("full", full, full, None),
+            ("hemisphere", hemi, hemi, None),
+            ("doubled", work, hemi, mirror),
+        ):
+            for k, spread in enumerate((0.02, 0.5, 2.0)):
+                vals = np.exp(spread * rng.uniform(-1.0, 1.0, base.size))
+                yield f"n{n}-{label}-{k}", RadialField(
+                    grid, vals if pick is None else vals[pick]
+                )
+            yield f"n{n}-{label}-constant", RadialField(grid, np.full(grid.size, 0.3))
+
+
+@pytest.mark.parametrize("name, rho", list(_lower_bound_cases()))
+def test_injectivity_ratio_is_at_least_the_least_radius(name, rho):
+    # ratio^2 >= ((rho(x) + rho(y)) / 2)^2 as |y - x|^2 <= 4; the slack is
+    # rounding only, as the constant field meets the bound
+    assert injectivity_ratio(rho) >= (1.0 - 1e-15) * np.min(rho.values)
 
 
 def _dimpled(grid, nodes):

@@ -23,6 +23,7 @@ from capflow import (
     remainder_R2,
     riemann_zeta,
 )
+from capflow.flow import FlowConfig, normal_velocity
 from capflow.nonlocal_ops import _wetted_disk_samples
 
 S = 0.5
@@ -506,6 +507,69 @@ def test_hs_reference_half_ball_grows_toward_contact_line():
     apex = (grid.size - 1) // 2
     assert ref[1] > ref[apex]
     assert ref[1] == pytest.approx(ref[-2], rel=1e-12)
+
+
+def _half_ball_set(a, arc=8193, segment=8192):
+    """Nodes, outward normals and weights of the boundary of the set E
+    bounded by the free arc rho(phi) (cos phi, sin phi), rho = 1 + a sin phi,
+    and the wetted segment [-rho(pi), rho(0)] x {0}, in order around the
+    loop: the arc by the trapezoid rule, the segment by the midpoint rule.
+    Arc node j lies at phi = j pi / (arc - 1)."""
+    phi = np.linspace(0.0, math.pi, arc)
+    rho, drho = 1.0 + a * np.sin(phi), a * np.cos(phi)
+    e_r = np.column_stack([np.cos(phi), np.sin(phi)])
+    e_phi = np.column_stack([-np.sin(phi), np.cos(phi)])
+    # the outward normal times the arc-length element, per unit phi
+    tilt = rho[:, None] * e_r - drho[:, None] * e_phi
+    speed = np.linalg.norm(tilt, axis=1)
+    weights = speed * (math.pi / (arc - 1))
+    weights[[0, -1]] *= 0.5
+    lo, hi = -rho[-1], rho[0]
+    t = lo + (np.arange(segment) + 0.5) * ((hi - lo) / segment)
+    return (
+        np.vstack([rho[:, None] * e_r, np.column_stack([t, np.zeros(segment)])]),
+        np.vstack([tilt / speed[:, None], np.tile([0.0, -1.0], (segment, 1))]),
+        np.concatenate([weights, np.full(segment, (hi - lo) / segment)]),
+    )
+
+
+def _half_ball_gaps(a, resolution, curvature):
+    """Relative gap between `curvature` (per hemisphere node) and the
+    divergence identity on the half-ball set at phi = pi/8, pi/4, pi/2."""
+    boundary = _half_ball_set(a)
+    step = 8192 // (resolution - 1)
+    gaps = []
+    for k in (resolution - 1) // 8, (resolution - 1) // 4, (resolution - 1) // 2:
+        oracle = divergence_oracle_Hs(*boundary, k * step, PARAMS)
+        gaps.append(abs(curvature[k] - oracle) / abs(oracle))
+    return np.array(gaps)
+
+
+def test_hs_reference_half_ball_matches_set_oracle():
+    gaps = []
+    for resolution in (129, 257):
+        grid = build_grid(1, resolution, "hemisphere")
+        ref = hs_reference(grid, PARAMS, "half-ball")
+        gaps.append(_half_ball_gaps(0.0, resolution, ref))
+    assert np.all(gaps[0] <= 2e-5)
+    assert np.all(gaps[1] <= 0.5 * gaps[0])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_half_ball_mode_matches_set_oracle_off_the_unit_field():
+    for resolution in (129, 257):
+        grid = build_grid(1, resolution, "hemisphere")
+        cfg = FlowConfig(
+            s=S,
+            theta=0.5 * math.pi,
+            dt=1e-3,
+            resolution=resolution,
+            topology="hemisphere",
+            hs_ref_mode="half-ball",
+        )
+        rho = RadialField(grid, 1.0 + 0.05 * grid.nodes[:, 1])
+        curvature = -normal_velocity(rho, cfg)
+        assert np.all(_half_ball_gaps(0.05, resolution, curvature) <= 1e-3)
 
 
 def test_hs_reference_mode_mismatch_rejected():
