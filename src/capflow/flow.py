@@ -13,16 +13,13 @@ a Picard iteration; the implicit matrix I - dt*M is strictly diagonally
 dominant with nonnegative off-diagonal entries, so the linear solve obeys
 a discrete maximum principle.
 
-Capillary runs on a hemisphere grid use the reflected full-circle
-operators by default (`hs_ref_mode = "full-sphere"`): fields are evenly
-extended across the contact plane, operator rows are restricted to the
+Capillary runs on a hemisphere grid use the reflected operators, the one
+capillary operator: fields are evenly extended across the contact plane
+onto the doubled full-sphere grid, operator rows are restricted to the
 hemisphere, and the contact-angle condition is imposed on the boundary
 nodes after every inner iterate.  The even extension is exact for the
 ninety-degree angle; away from it the extension has a gradient kink at
-the contact nodes.  The half-ball reference mode is no remedy: against the
-divergence identity on the set it names, it misses the curvature by
-0.45-6.1% (n = 1, 257 nodes, fields 1 + a x_2 and 1 + a cos 2 phi with
-a = 0.025-0.2), a gap that grows with a and does not shrink with h.
+the contact nodes, where the speed grows like h^(-s) under refinement.
 """
 
 from __future__ import annotations
@@ -109,6 +106,7 @@ class FlowConfig:
     topology: str
     n: int = 1
     t_end: float | None = None
+    # one legal value; the key stays because every run manifest echoes it
     hs_ref_mode: str = "full-sphere"
     initial: str = "constant:1.0"
     save_every: int = 1
@@ -139,10 +137,13 @@ class FlowConfig:
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if self.homotopy_order < 1:
             raise ValueError("homotopy_order must be a positive integer")
-        if self.hs_ref_mode not in ("full-sphere", "half-ball"):
+        if self.hs_ref_mode == "half-ball":
+            raise ValueError(
+                "hs_ref_mode 'half-ball' was removed: it missed the curvature "
+                "of the set it names (ROADMAP item 13); use 'full-sphere'"
+            )
+        if self.hs_ref_mode != "full-sphere":
             raise ValueError(f"unknown hs_ref_mode {self.hs_ref_mode!r}")
-        if self.hs_ref_mode == "half-ball" and self.topology != "hemisphere":
-            raise ValueError("half-ball reference requires hemisphere topology")
         if self.refresh_remainders not in ("per-iterate", "per-step"):
             raise ValueError(
                 f"unknown refresh_remainders {self.refresh_remainders!r}"
@@ -343,24 +344,20 @@ class _Context:
         s: float,
         resolution: int,
         topology: str,
-        hs_ref_mode: str,
         homotopy_order: int,
     ):
         self.grid = build_grid(n, resolution, topology)
         self.params = KernelParams(s)
         self.rule = HomotopyRule(order=homotopy_order)
-        if topology == "hemisphere" and hs_ref_mode == "full-sphere":
+        folded = topology == "hemisphere"
+        if folded:
             self.work, self.index_map = double_grid(self.grid)
-            self.folded = True
         else:
             self.work, self.index_map = self.grid, np.arange(self.grid.size)
-            self.folded = False
         self.rows = np.arange(self.grid.size)
-        self.hs_ref = hs_reference(self.work, self.params, hs_ref_mode)[
-            : self.grid.size
-        ]
+        self.hs_ref = hs_reference(self.work, self.params)[: self.grid.size]
         M_work = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
-        if self.folded:
+        if folded:
             MT = np.zeros((self.grid.size, self.grid.size))
             np.add.at(MT, self.index_map, M_work.T)
             self.M = MT.T
@@ -395,7 +392,6 @@ def _get_context(cfg: FlowConfig) -> _Context:
         cfg.s,
         cfg.resolution,
         cfg.topology,
-        cfg.hs_ref_mode,
         cfg.homotopy_order,
     )
 

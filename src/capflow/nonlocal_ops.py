@@ -22,12 +22,13 @@ in closed form on each unordered pair once; the remainder pass and
 over node pairs walks the target rows in near-equal blocks of at most
 ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are
 bitwise independent of the block size; the one larger array is the
-matrix `frac_laplacian_matrix` returns.  The chord mass has one route
-(`_mass_rows`), summed on each `hs_reference` call in both reference
-modes.  The remainder pass (`_remainder_pair`) integrates the kernel's
-xi-derivative by parts, so it needs no mass (the mass term cancels) and
-per rule node only one power and n + 1 moment sums; it forms what does
-not change with the block once per call.
+matrix `frac_laplacian_matrix` returns.  The reference curvature has one
+route, `hs_reference`: the unit sphere's chord mass over s, summed on a
+full-sphere grid on each call (a capillary run reads it on the doubled
+grid of its hemisphere).  The remainder pass (`_remainder_pair`)
+integrates the kernel's xi-derivative by parts, so it needs no mass (the
+mass term cancels) and per rule node only one power and n + 1 moment
+sums; it forms what does not change with the block once per call.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -145,8 +146,9 @@ def riemann_zeta(s: float) -> float:
 def _lattice_stencil(grid: SphereGrid, targets: np.ndarray) -> list:
     """Per side, the row positions of the interior targets and their
     neighbor nodes: the one place that decides where the lattice correction
-    applies.  n = 2 grids get [], hemisphere endpoints no row; the half-ball
-    reference adds its own one-sided endpoint term (`hs_reference`)."""
+    applies.  n = 2 grids get [], and hemisphere endpoints, with one
+    neighbor, no row; a capillary run evaluates its hemisphere rows on the
+    doubled grid, where every row is interior."""
     if grid.n != 1:
         return []
     adj = grid.adjacent[targets]
@@ -331,19 +333,6 @@ def _raise_if_pinched(ratio: float) -> None:
             f"radial map contracts node pairs by {ratio:.3g} "
             f"(limit {INJECTIVITY_RATIO_MIN}); surface may self-intersect"
         )
-
-
-def _mass_rows(grid: SphereGrid, params: KernelParams) -> np.ndarray:
-    """Corrected row sums of |y - x|^(-(n-1+s)) at every node.
-
-    No one-sided endpoint term: the full-sphere reference has no endpoints,
-    and the half-ball reference adds it.
-    """
-    mass = np.empty(grid.size)
-    for sl, tb, _ in _blocks(np.arange(grid.size)):
-        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-        mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
-    return mass
 
 
 def _remainder_pair(
@@ -628,62 +617,19 @@ def divergence_oracle_Hs(
     return total
 
 
-def _wetted_disk_samples(n: int, count: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes and weights on the flat wetted patch of the unit
-    half-ball."""
-    if n == 1:
-        t = -1.0 + (np.arange(count) + 0.5) * (2.0 / count)
-        nodes = np.column_stack([t, np.zeros_like(t)])
-        weights = np.full(count, 2.0 / count)
-        return nodes, weights
-    nr = max(8, int(math.isqrt(count)) // 2)
-    ntheta = 4 * nr
-    radii = (np.arange(nr) + 0.5) / nr
-    thetas = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    nodes = np.column_stack(
-        [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel(), np.zeros(rr.size)]
-    )
-    cell = (1.0 / nr) * (2.0 * math.pi / ntheta)
-    weights = (rr * cell).ravel()
-    return nodes, weights
-
-
-def hs_reference(grid: SphereGrid, params: KernelParams, mode: str) -> np.ndarray:
-    """Reference curvature H^s of the unit configuration, per node.
+def hs_reference(grid: SphereGrid, params: KernelParams) -> np.ndarray:
+    """Reference curvature H^s of the unit sphere, per node of a
+    full-sphere grid.
 
     On the unit sphere (y-x).y = |y-x|^2/2, so the divergence identity
-    reduces to the chord mass int |y - x|^(-(n-1+s)) over s.
-
-    mode "full-sphere": the constant curvature of the unit sphere, the
-    full-sphere grid's mass (`_mass_rows`) over s.
-
-    mode "half-ball": curvature of the unit half-ball boundary (free
-    hemisphere plus wetted equatorial patch) at each free-surface node of
-    a hemisphere grid.  The free part is the grid's mass, where the
-    n = 1 endpoints also take the one-sided correction from their inward
-    neighbor, as the integrand is even; the patch is summed per block of
-    rows.
+    reduces to the chord mass int |y - x|^(-(n-1+s)) over s: the corrected
+    row sums of the chord kernel, one block of rows at a time.  Capillary
+    runs read it on the doubled grid of their hemisphere.
     """
-    needs = {"full-sphere": "full-sphere", "half-ball": "hemisphere"}
-    if mode not in needs:
-        raise ValueError(f"unknown reference mode {mode!r}")
-    if grid.topology != needs[mode]:
-        raise ValueError(f"{mode} reference needs a {needs[mode]} grid")
-    if mode == "full-sphere":
-        return _mass_rows(grid, params) / params.s
-    out = _mass_rows(grid, params)
-    if grid.n == 1:
-        st = grid.stencils()
-        b = st.boundary
-        K = np.sqrt(grid.chord2[b, st.inward[:, 0]]) ** (-(grid.n - 1 + params.s))
-        out[b] -= riemann_zeta(params.s) * grid.h * K
-    out /= params.s
-    dn, dw = _wetted_disk_samples(grid.n)
+    if grid.topology != "full-sphere":
+        raise ValueError("the reference curvature needs a full-sphere grid")
+    mass = np.empty(grid.size)
     for sl, tb, _ in _blocks(np.arange(grid.size)):
-        diff = dn - grid.nodes[tb, None, :]
-        dist2 = np.einsum("tkd,tkd->tk", diff, diff)
-        flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
-        # (y - x) . nu on the flat patch equals the height of x
-        out[sl] += (2.0 / params.s) * grid.nodes[tb, -1] * flat
-    return out
+        K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
+        mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
+    return mass / params.s

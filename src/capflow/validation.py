@@ -97,7 +97,7 @@ def m1_relative_residual(resolution, s=0.5, order=8):
     grid = build_grid(1, resolution, "hemisphere")
     params = KernelParams(s)
     rule = HomotopyRule(order=order)
-    ref = np.full(grid.size, hs_reference(double_grid(grid)[0], params, "full-sphere")[0])
+    ref = np.full(grid.size, hs_reference(double_grid(grid)[0], params)[0])
     tp, tw = rule.tprime()
     out = {}
     for shape_name, shape in M1_SHAPES:

@@ -142,7 +142,8 @@ def test_manifest_roundtrips_through_json(tmp_path):
     assert FlowConfig(**manifest["config"]) == cfg
 
 
-# Every FlowConfig key, each away from its default
+# Every FlowConfig key, each away from its default but hs_ref_mode, whose
+# one legal value is its default
 ALL_KEYS = {
     "s": 0.4,
     "theta": 1.2,
@@ -151,7 +152,7 @@ ALL_KEYS = {
     "topology": "hemisphere",
     "n": 2,
     "t_end": 2e-3,
-    "hs_ref_mode": "half-ball",
+    "hs_ref_mode": "full-sphere",
     "initial": "height:0.1",
     "save_every": 2,
     "homotopy_order": 6,
@@ -170,7 +171,9 @@ def test_parse_config_casts_every_field_by_annotation(tmp_path, field):
 
     cfg, _ = parse_config(_write_config(tmp_path, config()))
     value = getattr(cfg, field.name)
-    assert value == ALL_KEYS[field.name] != field.default
+    assert value == ALL_KEYS[field.name]
+    if field.name != "hs_ref_mode":
+        assert value != field.default
     assert type(value) is ANNOTATED_TYPES[field.type]
     assert run_manifest(cfg)["config"][field.name] == value
     if field.type == "str":
@@ -376,6 +379,7 @@ HEMI_CONFIG = {
         ("initial", "height:0.1:2"),
         ("initial", "height:-1"),
         ("initial", "cosine:2:1.5"),
+        ("hs_ref_mode", "half-ball"),
     ],
 )
 def test_malformed_config_value_exits_2_and_names_key(tmp_path, capsys, key, value):

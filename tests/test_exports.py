@@ -14,6 +14,8 @@ GONE = [
     "RunManifest",
     "_contact_residual",
     "_least_ratio2",
+    "_mass_rows",
+    "_wetted_disk_samples",
     "conormal_derivative",
     "first_moment_psi",
     "kernel_K_dxi",

@@ -355,7 +355,7 @@ def test_context_cache_keeps_at_most_four_configs():
 def test_context_keeps_at_most_lu_cache_factorisations():
     from capflow.flow import LU_CACHE, _Context
 
-    ctx = _Context(1, 0.5, 32, "full-sphere", "full-sphere", 4)
+    ctx = _Context(1, 0.5, 32, "full-sphere", 4)
     v = np.cos(3 * ctx.grid.phi)
     dts = [0.01 * 0.5**k for k in range(LU_CACHE + 3)]
     first = {dt: ctx.solver(dt)(v) for dt in dts}
@@ -390,7 +390,7 @@ def test_remainder_decomposition_reassembles_full_speed():
     rho = _wavy(grid)
     rule = HomotopyRule(order=cfg.homotopy_order)
     A = prefactor_A(rho)
-    ref = hs_reference(grid, KernelParams(cfg.s), "full-sphere")
+    ref = hs_reference(grid, KernelParams(cfg.s))
     r1 = remainder_R1(rho, KernelParams(cfg.s), rule)
     r2 = remainder_R2(rho, KernelParams(cfg.s), rule)
     expected = A * (
@@ -507,8 +507,9 @@ def test_solver_satisfies_discrete_max_principle():
 def test_solver_residual_is_small(n, resolution, topology):
     from capflow.flow import _Context
 
-    ctx = _Context(n, 0.5, resolution, topology, "full-sphere", 4)
-    assert ctx.folded == (topology == "hemisphere")
+    ctx = _Context(n, 0.5, resolution, topology, 4)
+    # a hemisphere context folds its doubled grid, a full sphere none
+    assert (ctx.work is not ctx.grid) == (topology == "hemisphere")
     rng = np.random.default_rng(11)
     b = rng.standard_normal(ctx.grid.size)
     for dt in (2e-4, 1e-2, 1.0):
@@ -588,43 +589,6 @@ def test_run_flow_hemisphere_matches_reflected_circle():
         half = saved[k + 1]
         err = np.abs(state.rho.values[:65] - half).max() / np.abs(half).max()
         assert err < 1e-3
-
-
-@pytest.mark.parametrize("n,resolution", [(1, 33), (2, 9)])
-def test_run_flow_half_ball_reference_is_unfolded(n, resolution):
-    cfg = FlowConfig(
-        s=S,
-        theta=HALF_PI,
-        dt=1e-3,
-        resolution=resolution,
-        topology="hemisphere",
-        n=n,
-        t_end=3e-3,
-        hs_ref_mode="half-ball",
-        homotopy_order=2,
-        refresh_remainders="per-step",
-    )
-    grid = build_grid(n, resolution, "hemisphere")
-    params, rule = KernelParams(S), HomotopyRule(order=2)
-    # no reflection: the operator rows and columns are the hemisphere's own
-    M = frac_laplacian_matrix(grid, params)
-    assert np.array_equal(operator_matrix(cfg), M)
-    rho = RadialField(grid, 1.0 + 0.05 * grid.nodes[:, -1])
-    expected = prefactor_A(rho) * (
-        M @ rho.values
-        - hs_reference(grid, params, "half-ball")
-        + remainder_R1(rho, params, rule)
-        + remainder_R2(rho, params, rule) * (rho.values - 1.0)
-    )
-    got = assemble_rhs(rho, cfg)
-    assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
-    traj = run_flow(cfg)
-    assert traj.status == "completed"
-    assert len(traj.diagnostics) == 4
-    vols = [d["volume"] for d in traj.diagnostics]
-    assert all(b < a for a, b in zip(vols, vols[1:]))
-    if n == 1:
-        assert max(d["max_bc_residual"] for d in traj.diagnostics) <= cfg.bc_tol
 
 
 def test_run_flow_right_angle_keeps_uniform_field():
@@ -763,6 +727,7 @@ def test_initial_field_cosine_needs_curve():
         (dict(hs_ref_mode="auto"), "hs_ref_mode"),
         (dict(refresh_remainders="sometimes"), "refresh_remainders"),
         (dict(homotopy_order=0), "homotopy_order"),
+        (dict(hs_ref_mode="half-ball"), "hs_ref_mode 'half-ball' was removed.*item 13"),
     ],
 )
 def test_flow_config_rejects_bad_values(kw, key):

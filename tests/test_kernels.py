@@ -28,28 +28,12 @@ from capflow.nonlocal_ops import (
     _chord_kernel,
     _corrected_sum,
     _lattice_stencil,
-    _wetted_disk_samples,
 )
 
 
 def corrected_sum(F, grid, targets, params):
     """`_corrected_sum` of rows over the targets' own lattice stencil."""
     return _corrected_sum(F, grid, _lattice_stencil(grid, targets), params)
-
-
-def endpoint_corrected_sum(F, grid, targets, params):
-    """Punctured row sums with the n = 1 lattice correction at every
-    neighbor a target has, so one-sided at hemisphere endpoints: the free
-    part of the half-ball reference, written out."""
-    out = np.einsum("tj,j->t", F, grid.weights)
-    if grid.n != 1:
-        return out
-    corr = np.zeros(targets.size)
-    for side in (0, 1):
-        nb = grid.adjacent[targets, side]
-        rows = np.flatnonzero(nb >= 0)
-        corr[rows] += F[rows, nb[rows]]
-    return out - riemann_zeta(params.s) * grid.h * corr
 
 
 def circle_mass(s):
@@ -418,7 +402,7 @@ def test_corrected_mass_matches_analytic_circle_integral():
     errs = []
     for res in (256, 512):
         grid = build_grid(1, res, "full-sphere")
-        m = hs_reference(grid, params, "full-sphere") * params.s
+        m = hs_reference(grid, params) * params.s
         assert np.ptp(m) < 1e-9 * exact
         errs.append(abs(m[0] - exact))
     assert errs[0] < 1e-4 * exact
@@ -434,7 +418,7 @@ def test_raw_punctured_mass_is_much_worse():
     f = row ** (-params.s)
     f[0] = 0.0
     raw = float(f @ grid.weights)
-    corrected = hs_reference(grid, params, "full-sphere")[0] * params.s
+    corrected = hs_reference(grid, params)[0] * params.s
     assert abs(raw - exact) > 20.0 * abs(corrected - exact)
     # the raw defect has the predicted zeta-term size
     h = grid.h
@@ -458,7 +442,7 @@ def test_surface_grids_take_the_plain_punctured_sums(topology):
 def test_corrected_mass_other_orders(s):
     params = KernelParams(s=s)
     grid = build_grid(1, 512, "full-sphere")
-    m = hs_reference(grid, params, "full-sphere")[0] * s
+    m = hs_reference(grid, params)[0] * s
     assert m == pytest.approx(circle_mass(s), rel=2e-4)
 
 
@@ -575,11 +559,8 @@ def _matrix_rows(rho, params, rule, hemi):
     )
 
 
-def _reference_curvatures(rho, params, rule, hemi):
-    return (
-        hs_reference(double_grid(hemi)[0], params, "full-sphere"),
-        hs_reference(hemi, params, "half-ball"),
-    )
+def _reference_curvature(rho, params, rule, hemi):
+    return (hs_reference(double_grid(hemi)[0], params),)
 
 
 # every pass over node pairs, as arrays whose rows are compared bitwise;
@@ -600,7 +581,7 @@ BLOCKED_PASSES = {
         homotopy_derivative([0.3, 0.7, 1.0], rho, params),
     ),
     "frac_laplacian_matrix": _matrix_rows,
-    "hs_reference": _reference_curvatures,
+    "hs_reference": _reference_curvature,
 }
 
 
@@ -654,9 +635,9 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
             field,
             lambda f: remainder_R1(f, params, rule, targets=hemisphere_rows),
         ),
-        "hs_reference full-sphere": (
+        "hs_reference": (
             fresh_doubled,
-            lambda g: hs_reference(g, params, "full-sphere"),
+            lambda g: hs_reference(g, params),
         ),
         "frac_laplacian_matrix hemisphere rows": (
             field,
@@ -816,22 +797,6 @@ def test_homotopy_derivative_guard_raises_before_any_warning(tprime):
         warnings.simplefilter("error")
         with pytest.raises(InjectivityError):
             homotopy_derivative(tprime, rho, KernelParams(s=0.5))
-
-
-@pytest.mark.parametrize("n, resolution", [(1, 129), (1, 257), (2, 9), (2, 13)])
-def test_half_ball_reference_matches_per_target_loop(n, resolution):
-    grid = build_grid(n, resolution, "hemisphere")
-    params = KernelParams(s=0.5)
-    tgt = np.arange(grid.size)
-    mass = _chord_kernel(grid, n - 1 + params.s, tgt)
-    expect = endpoint_corrected_sum(mass, grid, tgt, params) / params.s
-    dn, dw = _wetted_disk_samples(n)
-    for t in tgt:
-        dist2 = np.sum((dn - grid.nodes[t]) ** 2, axis=1)
-        disk = float(dw @ dist2 ** (-0.5 * (n + 1 + params.s)))
-        expect[t] += (2.0 / params.s) * grid.nodes[t, -1] * disk
-    out = hs_reference(grid, params, "half-ball")
-    assert np.max(np.abs(out - expect) / np.abs(expect)) <= 1e-13
 
 
 def test_blocked_guard_threshold_agrees_on_pinched_map():
@@ -1012,11 +977,15 @@ def test_folded_guard_raises_before_any_warning(where):
     assert rho._remainders is None
 
 
-@pytest.mark.parametrize("mode", ["full-sphere", "half-ball"])
-@pytest.mark.parametrize("n, resolution", [(1, 65), (2, 9)])
-def test_hs_reference_forms_each_mass_row_once_per_call(n, resolution, mode, monkeypatch):
-    topology = "full-sphere" if mode == "full-sphere" else "hemisphere"
-    grid = build_grid(n, resolution, topology)
+@pytest.mark.parametrize(
+    "n, resolution",
+    [
+        pytest.param(1, 65, id="1-65-full-sphere"),
+        pytest.param(2, 9, id="2-9-full-sphere"),
+    ],
+)
+def test_hs_reference_forms_each_mass_row_once_per_call(n, resolution, monkeypatch):
+    grid = build_grid(n, resolution, "full-sphere")
     params = KernelParams(s=0.4)
     mass_rows = []
     chord_kernel = nonlocal_ops._chord_kernel
@@ -1029,7 +998,7 @@ def test_hs_reference_forms_each_mass_row_once_per_call(n, resolution, mode, mon
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
     results = []
     for _ in range(2):
-        results.append(hs_reference(grid, params, mode))
+        results.append(hs_reference(grid, params))
         # every node's row, once: a call neither skips nor repeats a row
         assert np.array_equal(np.concatenate(mass_rows), np.arange(grid.size))
         mass_rows.clear()
@@ -1044,7 +1013,7 @@ def test_remainder_pass_never_reads_the_mass(name, monkeypatch):
     def refuse(grid, prm):
         raise AssertionError("the remainder pass read the chord mass")
 
-    monkeypatch.setattr(nonlocal_ops, "_mass_rows", refuse)
+    monkeypatch.setattr(nonlocal_ops, "hs_reference", refuse)
     size = rho.grid.size
     for targets in (None, np.arange(size // 2 + 1), np.array([size - 1, 2])):
         fresh = RadialField(rho.grid, rho.values)
@@ -1085,7 +1054,9 @@ def test_remainder_R2_at_unit_field_is_the_mass(name):
     rho, params, rule = REMAINDER_CASES[name]
     grid = rho.grid
     r2 = remainder_R2(RadialField(grid, np.ones(grid.size)), params, rule)
-    mass = nonlocal_ops._mass_rows(grid, params)
+    targets = np.arange(grid.size)
+    K = _chord_kernel(grid, grid.n - 1 + params.s, targets)
+    mass = corrected_sum(K, grid, targets, params)
     assert np.max(np.abs(r2 - mass)) <= 1e-13 * np.max(np.abs(mass))
 
 
@@ -1112,20 +1083,12 @@ def test_blocks_are_balanced_and_cover_the_targets(block, count, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def reference_hs_reference(grid, params, mode):
-    """The reference curvature from one whole-grid chord kernel: the mass
-    with the one-sided endpoint correction, over s, plus the wetted patch
-    in half-ball mode."""
+def reference_hs_reference(grid, params):
+    """The reference curvature from one whole-grid chord kernel: the
+    corrected mass over s."""
     tgt = np.arange(grid.size)
     K = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
-    free = endpoint_corrected_sum(K, grid, tgt, params) / params.s
-    if mode == "full-sphere":
-        return free
-    dn, dw = _wetted_disk_samples(grid.n)
-    diff = dn - grid.nodes[:, None, :]
-    dist2 = np.einsum("tkd,tkd->tk", diff, diff)
-    flat = np.einsum("tk,k->t", dist2 ** (-0.5 * (grid.n + 1 + params.s)), dw)
-    return free + (2.0 / params.s) * grid.nodes[:, -1] * flat
+    return corrected_sum(K, grid, tgt, params) / params.s
 
 
 def reference_frac_laplacian_matrix(grid, params):
@@ -1143,46 +1106,41 @@ def reference_frac_laplacian_matrix(grid, params):
     return M
 
 
-def reference_context_parts(n, resolution, mode, s):
-    """M and hs_ref of a hemisphere flow context: the whole work-grid
+def reference_context_parts(n, resolution, s):
+    """M and hs_ref of a hemisphere flow context: the whole doubled-grid
     matrix and reference, sliced to the hemisphere rows, with the matrix
-    folded back onto the hemisphere when the work grid is doubled."""
+    folded back onto the hemisphere."""
     grid = build_grid(n, resolution, "hemisphere")
     params = KernelParams(s)
-    work, index = double_grid(grid) if mode == "full-sphere" else (grid, None)
-    hs_ref = reference_hs_reference(work, params, mode)[: grid.size]
+    work, index = double_grid(grid)
+    hs_ref = reference_hs_reference(work, params)[: grid.size]
     M_work = reference_frac_laplacian_matrix(work, params)[: grid.size]
-    if index is None:
-        return M_work, hs_ref
     MT = np.zeros((grid.size, grid.size))
     np.add.at(MT, index, M_work.T)
     return MT.T, hs_ref
 
 
-@pytest.mark.parametrize("mode", ["full-sphere", "half-ball"])
-@pytest.mark.parametrize("n, resolution", [(1, 129), (2, 13)])
-def test_context_fixed_parts_match_whole_grid_routes(n, resolution, mode):
-    s = 0.5
-    ctx = flow._Context(n, s, resolution, "hemisphere", mode, 4)
-    M, hs_ref = reference_context_parts(n, resolution, mode, s)
-    assert np.array_equal(ctx.M, M)
-    assert np.array_equal(ctx.hs_ref, hs_ref)
-    hemi = build_grid(n, resolution, "hemisphere")
-    work = double_grid(hemi)[0] if mode == "full-sphere" else hemi
-    ref = reference_hs_reference(work, KernelParams(s), mode)
-    assert np.array_equal(hs_reference(work, KernelParams(s), mode), ref)
-
-
+# the ids name the work grid's topology
 @pytest.mark.parametrize(
-    "n, resolution, mode",
+    "n, resolution",
     [
-        pytest.param(1, 65, "full-sphere", id="1-65"),
-        pytest.param(2, 9, "full-sphere", id="2-9"),
-        pytest.param(1, 65, "half-ball", id="1-65-half-ball"),
-        pytest.param(2, 9, "half-ball", id="2-9-half-ball"),
+        pytest.param(1, 129, id="1-129-full-sphere"),
+        pytest.param(2, 13, id="2-13-full-sphere"),
     ],
 )
-def test_context_set_up_sums_the_work_mass_once(n, resolution, mode, monkeypatch):
+def test_context_fixed_parts_match_whole_grid_routes(n, resolution):
+    s = 0.5
+    ctx = flow._Context(n, s, resolution, "hemisphere", 4)
+    M, hs_ref = reference_context_parts(n, resolution, s)
+    assert np.array_equal(ctx.M, M)
+    assert np.array_equal(ctx.hs_ref, hs_ref)
+    work = double_grid(build_grid(n, resolution, "hemisphere"))[0]
+    ref = reference_hs_reference(work, KernelParams(s))
+    assert np.array_equal(hs_reference(work, KernelParams(s)), ref)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 65), (2, 9)])
+def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
     s = 0.4
     mass_rows = []
     chord_kernel = nonlocal_ops._chord_kernel
@@ -1193,7 +1151,7 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, mode, monkeypatch
         return chord_kernel(grid_, exponent, targets)
 
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
-    ctx = flow._Context(n, s, resolution, "hemisphere", mode, 3)
+    ctx = flow._Context(n, s, resolution, "hemisphere", 3)
     # the reference forms each work-grid row once ...
     assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
     mass_rows.clear()

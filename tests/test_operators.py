@@ -24,7 +24,6 @@ from capflow import (
     riemann_zeta,
 )
 from capflow.flow import FlowConfig, normal_velocity
-from capflow.nonlocal_ops import _wetted_disk_samples
 
 S = 0.5
 PARAMS = KernelParams(s=S)
@@ -265,20 +264,12 @@ def test_operators_read_surface_dimension_from_grid(topology):
     np.fill_diagonal(mass, 0.0)
     free = mass @ grid.weights / S
     if topology == "full-sphere":
-        assert hs_reference(grid, params, "full-sphere") == pytest.approx(free, rel=1e-12)
+        assert hs_reference(grid, params) == pytest.approx(free, rel=1e-12)
         x = grid.size // 3
         oracle = divergence_oracle_Hs(
             grid.nodes, grid.nodes, grid.weights, x, params, ordered_ring=False
         )
         assert oracle == pytest.approx(free[x], rel=1e-12)
-    else:
-        # the wetted disk adds (2/s) x_3 int |y - x|^(-(3+s)) dy
-        dn, dw = _wetted_disk_samples(2)
-        disk = np.array(
-            [dw @ np.sum((dn - x) ** 2, axis=1) ** (-0.5 * (3.0 + S)) for x in grid.nodes]
-        )
-        expect = free + (2.0 / S) * grid.nodes[:, 2] * disk
-        assert hs_reference(grid, params, "half-ball") == pytest.approx(expect, rel=1e-12)
 
 
 def test_frac_laplacian_matrix_row_sums_and_signs():
@@ -412,7 +403,7 @@ def test_parametrized_Hs_round_sphere_dilation():
     c = 1.25
     rho = RadialField(grid, np.full(grid.size, c))
     rule = HomotopyRule(order=8)
-    ref = hs_reference(grid, PARAMS, "full-sphere")
+    ref = hs_reference(grid, PARAMS)
     out = parametrized_Hs(rho, PARAMS, rule, ref)
     expect = -circle_mass(S) / S * c ** (-S)
     assert np.abs(out - expect).max() < 2e-4 * abs(expect)
@@ -480,107 +471,54 @@ def test_divergence_oracle_unit_two_sphere():
 
 def test_hs_reference_full_sphere_constant():
     grid = build_grid(1, 256, "full-sphere")
-    ref = hs_reference(grid, PARAMS, "full-sphere")
+    ref = hs_reference(grid, PARAMS)
     assert ref.shape == (grid.size,)
     assert np.ptp(ref) < 1e-9
     assert ref[0] == pytest.approx(circle_mass(S) / S, rel=1e-4)
 
 
-def test_hs_reference_half_ball_apex_quadrature():
-    grid = build_grid(1, 257, "hemisphere")
-    ref = hs_reference(grid, PARAMS, "half-ball")
-    apex = (grid.size - 1) // 2
-    free = quad(
-        lambda t: (2.0 * math.sin(0.5 * abs(t - 0.5 * math.pi))) ** (-S) / S,
-        0.0,
-        math.pi,
-        points=[0.5 * math.pi],
-        limit=200,
-    )[0]
-    wet = (2.0 / S) * quad(lambda t: (t * t + 1.0) ** (-0.5 * (2.0 + S)), -1.0, 1.0)[0]
-    assert ref[apex] == pytest.approx(free + wet, rel=1e-3)
-
-
-def test_hs_reference_half_ball_grows_toward_contact_line():
-    grid = build_grid(1, 129, "hemisphere")
-    ref = hs_reference(grid, PARAMS, "half-ball")
-    apex = (grid.size - 1) // 2
-    assert ref[1] > ref[apex]
-    assert ref[1] == pytest.approx(ref[-2], rel=1e-12)
-
-
-def _half_ball_set(a, arc=8193, segment=8192):
-    """Nodes, outward normals and weights of the boundary of the set E
-    bounded by the free arc rho(phi) (cos phi, sin phi), rho = 1 + a sin phi,
-    and the wetted segment [-rho(pi), rho(0)] x {0}, in order around the
-    loop: the arc by the trapezoid rule, the segment by the midpoint rule.
-    Arc node j lies at phi = j pi / (arc - 1)."""
-    phi = np.linspace(0.0, math.pi, arc)
-    rho, drho = 1.0 + a * np.sin(phi), a * np.cos(phi)
+def _mirrored_curve(a, count=16384):
+    """Nodes, outward normals and weights of the closed curve
+    rho(phi) (cos phi, sin phi), rho = 1 + a cos 2 phi, on `count` uniform
+    nodes in order around the loop, node j at phi = 2 pi j / count.  The
+    field is even about the contact plane with zero conormal slope, so the
+    curve is the smooth mirror image of the capillary curve it extends."""
+    phi = 2.0 * math.pi * np.arange(count) / count
+    rho, drho = 1.0 + a * np.cos(2.0 * phi), -2.0 * a * np.sin(2.0 * phi)
     e_r = np.column_stack([np.cos(phi), np.sin(phi)])
     e_phi = np.column_stack([-np.sin(phi), np.cos(phi)])
     # the outward normal times the arc-length element, per unit phi
     tilt = rho[:, None] * e_r - drho[:, None] * e_phi
     speed = np.linalg.norm(tilt, axis=1)
-    weights = speed * (math.pi / (arc - 1))
-    weights[[0, -1]] *= 0.5
-    lo, hi = -rho[-1], rho[0]
-    t = lo + (np.arange(segment) + 0.5) * ((hi - lo) / segment)
-    return (
-        np.vstack([rho[:, None] * e_r, np.column_stack([t, np.zeros(segment)])]),
-        np.vstack([tilt / speed[:, None], np.tile([0.0, -1.0], (segment, 1))]),
-        np.concatenate([weights, np.full(segment, (hi - lo) / segment)]),
-    )
+    return rho[:, None] * e_r, tilt / speed[:, None], speed * (2.0 * math.pi / count)
 
 
-def _half_ball_gaps(a, resolution, curvature):
-    """Relative gap between `curvature` (per hemisphere node) and the
-    divergence identity on the half-ball set at phi = pi/8, pi/4, pi/2."""
-    boundary = _half_ball_set(a)
-    step = 8192 // (resolution - 1)
+def test_reflected_operator_matches_set_oracle_off_the_unit_field():
+    """-normal_velocity of a capillary curve (the folded hemisphere
+    operator) against the divergence identity on its mirrored closed curve,
+    at phi = 0 (the contact node), pi/8, pi/4 and pi/2."""
+    a, count = 0.05, 16384
+    curve = _mirrored_curve(a, count)
     gaps = []
-    for k in (resolution - 1) // 8, (resolution - 1) // 4, (resolution - 1) // 2:
-        oracle = divergence_oracle_Hs(*boundary, k * step, PARAMS)
-        gaps.append(abs(curvature[k] - oracle) / abs(oracle))
-    return np.array(gaps)
-
-
-def test_hs_reference_half_ball_matches_set_oracle():
-    gaps = []
-    for resolution in (129, 257):
-        grid = build_grid(1, resolution, "hemisphere")
-        ref = hs_reference(grid, PARAMS, "half-ball")
-        gaps.append(_half_ball_gaps(0.0, resolution, ref))
-    assert np.all(gaps[0] <= 2e-5)
-    assert np.all(gaps[1] <= 0.5 * gaps[0])
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
-def test_half_ball_mode_matches_set_oracle_off_the_unit_field():
     for resolution in (129, 257):
         grid = build_grid(1, resolution, "hemisphere")
         cfg = FlowConfig(
-            s=S,
-            theta=0.5 * math.pi,
-            dt=1e-3,
-            resolution=resolution,
-            topology="hemisphere",
-            hs_ref_mode="half-ball",
+            s=S, theta=0.5 * math.pi, dt=1e-3, resolution=resolution, topology="hemisphere"
         )
-        rho = RadialField(grid, 1.0 + 0.05 * grid.nodes[:, 1])
+        rho = RadialField(grid, 1.0 + a * np.cos(2.0 * grid.phi))
         curvature = -normal_velocity(rho, cfg)
-        assert np.all(_half_ball_gaps(0.05, resolution, curvature) <= 1e-3)
+        step = count // (2 * (resolution - 1))
+        rows = [0, (resolution - 1) // 8, (resolution - 1) // 4, (resolution - 1) // 2]
+        oracle = np.array([divergence_oracle_Hs(*curve, k * step, PARAMS) for k in rows])
+        gaps.append(np.abs(curvature[rows] - oracle) / np.abs(oracle))
+    assert np.all(gaps[0] <= 5e-6)
+    assert np.all(gaps[1] <= gaps[0] / 3.0)
 
 
 def test_hs_reference_mode_mismatch_rejected():
     hemi = build_grid(1, 65, "hemisphere")
-    full = build_grid(1, 64, "full-sphere")
-    with pytest.raises(ValueError):
-        hs_reference(hemi, PARAMS, "full-sphere")
-    with pytest.raises(ValueError):
-        hs_reference(full, PARAMS, "half-ball")
-    with pytest.raises(ValueError):
-        hs_reference(full, PARAMS, "wetted")
+    with pytest.raises(ValueError, match="full-sphere grid"):
+        hs_reference(hemi, PARAMS)
 
 
 # ----------------------------------------------------------------------
