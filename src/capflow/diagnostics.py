@@ -159,10 +159,9 @@ def divergence_identity_residual(
     return float(np.linalg.norm(T1 + T2 + T3))
 
 
-def lemma521_bound(
-    resolutions, s: float, n: int = 1, topology: str = "full-sphere"
-) -> dict:
-    """Uniform-boundedness report for int |x-y|^(-(n-s)) over the sphere.
+def lemma521_bound(resolutions, s: float) -> dict:
+    """Uniform-boundedness report for int |x-y|^(-(1-s)) over the circle
+    (the n = 1 full-sphere grid).
 
     Uses the plain punctured rule on purpose: its defect at the singular
     node is monotone in h, so the per-resolution maxima increase toward
@@ -179,9 +178,9 @@ def lemma521_bound(
         raise ValueError("resolutions must be strictly increasing, two or more")
     values, spreads = [], []
     for res in resolutions:
-        grid = build_grid(n, int(res), topology)
+        grid = build_grid(1, int(res), "full-sphere")
         with np.errstate(divide="ignore"):
-            F = np.sqrt(grid.chord2) ** (-(n - s))
+            F = np.sqrt(grid.chord2) ** (-(1 - s))
         np.fill_diagonal(F, 0.0)
         per_node = F @ grid.weights
         values.append(float(per_node.max()))

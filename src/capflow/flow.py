@@ -64,7 +64,6 @@ __all__ = [
     "unit_normal",
     "jacobian_J",
     "surface_samples",
-    "remainder_P",
     "assemble_rhs",
     "normal_velocity",
     "bc_residual",
@@ -410,35 +409,25 @@ def _explicit_part(
     return (A - 1.0) * lin + A * (r1 + r2 * (values - 1.0))
 
 
-def remainder_P(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
-    """Explicitly treated part of the radial speed.
+def assemble_rhs(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
+    """Full radial speed d rho / dt at the current field.
 
-    P = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)), so that the full
-    speed A * (M rho - Hs_ref + R1 + R2 (rho-1)) equals
-    (M rho - Hs_ref) + P with the matrix part available for implicit
-    treatment.
+    The speed A (M rho - Hs_ref + R1 + R2 (rho - 1)) is summed as
+    (M rho - Hs_ref) + P, with the matrix part, which a step treats
+    implicitly, apart from the explicit part P (`_explicit_part`).
     """
     ctx = _get_context(cfg)
     wf = ctx.to_work(rho.values)
     A = prefactor_A(wf)[: ctx.grid.size]
-    return _explicit_part(ctx, rho.values, A, *_remainders(ctx, wf))
+    P = _explicit_part(ctx, rho.values, A, *_remainders(ctx, wf))
+    return ctx.M @ rho.values - ctx.hs_ref + P
 
 
-def assemble_rhs(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
-    """Full radial speed d rho / dt at the current field."""
-    ctx = _get_context(cfg)
-    return ctx.M @ rho.values - ctx.hs_ref + remainder_P(rho, cfg)
-
-
-def normal_velocity(
-    rho: RadialField, cfg: FlowConfig, rhs: np.ndarray | None = None
-) -> np.ndarray:
+def normal_velocity(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
     """Normal speed of the surface: the radial speed divided by A."""
     ctx = _get_context(cfg)
-    if rhs is None:
-        rhs = assemble_rhs(rho, cfg)
     A = prefactor_A(ctx.to_work(rho.values))[: ctx.grid.size]
-    return rhs / A
+    return assemble_rhs(rho, cfg) / A
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,11 @@ them), the injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has one form, the
 expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`).  The guard
 has one route, `injectivity_ratio`, which reads the xi = 1 value over A0
-in closed form on each unordered pair once; the remainder pass and
-`homotopy_derivative` call it before any fractional power.  Every pass
+in closed form on each unordered pair once.  The kernel family has one
+walk, `_homotopy_blocks`, shared by the remainder pass and
+`homotopy_derivative`: the one homotopy walk calls the guard before any
+fractional power, sets up each block, punctures the rows' own columns and
+takes the power D2(xi)^(-(n+1+s)/2).  Every pass
 over node pairs walks the target rows in near-equal blocks of at most
 ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are
 bitwise independent of the block size; the one larger array is the
@@ -28,7 +31,7 @@ full-sphere grid on each call (a capillary run reads it on the doubled
 grid of its hemisphere).  The remainder pass (`_remainder_pair`)
 integrates the kernel's xi-derivative by parts, so it needs no mass (the
 mass term cancels) and per rule node only one power and n + 1 moment
-sums; it forms what does not change with the block once per call.
+sums.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -335,6 +338,52 @@ def _raise_if_pinched(ratio: float) -> None:
         )
 
 
+def _homotopy_blocks(
+    rho: RadialField, params: KernelParams, targets: np.ndarray, buffers: int
+):
+    """The one walk of the kernel family K_xi over blocks of target rows.
+
+    Calls the guard, `injectivity_ratio`, on every pair of the field and
+    raises InjectivityError below INJECTIVITY_RATIO_MIN, then returns
+    u = rho - 1 and an iterator that yields per `_blocks` block: the slice,
+    the targets, u(x) as a column, A0 and x . grad rho(y), the stencil,
+    `kernel(xi, out)`, writing D2(xi)^(-(n+1+s)/2) with the own columns
+    zero, and `buffers` (at least one) work buffers, all allocated once
+    per call.  The own columns are punctured once per block: A1 = 0 there,
+    and A0 = A2 = 1 keep D2 = 1 + xi^2 finite for every xi.
+    """
+    _raise_if_pinched(injectivity_ratio(rho))
+    grid = rho.grid
+    power = -0.5 * (grid.n + 1 + params.s)
+    u = rho.values - 1.0
+    g = gradient_values(grid, rho.values)
+    blocks = list(_blocks(targets))
+    rows = max((tb.size for _, tb, _ in blocks), default=0)
+    work = np.empty((3 + buffers, rows, grid.size))
+
+    def walk():
+        for sl, tb, col in blocks:
+            A0, A1, A2, *bufs = work[:, : tb.size]
+            ut = u[tb, None]
+            np.copyto(A0, grid.chord2[tb])
+            _dist2_coeffs(ut, u, A0, A1, A2, bufs[0])
+            A0[col] = A2[col] = 1.0
+
+            def kernel(xi: float, out: np.ndarray) -> np.ndarray:
+                np.multiply(A2, xi, out=out)
+                out += A1
+                out *= xi
+                out += A0
+                np.power(out, power, out=out)
+                out[col] = 0.0
+                return out
+
+            X = _x_dot_grad(grid.nodes[tb], g)
+            yield sl, tb, ut, A0, X, _lattice_stencil(grid, tb), kernel, bufs
+
+    return u, walk()
+
+
 def _remainder_pair(
     rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -353,52 +402,26 @@ def _remainder_pair(
     R2 = sum (A0 int F - 2 ((y - x) . grad rho(y)) S3).
     The chord mass of R2 cancels against A0 K0, its integrand.
 
-    The column factors are formed once per call, the work buffers (n + 5
-    of them) once per call at the largest block's size.  The pass first
-    calls the one guard, `injectivity_ratio`, on every pair of the field,
-    targets or not, and raises InjectivityError below
-    INJECTIVITY_RATIO_MIN, so a pinched field never reaches a fractional
-    power.
+    The kernels come from the one homotopy walk (`_homotopy_blocks`),
+    which calls the guard; the column factors are formed once per call.
     """
-    _raise_if_pinched(injectivity_ratio(rho))
-    grid, r = rho.grid, rho.values
-    n = grid.n
-    power = -0.5 * (n + 1 + params.s)
-    u = r - 1.0
-    # 2 (y - x) . grad rho(y) = x . (-2 grad rho(y)) by tangency of the
-    # gradient
-    neg2_g = -2.0 * gradient_values(grid, r)
+    n = rho.grid.n
+    u, blocks = _homotopy_blocks(rho, params, targets, n + 3)
     # per rule node: xi and the weights w xi^k of the moments P_0..P_n
     nodes = [(xv, [wv * xv**k for k in range(n + 1)]) for xv, wv in zip(*rule.tprime())]
     # the column factors of P_1..P_n in int F, and of P_2..P_n in S3
     f_cols = [math.comb(n, k) * u**k for k in range(1, n + 1)]
     s3_cols = [math.comb(n - 1, k) * u**k for k in range(1, n)]
-    blocks = list(_blocks(targets))
-    rows = max((tb.size for _, tb, _ in blocks), default=0)
-    work = np.empty((n + 5, rows, grid.size))
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
-    for sl, tb, col in blocks:
-        D2, T, A1, A2, *P = work[:, : tb.size]
-        ut = u[tb][:, None]
-        A0 = grid.chord2[tb]
-        _dist2_coeffs(ut, u, A0, A1, A2, T)
-        # the target column is punctured once per block: A2 = 1 there keeps
-        # D2 = xi^2 and its power finite, and the moments are zeroed there
-        A2[col] = 1.0
+    for sl, _, ut, A0, X, stencil, kernel, (K, T, *P) in blocks:
         for Pk in P:
             Pk.fill(0.0)
         for xv, wk in nodes:
-            np.multiply(A2, xv, out=D2)
-            D2 += A1
-            D2 *= xv
-            D2 += A0
-            K = np.power(D2, power, out=D2)
+            kernel(xv, K)
             for Pk, w in zip(P, wk):
                 np.multiply(K, w, out=T)
                 Pk += T
-        for Pk in P:
-            Pk[col] = 0.0
         # int F into P_0, then S3 into P_1
         F, S3 = P[0], P[1]
         for Pk, c in zip(P[1:], f_cols):
@@ -407,22 +430,18 @@ def _remainder_pair(
         for Pk, c in zip(P[2:], s3_cols):
             np.multiply(Pk, c, out=T)
             S3 += T
-        stencil = _lattice_stencil(grid, tb)
-        # R2 integrand A0 int F - 2 ((y - x) . grad rho(y)) S3
-        S3 *= _x_dot_grad(grid.nodes[tb], neg2_g)
+        # R2 integrand A0 int F + 2 X S3, as (y - x) . grad rho(y) = -X by
+        # tangency of the gradient
+        S3 *= X
+        S3 *= 2.0
         np.multiply(A0, F, out=T)
-        T -= S3
-        r2[sl] = _corrected_sum(T, grid, stencil, params)
-        # K0 = |y - x|^(-p), in place where `_chord_kernel` would allocate;
-        # 1 keeps the target column's power finite
-        np.copyto(D2, A0)
-        D2[col] = 1.0
-        K0 = np.power(D2, power, out=D2)
-        K0[col] = 0.0
-        F -= K0
+        T += S3
+        r2[sl] = _corrected_sum(T, rho.grid, stencil, params)
+        # K0 = |y - x|^(-p), the kernel at xi = 0
+        F -= kernel(0.0, K)
         np.subtract(u, ut, out=T)
         T *= F
-        r1[sl] = 2.0 * _corrected_sum(T, grid, stencil, params)
+        r1[sl] = 2.0 * _corrected_sum(T, rho.grid, stencil, params)
     return r1, r2
 
 
@@ -506,59 +525,39 @@ def homotopy_derivative(
 
     `tprime` is one value, giving an (N,) array, or a 1-D sequence of T
     values, giving a (T, N) array whose row k is bitwise equal to the call
-    at tprime[k].  A sequence takes one blocked pass: the guard, the
-    gradient and the factors of each t' are formed once per call, and the
-    t'-independent parts of the integrand, (rho(y) - rho(x)) + u(x) A0 / 2
-    and x . grad rho(y), and the coefficients A1, A2 of the squared image
-    distance (`_dist2_coeffs`) once per block, in work buffers sized to the
-    largest block; each t' then costs one fractional power per block.
-    A pinched field raises InjectivityError before any power is taken.
+    at tprime[k].  A sequence takes one pass of the homotopy walk
+    (`_homotopy_blocks`), which calls the guard: the factors of each t' are
+    formed once per call, and the t'-independent part of the integrand,
+    (rho(y) - rho(x)) + u(x) A0 / 2, once per block; each t' then costs one
+    kernel, so one fractional power, per block.  A pinched field raises
+    InjectivityError before any power is taken.
     """
     single = np.ndim(tprime) == 0
     tps = np.atleast_1d(tprime)
     if tps.ndim != 1:
         raise ValueError("tprime must be a number or a 1-D sequence")
-    _raise_if_pinched(injectivity_ratio(rho))
     grid, r = rho.grid, rho.values
-    n = grid.n
-    power = -0.5 * (n + 1 + params.s)
-    g = gradient_values(grid, r)
-    u = r - 1.0
+    u, blocks = _homotopy_blocks(rho, params, np.arange(grid.size), 3)
     # per t': B = 1 + t' u, B^(n-1) and B^(n-1) B
     factors = []
     for tp in tps:
         B = 1.0 + tp * u
-        Bn1 = B ** (n - 1)
+        Bn1 = B ** (grid.n - 1)
         factors.append((tp, Bn1, Bn1 * B))
-    blocks = list(_blocks(np.arange(grid.size)))
-    rows = max((tb.size for _, tb, _ in blocks), default=0)
-    work = np.empty((6, rows, grid.size))
     out = np.empty((tps.size, grid.size))
-    for sl, tb, col in blocks:
-        P, D2, K, F, A1, A2 = work[:, : tb.size]
-        ut = u[tb, None]
-        A0 = grid.chord2[tb]
+    for sl, tb, ut, A0, X, stencil, kernel, (P, K, F) in blocks:
         # P = (rho(y) - rho(x)) + u(x) A0 / 2
         np.multiply(A0, 0.5, out=F)
         F *= ut
         np.subtract(r, r[tb, None], out=P)
         P += F
-        _dist2_coeffs(ut, u, A0, A1, A2, K)
-        X = _x_dot_grad(grid.nodes[tb], g)
-        stencil = _lattice_stencil(grid, tb)
         for k, (tp, Bn1, BnB) in enumerate(factors):
-            np.multiply(A2, tp, out=D2)
-            D2 += A1
-            D2 *= tp
-            D2 += A0
-            D2[col] = 1.0  # the punctured target column
-            np.power(D2, power, out=K)
-            K[col] = 0.0
-            # F = B^(n-1) B P + ((t' u(x)) X) B^(n-1)
+            # F = B^(n-1) B P + ((t' u(x)) X) B^(n-1), with K as scratch
             np.multiply(X, tp * ut, out=F)
             F *= Bn1
-            np.multiply(P, BnB, out=D2)
-            F += D2
+            np.multiply(P, BnB, out=K)
+            F += K
+            kernel(tp, K)
             K *= 2.0
             K *= F
             out[k, sl] = _corrected_sum(K, grid, stencil, params)

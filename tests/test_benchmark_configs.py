@@ -1,10 +1,13 @@
-"""The benchmark's pinned run configs, run in-process.
+"""The benchmark's pinned run configs, run in-process, and its span names.
 
-The configs and the tolerance are read from `perfbench/run.py`, their one
-owner, so a dropped config key or a drift from the stored final rho fails
-here before the benchmark runs.
+The configs, the tolerance and the expected spans are read from
+`perfbench/run.py`, their one owner, so a dropped config key, a drift from
+the stored final rho or a renamed or folded traced function fails here
+before the benchmark runs.
 """
 
+import importlib
+import inspect
 import json
 import os
 import runpy
@@ -37,3 +40,16 @@ def test_pinned_run_configs_reproduce_their_reference(workload, pinned):
     final = traj.saved[-1][1]
     assert final.shape == reference.shape
     assert np.max(np.abs(final - reference)) <= BENCH["RHO_TOL"]
+
+
+@pytest.mark.parametrize(
+    "span",
+    sorted(set(BENCH["FLOW_SPANS"] + BENCH["ORACLE_SPANS"] + BENCH["COUNTED_SPANS"])),
+)
+def test_expected_spans_name_public_functions(span):
+    """A span is named `<module>.<function>` after the function's own
+    `__module__` and `__name__`, and only public functions are traced."""
+    module, name = span.split(".")
+    fn = getattr(importlib.import_module(f"capflow.{module}"), name, None)
+    assert inspect.isfunction(fn) and not name.startswith("_"), span
+    assert (fn.__module__, fn.__name__) == (f"capflow.{module}", name)

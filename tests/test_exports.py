@@ -19,6 +19,7 @@ GONE = [
     "conormal_derivative",
     "first_moment_psi",
     "kernel_K_dxi",
+    "remainder_P",
     "shrinking_circle_constant",
     "tangential_gradient",
 ]
@@ -34,7 +35,6 @@ UNEXPORTED = [
     "load_snapshot",
     "quad_integrate",
     "read_snapshot",
-    "remainder_P",
     "run_suite",
     "write_csv",
     "write_snapshot",

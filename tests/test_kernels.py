@@ -905,6 +905,13 @@ def test_each_remainder_pass_calls_the_guard_once(folded, monkeypatch):
     # a pass over other rows is a new pass, guarded again
     remainder_R1(rho, params, GUARD_RULE, targets=[3, 7])
     assert calls == [rho, rho]
+    # the homotopy derivative walks the same kernels: one guard call per
+    # call, at one t' or at a sequence of them
+    calls.clear()
+    homotopy_derivative(0.4, rho, params)
+    assert calls == [rho]
+    homotopy_derivative([0.0, 0.4, 1.0], rho, params)
+    assert calls == [rho, rho]
 
 
 def _lower_bound_cases():
@@ -1024,9 +1031,10 @@ def test_remainder_pass_never_reads_the_mass(name, monkeypatch):
 
 
 def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
-    """Every integrand the pass sums is zero at each row's own column, as
-    `_corrected_sum` requires: the moments there are punctured, not only
-    multiplied by factors that vanish up to rounding."""
+    """Every integrand the remainder pass and the homotopy derivative sum
+    is zero at each row's own column, as `_corrected_sum` requires: the
+    kernels there are punctured, not only multiplied by factors that vanish
+    up to rounding."""
     stencil_, corrected_sum_ = nonlocal_ops._lattice_stencil, nonlocal_ops._corrected_sum
     block = []  # the targets of the block whose stencil was built last
 
@@ -1043,6 +1051,10 @@ def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
     monkeypatch.setattr(nonlocal_ops, "_corrected_sum", checking)
     for rho, params, rule in REMAINDER_CASES.values():
         remainder_R1(RadialField(rho.grid, rho.values), params, rule)
+        # at t' = 0 the kernel is the round one, |y - x|^(-p), infinite at
+        # the own columns unless they are punctured
+        homotopy_derivative(0.0, rho, params)
+        homotopy_derivative([0.0, 0.5, 1.0], rho, params)
     assert block
 
 
