@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RadialField, SphereGrid, build_grid, gradient_values, quad_integrate
-from .nonlocal_ops import KernelParams, _corrected_sum, _lattice_stencil
+from .nonlocal_ops import KernelParams, _chord_kernel, _corrected_sum, _lattice_stencil
 
 __all__ = [
     "HolderEstimate",
@@ -179,9 +179,7 @@ def lemma521_bound(resolutions, s: float) -> dict:
     values, spreads = [], []
     for res in resolutions:
         grid = build_grid(1, int(res), "full-sphere")
-        with np.errstate(divide="ignore"):
-            F = np.sqrt(grid.chord2) ** (-(1 - s))
-        np.fill_diagonal(F, 0.0)
+        F = _chord_kernel(grid, 1 - s, np.arange(grid.size))
         per_node = F @ grid.weights
         values.append(float(per_node.max()))
         vmax = np.abs(per_node).max()

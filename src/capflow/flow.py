@@ -93,7 +93,10 @@ class ConfigError(ValueError):
 
 
 class NonconvergenceError(RuntimeError):
-    """The Picard iteration failed even after time step reduction."""
+    """A step was rejected at its dt and at each of MAX_DT_HALVINGS halvings:
+    the Picard loop did not settle, the implicit solve left the star-shaped
+    regime, or the boundary projection missed its tolerance.  `apply_bc`
+    raises it once, with no halving, where it is called outside a step."""
 
 
 @dataclass(frozen=True)
@@ -185,27 +188,29 @@ class Trajectory:
 # ----------------------------------------------------------------------
 
 
-def _speed_factor(values: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    g = gradient_values(grid, values)
+def _speed_factor(values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt(rho^2 + |grad rho|^2) from the values and their gradient g."""
     return np.sqrt(values**2 + np.sum(g * g, axis=1))
 
 
 def prefactor_A(rho: RadialField) -> np.ndarray:
     """Radial-to-normal speed factor sqrt(rho^2 + |grad rho|^2) / rho."""
-    return _speed_factor(rho.values, rho.grid) / rho.values
+    g = gradient_values(rho.grid, rho.values)
+    return _speed_factor(rho.values, g) / rho.values
 
 
 def unit_normal(rho: RadialField) -> np.ndarray:
     """Outward unit normal of the graph at each mapped node."""
     grid = rho.grid
     g = gradient_values(grid, rho.values)
-    W = _speed_factor(rho.values, grid)
+    W = _speed_factor(rho.values, g)
     return (rho.values[:, None] * grid.nodes - g) / W[:, None]
 
 
 def jacobian_J(rho: RadialField) -> np.ndarray:
     """Area element of the graph relative to the reference sphere."""
-    return rho.values ** (rho.grid.n - 1) * _speed_factor(rho.values, rho.grid)
+    g = gradient_values(rho.grid, rho.values)
+    return rho.values ** (rho.grid.n - 1) * _speed_factor(rho.values, g)
 
 
 def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -511,81 +516,75 @@ def initial_field(grid: SphereGrid, spec: str) -> RadialField:
 # ----------------------------------------------------------------------
 
 
-class _Reject(Exception):
-    """Internal: retry the step with a smaller dt."""
-
-    def __init__(self, message: str, injectivity: bool = False):
-        super().__init__(message)
-        self.injectivity = injectivity
-
-
 def _picard(
     ctx: _Context, cfg: FlowConfig, rho_old: np.ndarray, dt: float
 ) -> tuple[np.ndarray, int]:
+    """Fixed-point iterates of one backward Euler step at dt.
+
+    A try that fails raises NonconvergenceError (a solve that leaves the
+    star-shaped regime, a loop that does not settle, or a failed boundary
+    projection) or InjectivityError (a pinched homotopy walk).
+    """
     hat = rho_old.copy()
     solve = ctx.solver(dt)
     frozen = None
     for k in range(cfg.max_picard):
-        if hat.min() <= 0.0:
-            raise _Reject("iterate left the star-shaped regime")
-        try:
-            wf = ctx.to_work(hat)
-            A = prefactor_A(wf)[: ctx.grid.size]
-            if cfg.refresh_remainders == "per-step" and frozen is not None:
-                r1, r2 = frozen
-            else:
-                r1, r2 = _remainders(ctx, wf)
-                frozen = (r1, r2)
-        except InjectivityError as exc:
-            raise _Reject(str(exc), injectivity=True) from exc
-        P = _explicit_part(ctx, hat, A, r1, r2)
+        wf = ctx.to_work(hat)
+        A = prefactor_A(wf)[: ctx.grid.size]
+        if frozen is None or cfg.refresh_remainders == "per-iterate":
+            frozen = _remainders(ctx, wf)
+        P = _explicit_part(ctx, hat, A, *frozen)
         rhs = rho_old + dt * (P - ctx.hs_ref)
         u = solve(rhs)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:
-            raise _Reject("implicit solve left the star-shaped regime")
+            raise NonconvergenceError("implicit solve left the star-shaped regime")
         u = apply_bc(RadialField(ctx.grid, u), cfg.theta, tol=cfg.bc_tol).values
         delta = np.abs(u - hat).max()
         hat = u
         if delta <= cfg.picard_tol * max(1.0, np.abs(u).max()):
             return hat, k + 1
-    raise _Reject(f"picard loop did not settle in {cfg.max_picard} iterations")
+    raise NonconvergenceError(
+        f"picard loop did not settle in {cfg.max_picard} iterations"
+    )
 
 
 def step(state: FlowState, cfg: FlowConfig) -> FlowState:
-    """One backward Euler step, halving dt on rejection (at most 5 times)."""
+    """One backward Euler step; a rejected try is retried at half the dt, at
+    most MAX_DT_HALVINGS times, and the last rejection is then raised."""
     ctx = _get_context(cfg)
     dt = state.dt
-    last = ""
-    last_injective = False
-    for _ in range(MAX_DT_HALVINGS + 1):
+    for halvings in range(MAX_DT_HALVINGS + 1):
         try:
             new_vals, iters = _picard(ctx, cfg, state.rho.values, dt)
-        except _Reject as rej:
-            last = str(rej)
-            last_injective = rej.injectivity
+            break
+        except (InjectivityError, NonconvergenceError) as exc:
+            if halvings == MAX_DT_HALVINGS:
+                raise type(exc)(
+                    f"step rejected after {MAX_DT_HALVINGS} dt halvings: {exc}"
+                ) from exc
             dt *= 0.5
-            continue
-        if new_vals.min() < EXTINCTION_THRESHOLD:
-            raise ExtinctionError(
-                f"surface radius fell to {new_vals.min():.3g} at t = "
-                f"{state.t + dt:.6g}"
-            )
-        rho_new = RadialField(ctx.grid, new_vals)
-        _raise_if_pinched(injectivity_ratio(rho_new))
-        return FlowState(
-            t=state.t + dt,
-            rho=rho_new,
-            dt=dt,
-            step=state.step + 1,
-            picard_iters=iters,
-            bc_residual_max=_max_bc_residual(rho_new, cfg.theta),
+    if new_vals.min() < EXTINCTION_THRESHOLD:
+        raise ExtinctionError(
+            f"surface radius fell to {new_vals.min():.3g} at t = {state.t + dt:.6g}"
         )
-    if last_injective:
-        # Halving dt cannot restore injectivity; report the true obstruction.
-        raise InjectivityError(last)
-    raise NonconvergenceError(
-        f"step rejected after {MAX_DT_HALVINGS} dt halvings: {last}"
+    rho_new = RadialField(ctx.grid, new_vals)
+    _raise_if_pinched(injectivity_ratio(rho_new))
+    return FlowState(
+        t=state.t + dt,
+        rho=rho_new,
+        dt=dt,
+        step=state.step + 1,
+        picard_iters=iters,
+        bc_residual_max=_max_bc_residual(rho_new, cfg.theta),
     )
+
+
+# run status of each error that ends a run early
+_STOP_STATUS = {
+    ExtinctionError: "extinct",
+    InjectivityError: "injectivity",
+    NonconvergenceError: "nonconvergence",
+}
 
 
 def run_flow(cfg: FlowConfig) -> Trajectory:
@@ -619,14 +618,8 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
         state = replace(state, dt=dt)
         try:
             state = step(state, cfg)
-        except ExtinctionError as exc:
-            traj.status, traj.message = "extinct", str(exc)
-            break
-        except InjectivityError as exc:
-            traj.status, traj.message = "injectivity", str(exc)
-            break
-        except NonconvergenceError as exc:
-            traj.status, traj.message = "nonconvergence", str(exc)
+        except tuple(_STOP_STATUS) as exc:
+            traj.status, traj.message = _STOP_STATUS[type(exc)], str(exc)
             break
         _record(traj, state, grid, cfg)
     # Also on early termination: the last accepted state is the restart point.

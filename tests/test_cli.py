@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from capflow import FlowConfig, RadialField, bc_residual, build_grid
+from capflow import FlowConfig, RadialField, bc_residual, build_grid, cli, flow
 from capflow.cli import ConfigError, main, parse_config
 from capflow.geometry import MIN_RESOLUTION
 from capflow.snapshots import (
@@ -620,3 +620,8 @@ def test_restart_from_snapshot_continues_field(tmp_path):
     _, first_frames = read_snapshot(tmp_path / "run.snap")
     _, second_frames = read_snapshot(tmp_path / "restart.snap")
     assert second_frames[0]["values"] == first_frames[-1]["values"]
+
+
+def test_every_run_status_has_an_exit_code():
+    statuses = set(flow._STOP_STATUS.values()) | {"completed"}
+    assert statuses == set(cli._STATUS_CODES)

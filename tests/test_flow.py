@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capflow import flow
+from capflow import flow, nonlocal_ops
 from capflow import (
     ExtinctionError,
     FlowConfig,
@@ -471,6 +471,37 @@ def test_step_nonconvergence_after_halvings():
     state = FlowState(t=0.0, rho=RadialField(grid, np.ones(64)), dt=4.0)
     with pytest.raises(NonconvergenceError, match="halvings"):
         step(state, cfg)
+
+
+def test_step_retries_a_failed_boundary_projection_at_half_dt(monkeypatch):
+    # the projection is part of every iterate, so its failure rejects the
+    # try like any other and the step is retried at half the dt
+    calls = []
+
+    def failing_once(rho, theta, tol=1e-6):
+        calls.append(rho)
+        if len(calls) == 1:
+            raise NonconvergenceError("contact angle not met")
+        return apply_bc(rho, theta, tol=tol)
+
+    cfg = _cfg(resolution=65, topology="hemisphere", dt=2e-4, homotopy_order=4)
+    grid = build_grid(1, 65, "hemisphere")
+    rho = apply_bc(initial_field(grid, "height:0.05"), cfg.theta)
+    monkeypatch.setattr(flow, "apply_bc", failing_once)
+    state = step(FlowState(t=0.0, rho=rho, dt=cfg.dt), cfg)
+    assert state.dt == cfg.dt / 2 and state.t == cfg.dt / 2
+    assert len(calls) == 1 + state.picard_iters
+
+
+def test_step_reports_pinched_tries_after_halvings(monkeypatch):
+    monkeypatch.setattr(nonlocal_ops, "injectivity_ratio", lambda rho: 0.05)
+    cfg = _cfg(homotopy_order=4)
+    grid = build_grid(1, 64, "full-sphere")
+    state = FlowState(t=0.0, rho=RadialField(grid, np.ones(64)), dt=cfg.dt)
+    with pytest.raises(InjectivityError, match="after 5 dt halvings") as info:
+        step(state, cfg)
+    assert "0.05" in str(info.value)
+    assert isinstance(info.value.__cause__, InjectivityError)
 
 
 def test_step_extinction_on_deep_dive():
