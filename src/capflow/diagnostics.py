@@ -30,7 +30,6 @@ class HolderEstimate:
     """Discrete Hoelder data: sup part plus the all-pairs seminorm."""
 
     alpha: float
-    k: int
     sup_part: float
     seminorm: float
 
@@ -39,41 +38,28 @@ class HolderEstimate:
         return self.sup_part + self.seminorm
 
 
-def holder_norm(
-    u: np.ndarray, grid: SphereGrid, alpha: float, k: int = 0
-) -> HolderEstimate:
-    """All-pairs Hoelder estimate of order k + alpha.
-
-    k = 0 measures u itself; k = 1 adds the sup of the tangential gradient
-    and takes the seminorm of the gradient instead.  Pair distances are
-    straight-line (chord) distances between grid nodes.
-    """
+def holder_norm(u: np.ndarray, grid: SphereGrid, alpha: float) -> HolderEstimate:
+    """All-pairs C^alpha estimate of u: its sup plus the largest difference
+    quotient |u(x) - u(y)| / |x - y|^alpha over node pairs, with
+    straight-line (chord) distances between grid nodes."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if k not in (0, 1):
-        raise ValueError(f"derivative order must be 0 or 1, got {k}")
     u = np.asarray(u, dtype=float)
     dist = np.sqrt(grid.chord2)
     mask = ~np.eye(grid.size, dtype=bool)
-    if k == 0:
-        diffs = np.abs(u[None, :] - u[:, None])
-        semi = float((diffs[mask] / dist[mask] ** alpha).max())
-        return HolderEstimate(alpha, 0, float(np.abs(u).max()), semi)
-    g = gradient_values(grid, u)
-    gdiff = np.linalg.norm(g[None, :, :] - g[:, None, :], axis=2)
-    semi = float((gdiff[mask] / dist[mask] ** alpha).max())
-    sup = float(np.abs(u).max() + np.linalg.norm(g, axis=1).max())
-    return HolderEstimate(alpha, 1, sup, semi)
+    diffs = np.abs(u[None, :] - u[:, None])
+    semi = float((diffs[mask] / dist[mask] ** alpha).max())
+    return HolderEstimate(alpha, float(np.abs(u).max()), semi)
 
 
 def interpolation_check(
     u: np.ndarray, grid: SphereGrid, s1: float, s2: float, theta_mix: float
-) -> dict:
+) -> float:
     """Ratio of the mixed-exponent norm to the interpolated product.
 
     The mixed exponent is s = theta_mix*s1 + (1-theta_mix)*s2, and the
-    reported ratio is ||u||_s / (||u||_s1^theta * ||u||_s2^(1-theta)),
-    which the interpolation inequality bounds by a fixed constant.
+    ratio is ||u||_s / (||u||_s1^theta * ||u||_s2^(1-theta)), which the
+    interpolation inequality bounds by a fixed constant.
     """
     if not 0.0 <= theta_mix <= 1.0:
         raise ValueError(f"mix weight must lie in [0,1], got {theta_mix}")
@@ -85,14 +71,7 @@ def interpolation_check(
     n_hi = holder_norm(u, grid, s2).total
     n_mix = holder_norm(u, grid, s_mix).total
     denom = n_lo**theta_mix * n_hi ** (1.0 - theta_mix)
-    ratio = 1.0 if denom == 0.0 else n_mix / denom
-    return {
-        "ratio": ratio,
-        "mixed_exponent": s_mix,
-        "norm_mixed": n_mix,
-        "norm_s1": n_lo,
-        "norm_s2": n_hi,
-    }
+    return 1.0 if denom == 0.0 else n_mix / denom
 
 
 def _corrected_vector_sum(
@@ -167,7 +146,7 @@ def lemma521_bound(resolutions, s: float) -> dict:
     node is monotone in h, so the per-resolution maxima increase toward
     the continuum value and successive increments contract geometrically
     (ratio about 2^(-s)).  Reports the values, increments, ratios, and the
-    node-to-node spread at each resolution.
+    largest node-to-node spread over the resolutions.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0,1), got {s}")
@@ -189,13 +168,10 @@ def lemma521_bound(resolutions, s: float) -> dict:
         b / a if a != 0.0 else np.inf for a, b in zip(increments, increments[1:])
     ]
     return {
-        "resolutions": [int(r) for r in resolutions],
         "values": values,
         "increments": increments,
         "ratios": ratios,
-        "monotone": all(inc > 0.0 for inc in increments),
-        "cauchy": all(rat <= 0.75 for rat in ratios),
-        "spread": max(spreads) if spreads else 0.0,
+        "spread": max(spreads),
     }
 
 

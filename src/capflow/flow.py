@@ -61,8 +61,6 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "prefactor_A",
-    "unit_normal",
-    "jacobian_J",
     "surface_samples",
     "assemble_rhs",
     "normal_velocity",
@@ -178,10 +176,6 @@ class Trajectory:
     status: str = "completed"
     message: str = ""
 
-    @property
-    def final_field(self) -> RadialField:
-        return RadialField(self.grid, self.saved[-1][1])
-
 
 # ----------------------------------------------------------------------
 # pointwise surface quantities
@@ -199,25 +193,19 @@ def prefactor_A(rho: RadialField) -> np.ndarray:
     return _speed_factor(rho.values, g) / rho.values
 
 
-def unit_normal(rho: RadialField) -> np.ndarray:
-    """Outward unit normal of the graph at each mapped node."""
+def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mapped nodes, outward unit normals, and surface weights of the graph.
+
+    The weights are the area element rho^(n-1) W of the graph relative to
+    the reference sphere times the quadrature weights, W = sqrt(rho^2 +
+    |grad rho|^2).
+    """
     grid = rho.grid
     g = gradient_values(grid, rho.values)
     W = _speed_factor(rho.values, g)
-    return (rho.values[:, None] * grid.nodes - g) / W[:, None]
-
-
-def jacobian_J(rho: RadialField) -> np.ndarray:
-    """Area element of the graph relative to the reference sphere."""
-    g = gradient_values(rho.grid, rho.values)
-    return rho.values ** (rho.grid.n - 1) * _speed_factor(rho.values, g)
-
-
-def surface_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mapped nodes, outward normals, and surface weights of the graph."""
-    grid = rho.grid
     nodes = rho.values[:, None] * grid.nodes
-    return nodes, unit_normal(rho), jacobian_J(rho) * grid.weights
+    normals = (nodes - g) / W[:, None]
+    return nodes, normals, rho.values ** (grid.n - 1) * W * grid.weights
 
 
 # ----------------------------------------------------------------------

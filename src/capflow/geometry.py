@@ -87,17 +87,18 @@ class SphereGrid:
     dbeta: float | None = None
     dgamma: float | None = None
     ring_counts: np.ndarray | None = None
+    # caches, never constructor arguments, so `dataclasses.replace` starts
+    # them empty
     _doubled: tuple["SphereGrid", np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
-    _stencils: "Stencils | None" = field(default=None, repr=False, compare=False)
+    _stencils: "Stencils | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def boundary_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary_mask)
 
     def stencils(self) -> "Stencils":
         """Finite-difference stencils of this grid, built once and cached."""
@@ -116,8 +117,11 @@ class RadialField:
 
     grid: SphereGrid
     values: np.ndarray
-    # (key, (R1, R2)) of the last remainder pair, filled by nonlocal_ops
-    _remainders: tuple | None = field(default=None, repr=False, compare=False)
+    # (key, (R1, R2)) of the last remainder pair, filled by nonlocal_ops;
+    # not a constructor argument, so `dataclasses.replace` starts it empty
+    _remainders: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.values = np.array(self.values, dtype=float)
@@ -380,7 +384,7 @@ def gradient_values(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _build_stencils(grid: SphereGrid) -> Stencils:
-    bidx = grid.boundary_indices()
+    bidx = np.flatnonzero(grid.boundary_mask)
     if grid.n == 1:
         # The hemisphere endpoints: phi = 0 steps forward, phi = pi back.
         into = np.where(bidx == 0, 1, -1)

@@ -622,6 +622,39 @@ def test_restart_from_snapshot_continues_field(tmp_path):
     assert second_frames[0]["values"] == first_frames[-1]["values"]
 
 
+def test_restart_continues_a_run_bitwise(tmp_path):
+    # ten steps in one run, and five steps then five more from its snapshot
+    base = (
+        f"s = 0.5\ntheta = {math.pi / 3!r}\ndt = 2e-4\nresolution = 65\n"
+        "topology = hemisphere\ninitial = height:0.05\nhomotopy_order = 4\n"
+    )
+    whole = _write_config(tmp_path, base + "t_end = 2e-3\n", name="whole.cfg")
+    first = _write_config(tmp_path, base + "t_end = 1e-3\n", name="first.cfg")
+    second = _write_config(
+        tmp_path,
+        base.replace("height:0.05", f"snapshot:{tmp_path}/first.snap")
+        + "t_end = 1e-3\n",
+        name="second.cfg",
+    )
+    for path in (whole, first, second):
+        assert main(["run", str(path)]) == 0
+    _, whole_frames = read_snapshot(tmp_path / "whole.snap")
+    _, first_frames = read_snapshot(tmp_path / "first.snap")
+    _, second_frames = read_snapshot(tmp_path / "second.snap")
+    assert len(whole_frames) == 11
+    assert len(first_frames) == len(second_frames) == 6
+    assert second_frames[-1]["values"] == whole_frames[-1]["values"]
+
+
+def test_validate_rerun_prints_identical_table(capsys):
+    tables = []
+    for _ in range(2):
+        assert main(["validate", "m1-identity", "--resolution", "64"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert "checks passed" in tables[0]
+    assert tables[0] == tables[1]
+
+
 def test_every_run_status_has_an_exit_code():
     statuses = set(flow._STOP_STATUS.values()) | {"completed"}
     assert statuses == set(cli._STATUS_CODES)

@@ -18,10 +18,12 @@ GONE = [
     "_wetted_disk_samples",
     "conormal_derivative",
     "first_moment_psi",
+    "jacobian_J",
     "kernel_K_dxi",
     "remainder_P",
     "shrinking_circle_constant",
     "tangential_gradient",
+    "unit_normal",
 ]
 # still public in their own modules, no longer re-exported by the package
 UNEXPORTED = [

@@ -26,8 +26,6 @@ from capflow import (
     run_flow,
     step,
     surface_samples,
-    unit_normal,
-    jacobian_J,
 )
 from capflow.nonlocal_ops import (
     HomotopyRule,
@@ -89,7 +87,7 @@ def test_prefactor_scale_invariant():
 def test_unit_normal_round_circle():
     grid = build_grid(1, 64, "full-sphere")
     for c in (1.0, 1.7):
-        nu = unit_normal(RadialField(grid, np.full(64, c)))
+        _, nu, _ = surface_samples(RadialField(grid, np.full(64, c)))
         assert np.abs(nu - grid.nodes).max() < 1e-14
 
 
@@ -105,9 +103,10 @@ def test_unit_normal_orthogonal_to_surface_tangent():
 
 @pytest.mark.parametrize("n,c", [(1, 1.3), (2, 0.9)])
 def test_jacobian_constant(n, c):
+    # the area element of a sphere of radius c is c^n
     grid = build_grid(n, 33 if n == 1 else 12, "hemisphere")
-    J = jacobian_J(RadialField(grid, np.full(grid.size, c)))
-    assert np.abs(J - c**n).max() < 1e-14
+    _, _, wq = surface_samples(RadialField(grid, np.full(grid.size, c)))
+    assert np.abs(wq / grid.weights - c**n).max() < 1e-14
 
 
 def test_surface_measure_matches_polyline_length():
@@ -116,6 +115,19 @@ def test_surface_measure_matches_polyline_length():
     pts, _, wq = surface_samples(rho)
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum()
     assert wq.sum() == pytest.approx(seg, rel=1e-5)
+
+
+def test_surface_samples_take_one_gradient(monkeypatch):
+    calls = []
+
+    def counting(grid, values):
+        calls.append(values)
+        return gradient_values(grid, values)
+
+    monkeypatch.setattr(flow, "gradient_values", counting)
+    grid = build_grid(2, 13, "hemisphere")
+    surface_samples(RadialField(grid, 1 + 0.1 * grid.nodes[:, -1]))
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +193,7 @@ def reference_bc_residual(rho, theta):
     grid, u = rho.grid, rho.values
     g = _reference_gradient(grid, u)
     return np.array(
-        [_reference_residual(grid, u, g, b, theta) for b in grid.boundary_indices()]
+        [_reference_residual(grid, u, g, b, theta) for b in np.flatnonzero(grid.boundary_mask)]
     )
 
 
@@ -189,7 +201,7 @@ def reference_apply_bc(rho, theta, tol=1e-6, max_iter=50, lams=None):
     """apply_bc with every trial value rebuilding the full gradient; the
     line-search factor of each accepted step is appended to lams."""
     grid = rho.grid
-    bidx = grid.boundary_indices()
+    bidx = np.flatnonzero(grid.boundary_mask)
     if bidx.size == 0:
         return rho
     vals = rho.values.copy()
@@ -588,7 +600,7 @@ def test_run_flow_capillary_keeps_contact_angle(theta):
     traj = run_flow(cfg)
     assert traj.status == "completed"
     assert max(d["max_bc_residual"] for d in traj.diagnostics) <= 1e-6
-    assert traj.final_field.values.min() > 0.5
+    assert traj.saved[-1][1].min() > 0.5
 
 
 def test_run_flow_hemisphere_matches_reflected_circle():
@@ -647,7 +659,7 @@ def test_run_flow_stops_at_injectivity_floor():
     traj = run_flow(cfg)
     assert traj.status == "injectivity"
     assert traj.message != ""
-    final_min = traj.final_field.values.min()
+    final_min = traj.saved[-1][1].min()
     assert 0.09 < final_min < 0.12
 
 
@@ -673,7 +685,6 @@ def test_run_flow_saves_last_accepted_state_on_failure():
     traj = run_flow(cfg)
     assert traj.status == "injectivity"
     assert traj.saved[-1][0] == traj.diagnostics[-1]["t"]
-    assert np.array_equal(traj.saved[-1][1], traj.final_field.values)
 
 
 def test_run_flow_measures_frame_zero_bc_residual():
@@ -716,7 +727,6 @@ def test_trajectory_diagnostics_fields():
     assert [d["t"] for d in traj.diagnostics] == pytest.approx(
         [0.0, 1e-3, 2e-3, 3e-3]
     )
-    assert np.array_equal(traj.final_field.values, traj.saved[-1][1])
 
 
 # ----------------------------------------------------------------------

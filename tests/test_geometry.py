@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -320,7 +321,7 @@ def test_boundary_stencil_matches_full_gradient(n, resolution):
     g = build_grid(n, resolution, "hemisphere")
     st = g.stencils()
     assert g.stencils() is st
-    assert np.array_equal(st.boundary, g.boundary_indices())
+    assert np.array_equal(st.boundary, np.flatnonzero(g.boundary_mask))
     for u in sample_fields(g).values():
         dn = st.conormal(u)
         ref = [reference_conormal_derivative(g, u, b) for b in st.boundary]
@@ -397,6 +398,14 @@ def test_double_grid_cached():
     d1, m1 = double_grid(g)
     d2, m2 = double_grid(g)
     assert d1 is d2 and m1 is m2
+
+
+def test_grid_caches_are_not_copied_by_replace():
+    g = build_grid(1, 33, "hemisphere")
+    g.stencils()
+    double_grid(g)
+    copy = dataclasses.replace(g)
+    assert copy._stencils is None and copy._doubled is None
 
 
 def test_radial_field_validation():

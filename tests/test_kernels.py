@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -834,6 +835,18 @@ def test_remainder_memo_matches_fresh_fields():
     assert np.array_equal(
         remainder_R2(rho, params, rule),
         remainder_R2(RadialField(rho.grid, rho.values), params, rule),
+    )
+
+
+def test_remainder_memo_is_not_copied_by_replace():
+    grid = build_grid(1, 64, "full-sphere")
+    params, rule = KernelParams(s=0.5), HomotopyRule(order=4)
+    rho = RadialField(grid, 1 + 0.1 * np.cos(2 * grid.phi))
+    remainder_R1(rho, params, rule)
+    moved = dataclasses.replace(rho, values=1 + 0.2 * np.cos(3 * grid.phi))
+    fresh = RadialField(grid, moved.values)
+    assert np.array_equal(
+        remainder_R1(moved, params, rule), remainder_R1(fresh, params, rule)
     )
 
 
