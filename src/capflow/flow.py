@@ -20,6 +20,10 @@ hemisphere, and the contact-angle condition is imposed on the boundary
 nodes after every inner iterate.  The even extension is exact for the
 ninety-degree angle; away from it the extension has a gradient kink at
 the contact nodes, where the speed grows like h^(-s) under refinement.
+
+`surface_samples` and `normal_velocity` have no caller in the package:
+with `assemble_rhs` they are the surface that the speed oracles (the
+divergence form, on the sampled or the reflected set) compare against.
 """
 
 from __future__ import annotations
@@ -259,7 +263,7 @@ def _max_bc_residual(rho: RadialField, theta: float) -> float:
     return float(np.abs(bres).max()) if bres.size else 0.0
 
 
-def apply_bc(rho: RadialField, theta: float, tol: float = 1e-6) -> RadialField:
+def apply_bc(rho: RadialField, theta: float, tol: float) -> RadialField:
     """Adjust boundary values until the contact-angle residual is below tol.
 
     One Gauss-Seidel sweep in boundary order: node k solves its scalar
@@ -484,13 +488,7 @@ def initial_field(grid: SphereGrid, spec: str) -> RadialField:
         return RadialField(grid, 1.0 + args[0] * grid.nodes[:, -1])
     from .snapshots import load_snapshot
 
-    loaded, values, _ = load_snapshot(args[0])
-    if (loaded.n, loaded.topology, loaded.size) != (grid.n, grid.topology, grid.size):
-        raise ConfigError(
-            f"initial: snapshot {args[0]} is on an n = {loaded.n} {loaded.topology} "
-            f"grid of {loaded.size} nodes, the configured grid is n = {grid.n} "
-            f"{grid.topology} with {grid.size} nodes"
-        )
+    values = load_snapshot(args[0], grid)
     if values.min() <= 0.0:
         raise ConfigError(
             f"initial: snapshot {args[0]} ends in a field that is not strictly "

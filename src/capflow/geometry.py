@@ -47,6 +47,8 @@ class SphereGrid:
         Surface dimension (1 or 2); nodes live in R^(n+1).
     topology : str
         "hemisphere" or "full-sphere".
+    resolution : int
+        The `build_grid` resolution the grid was built at.
     nodes : ndarray, shape (N, n+1)
         Unit vectors.
     weights : ndarray, shape (N,)
@@ -75,6 +77,7 @@ class SphereGrid:
 
     n: int
     topology: str
+    resolution: int
     nodes: np.ndarray
     weights: np.ndarray
     boundary_mask: np.ndarray
@@ -87,11 +90,8 @@ class SphereGrid:
     dbeta: float | None = None
     dgamma: float | None = None
     ring_counts: np.ndarray | None = None
-    # caches, never constructor arguments, so `dataclasses.replace` starts
-    # them empty
-    _doubled: tuple["SphereGrid", np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # a cache, never a constructor argument, so `dataclasses.replace`
+    # starts it empty
     _stencils: "Stencils | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -263,6 +263,7 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
     return SphereGrid(
         n=1,
         topology=topology,
+        resolution=resolution,
         nodes=nodes,
         weights=weights,
         boundary_mask=boundary,
@@ -304,6 +305,7 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
     return SphereGrid(
         n=2,
         topology=topology,
+        resolution=resolution,
         nodes=nodes,
         weights=(band / counts)[ring],
         boundary_mask=hemisphere & (ring == counts.size - 1),
@@ -326,28 +328,24 @@ def double_grid(grid: SphereGrid) -> tuple[SphereGrid, np.ndarray]:
 
     Returns the doubled grid together with an index map: entry k is the
     hemisphere node whose value an even extension places at doubled node
-    k.  Equator nodes are shared, not duplicated.  The result is cached on
-    the hemisphere grid, so repeated calls are cheap.
+    k.  Equator nodes are shared, not duplicated.  Each call builds a new
+    grid.
     """
     if grid.topology != "hemisphere":
         raise ValueError("double_grid expects a hemisphere grid")
-    if grid._doubled is not None:
-        return grid._doubled
-
     if grid.n == 1:
         N = grid.size
         full = build_grid(1, 2 * (N - 1), "full-sphere")
         k = np.arange(full.size)
         index_map = np.where(k < N, k, 2 * (N - 1) - k)
     else:
-        full = build_grid(2, grid.ring_counts.size, "full-sphere")
+        full = build_grid(2, grid.resolution, "full-sphere")
         _, ring, pos = _rings(full.ring_counts)
         mirrored = np.minimum(ring, ring[-1] - ring)
         # Node ordering within a ring is by gamma in both grids, so the
         # hemisphere index is the ring's first node plus the in-ring position.
         index_map = _rings(grid.ring_counts)[0][mirrored] + pos
-    grid._doubled = (full, index_map)
-    return grid._doubled
+    return full, index_map
 
 
 def reflect_field(rho: RadialField) -> RadialField:

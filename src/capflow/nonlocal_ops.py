@@ -12,8 +12,8 @@ from the grid (or, for the point-cloud oracle, the point dimension), so
 the exponent always matches the surface.  The module provides the
 principal-value fractional Laplacian, the two homotopy remainder terms
 (from one shared kernel pass per rule node), the derivative of curvature
-along the homotopy (at one t' or, in one blocked pass, at a sequence of
-them), the injectivity guard, and an independent curvature oracle based
+along the homotopy (at a sequence of t', in one blocked pass), the
+injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has one form, the
 expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`).  The guard
 has one route, `injectivity_ratio`, which reads the xi = 1 value over A0
@@ -101,12 +101,12 @@ class HomotopyRule:
     xi-derivative F' of a kernel term F, so the t'-integral is done in
     closed form, int_0^1 int_0^t' F'(xi) dxi dt' = int_0^1 (1 - xi) F'(xi)
     dxi, and that is int_0^1 F dxi - F(0) by parts.  One `order`-point rule
-    (default 8) on [0, 1] serves the xi-integrals of F and plain
-    t'-integrals.  Doubling the order changes the remainder terms far below
-    their quadrature error.
+    on [0, 1] (a run takes `FlowConfig.homotopy_order`) serves the
+    xi-integrals of F and plain t'-integrals.  Doubling the order changes
+    the remainder terms far below their quadrature error.
     """
 
-    order: int = 8
+    order: int
     _base: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -230,19 +230,16 @@ def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def kernel_K(
-    xi: float,
-    rho: RadialField,
-    y: int | np.ndarray,
-    x: int | np.ndarray,
-    params: KernelParams,
-) -> float | np.ndarray:
+    xi: float, rho: RadialField, y: np.ndarray, x: np.ndarray, params: KernelParams
+) -> np.ndarray:
     """Kernel |Phi_xi(y) - Phi_xi(x)|^(-(n+1+s)) for node pairs.
 
-    `y` and `x` are node indices or equal-shape index arrays; every pair
-    must be off the diagonal.  A single pair rounds as it would in an array.
+    `y` and `x` are equal-shape index arrays, and the result has their
+    shape; every pair must be off the diagonal.
     """
-    single = np.ndim(y) == 0 and np.ndim(x) == 0
-    y, x = np.atleast_1d(y, x)
+    y, x = np.asarray(y), np.asarray(x)
+    if y.ndim == 0 or y.shape != x.shape:
+        raise ValueError("y and x must be equal-shape index arrays")
     r, grid = rho.values, rho.grid
     if np.any((np.minimum(y, x) < 0) | (np.maximum(y, x) >= grid.size)):
         raise ValueError(f"node indices must lie in [0, {grid.size})")
@@ -250,8 +247,7 @@ def kernel_K(
         raise ValueError("kernel is singular at y = x")
     A0 = grid.chord2[y, x]
     A1, A2 = _dist2_coeffs(r[x] - 1.0, r[y] - 1.0, A0)
-    out = (A0 + xi * (A1 + xi * A2)) ** (-0.5 * (grid.n + 1 + params.s))
-    return float(out[0]) if single else out
+    return (A0 + xi * (A1 + xi * A2)) ** (-0.5 * (grid.n + 1 + params.s))
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +511,7 @@ def remainder_R2(
 
 
 def homotopy_derivative(
-    tprime: float | np.ndarray, rho: RadialField, params: KernelParams
+    tprimes: np.ndarray, rho: RadialField, params: KernelParams
 ) -> np.ndarray:
     """Minus the t'-derivative of curvature along the homotopy.
 
@@ -523,19 +519,17 @@ def homotopy_derivative(
     the closed forms nu J = B^n y - B^(n-1) t' grad rho(y), written out in
     dot products of unit nodes, at every node.
 
-    `tprime` is one value, giving an (N,) array, or a 1-D sequence of T
-    values, giving a (T, N) array whose row k is bitwise equal to the call
-    at tprime[k].  A sequence takes one pass of the homotopy walk
-    (`_homotopy_blocks`), which calls the guard: the factors of each t' are
-    formed once per call, and the t'-independent part of the integrand,
-    (rho(y) - rho(x)) + u(x) A0 / 2, once per block; each t' then costs one
-    kernel, so one fractional power, per block.  A pinched field raises
-    InjectivityError before any power is taken.
+    `tprimes` is a 1-D sequence of T values, giving a (T, N) array, from
+    one pass of the homotopy walk (`_homotopy_blocks`), which calls the
+    guard: the factors of each t' are formed once per call, and the
+    t'-independent part of the integrand, (rho(y) - rho(x)) + u(x) A0 / 2,
+    once per block; each t' then costs one kernel, so one fractional
+    power, per block.  A pinched field raises InjectivityError before any
+    power is taken.
     """
-    single = np.ndim(tprime) == 0
-    tps = np.atleast_1d(tprime)
+    tps = np.asarray(tprimes)
     if tps.ndim != 1:
-        raise ValueError("tprime must be a number or a 1-D sequence")
+        raise ValueError("tprimes must be a 1-D sequence")
     grid, r = rho.grid, rho.values
     u, blocks = _homotopy_blocks(rho, params, np.arange(grid.size), 3)
     # per t': B = 1 + t' u, B^(n-1) and B^(n-1) B
@@ -561,7 +555,7 @@ def homotopy_derivative(
             K *= 2.0
             K *= F
             out[k, sl] = _corrected_sum(K, grid, stencil, params)
-    return out[0] if single else out
+    return out
 
 
 def parametrized_Hs(
@@ -587,16 +581,16 @@ def divergence_oracle_Hs(
     weights: np.ndarray,
     x: int,
     params: KernelParams,
-    ordered_ring: bool = True,
 ) -> float:
     """Fractional curvature of a closed surface by the divergence identity.
 
     H^s(x) = (2/s) int_{boundary} ((y-x) . nu(y)) |y-x|^(-(n+1+s)) dH_y;
     the integrand extends by 0 at y = x, and (y-x).nu = O(|y-x|^2) keeps
     it absolutely convergent on C^{1,1} surfaces.  The surface dimension n
-    is one less than the dimension of the points.  For curves sampled in
-    order around the loop (`ordered_ring`), the two neighbors of x supply
-    the lattice correction for the even |y-x|^(-s)-type singularity.
+    is one less than the dimension of the points.  Planar points (n = 1)
+    must be a curve sampled in order around the loop: the two neighbors of
+    x then supply the lattice correction for the even |y-x|^(-s)-type
+    singularity.  Surfaces (n = 2) take the plain punctured sum.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.shape[1] - 1
@@ -606,7 +600,7 @@ def divergence_oracle_Hs(
         f = (2.0 / params.s) * np.sum(diff * normals, axis=1) * dist ** (-(n + 1 + params.s))
     f[x] = 0.0
     total = float(weights @ f)
-    if ordered_ring:
+    if n == 1:
         M = nodes.shape[0]
         lo, hi = (x - 1) % M, (x + 1) % M
         # neighbor weights stand in for the local lattice spacing

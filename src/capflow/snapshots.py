@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .geometry import build_grid
+from .flow import ConfigError
 
 SCHEMA = "capflow-snapshot/1"
 
@@ -55,7 +55,7 @@ def run_manifest(cfg):
     """Self-describing record of one run, embedded in every output header.
 
     Holds the full echo of the FlowConfig cfg, the grid spec that
-    load_snapshot rebuilds the grid from, the initial-condition spec, a
+    load_snapshot checks a restart against, the initial-condition spec, a
     deterministic marker (no seeds exist anywhere), and the package
     version.  Plain JSON types only, so it round-trips through json.
     """
@@ -164,27 +164,31 @@ def read_snapshot(path):
     return header["manifest"], frames
 
 
-def load_snapshot(path):
-    """Rebuild the grid and final field from a snapshot.
-
-    Returns (grid, values, manifest); the grid is reconstructed from the
-    grid spec embedded in the manifest.
-    """
+def load_snapshot(path, grid):
+    """Final field of a snapshot, to restart a run on `grid`; nothing is
+    built.  A manifest grid spec other than `grid`'s is a ConfigError, a
+    final frame that does not fit it a CorruptRecordError."""
     manifest, frames = read_snapshot(path)
     spec = manifest.get("grid")
     if not isinstance(spec, dict):
         raise CorruptRecordError(f"{path}: manifest lacks a grid spec")
     try:
-        grid = build_grid(spec["n"], spec["resolution"], spec["topology"])
-    except (KeyError, ValueError, TypeError) as exc:
+        n, resolution, topology = spec["n"], spec["resolution"], spec["topology"]
+    except KeyError as exc:
         raise CorruptRecordError(f"{path}: bad grid spec: {exc}") from exc
     values = np.asarray(frames[-1]["values"], dtype=float)
+    if (n, resolution, topology) != (grid.n, grid.resolution, grid.topology):
+        raise ConfigError(
+            f"initial: snapshot {path} is on an n = {n} {topology} grid of "
+            f"{values.size} nodes, the configured grid is n = {grid.n} "
+            f"{grid.topology} with {grid.size} nodes"
+        )
     if values.shape != (grid.size,):
         raise CorruptRecordError(
             f"{path}: final frame has {values.size} values for a grid of "
             f"size {grid.size}"
         )
-    return grid, values, manifest
+    return values
 
 
 def write_csv(path, manifest, diagnostics):

@@ -260,13 +260,13 @@ def suite_bc(resolution=129):
             )
         )
         if theta == HALF_PI:
-            rho0 = apply_bc(initial_field(traj.grid, "height:0.05"), theta)
-            full = reflect_field(rho0)  # lives on double_grid(traj.grid)[0]
+            rho0 = apply_bc(initial_field(traj.grid, "height:0.05"), theta, cfg.bc_tol)
+            full = reflect_field(rho0)  # on a new double_grid(traj.grid)[0]
             cfg_f = FlowConfig(
                 s=0.5,
                 theta=theta,
                 dt=dt,
-                resolution=full.grid.size,
+                resolution=full.grid.resolution,
                 topology="full-sphere",
                 homotopy_order=4,
                 refresh_remainders="per-step",
@@ -411,7 +411,7 @@ def suite_identities(resolution=512):
 
 def check_max_principle():
     """Sup-norm contraction of the zero-source implicit step on 100 seeded
-    random fields at resolution 256."""
+    random fields at resolution 256, as a list of one row."""
     resolution, count, dt = 256, 100, 1e-3
     cfg = FlowConfig(
         s=0.5, theta=HALF_PI, dt=dt, resolution=resolution, topology="full-sphere"
@@ -423,12 +423,14 @@ def check_max_principle():
         v = rng.standard_normal(resolution)
         u = np.linalg.solve(A, v)
         worst = max(worst, np.abs(u).max() - np.abs(v).max())
-    return _le(
-        f"implicit step sup-norm growth, {count} random fields",
-        worst,
-        1e-12,
-        "resolvent of the zero-row-sum operator matrix",
-    )
+    return [
+        _le(
+            f"implicit step sup-norm growth, {count} random fields",
+            worst,
+            1e-12,
+            "resolvent of the zero-row-sum operator matrix",
+        )
+    ]
 
 
 def check_smoothing():

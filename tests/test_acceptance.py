@@ -63,7 +63,7 @@ def test_criterion_4_capillary_boundary():
 
 
 def test_criterion_5_max_principle():
-    _report(5, [check_max_principle()])
+    _report(5, check_max_principle())
 
 
 def test_criterion_6_volume_balance(shrink_rows):

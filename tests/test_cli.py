@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,9 +209,8 @@ def _sample_snapshot(tmp_path, values=None):
 
 def test_snapshot_values_roundtrip_bit_exact(tmp_path):
     path, manifest, frames = _sample_snapshot(tmp_path)
-    grid, values, loaded_manifest = load_snapshot(path)
-    assert loaded_manifest == manifest
-    assert grid.size == 64
+    values = load_snapshot(path, build_grid(1, 64, "full-sphere"))
+    assert read_snapshot(path)[0] == manifest
     assert np.array_equal(values, np.asarray(frames[-1]["values"]))
 
 
@@ -268,7 +268,26 @@ def test_snapshot_rejects_missing_frame_field(tmp_path):
 def test_load_snapshot_rejects_size_mismatch(tmp_path):
     path, _, _ = _sample_snapshot(tmp_path, values=np.ones(32))
     with pytest.raises(CorruptRecordError, match="32 values"):
-        load_snapshot(path)
+        load_snapshot(path, build_grid(1, 64, "full-sphere"))
+
+
+@pytest.mark.parametrize("frame_size", [2001, 65], ids=["own-grid", "run-grid"])
+def test_snapshot_on_a_larger_grid_is_rejected_before_it_is_built(tmp_path, frame_size):
+    # the chord2 of the 2001-node grid the manifest names is 32 MB, and
+    # building it takes about three times that: the restart must reject the
+    # snapshot from its manifest, whatever its frame holds, and build nothing
+    manifest = {"grid": {"n": 1, "resolution": 2001, "topology": "hemisphere"}}
+    path = tmp_path / "large.snap"
+    write_snapshot(path, manifest, [frame_record(0.0, np.ones(frame_size), 0.0, 1.0)])
+    grid = build_grid(1, 65, "hemisphere")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"hemisphere grid of {frame_size} nodes"):
+            flow.initial_field(grid, f"snapshot:{path}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_csv_layout(tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -41,6 +43,37 @@ UNEXPORTED = [
     "write_csv",
     "write_snapshot",
 ]
+
+
+# exported names that nothing in the package calls, each with its reason
+TEST_SURFACE = {
+    "normal_velocity": "the speed that the divergence-form and reflected-set "
+    "oracles compare against",
+    "surface_samples": "the sampled surface (points, normals, weights) that "
+    "the divergence-form oracle integrates over",
+}
+
+
+def _package_references():
+    """Every name that code in `src/capflow` reads, outside `__init__.py`:
+    names and attributes, but not imports, `__all__` strings, or a
+    top-level function or class reading its own name."""
+    seen = set()
+    for path in pathlib.Path(capflow.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    seen.add(name)
+    return seen
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    unused = set(capflow.__all__) - _package_references()
+    assert unused == set(TEST_SURFACE)
 
 
 def test_package_exports_resolve():

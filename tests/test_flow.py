@@ -44,6 +44,8 @@ from test_operators import reference_frac_laplacian
 
 S = 0.5
 HALF_PI = np.pi / 2
+# the contact-angle tolerance of a run that does not set one
+BC_TOL = FlowConfig.bc_tol
 
 
 def _mass(s):
@@ -165,16 +167,16 @@ def test_apply_bc_closed_form(theta):
 def test_apply_bc_reaches_tolerance_and_is_idempotent(theta):
     grid = build_grid(1, 65, "hemisphere")
     rho = RadialField(grid, 1 + 0.08 * np.cos(grid.phi) + 0.03 * np.cos(3 * grid.phi))
-    out = apply_bc(rho, theta)
+    out = apply_bc(rho, theta, BC_TOL)
     assert np.abs(bc_residual(out, theta)).max() <= 1e-6
-    again = apply_bc(out, theta)
+    again = apply_bc(out, theta, BC_TOL)
     assert np.abs(again.values - out.values).max() < 1e-9
 
 
 def test_apply_bc_full_circle_is_noop():
     grid = build_grid(1, 64, "full-sphere")
     rho = _wavy(grid)
-    assert np.array_equal(apply_bc(rho, np.pi / 3).values, rho.values)
+    assert np.array_equal(apply_bc(rho, np.pi / 3, BC_TOL).values, rho.values)
 
 
 def _reference_residual(grid, u, g, b, theta):
@@ -258,10 +260,10 @@ def _assert_matches_reference(rho, theta, lams=None):
     except NonconvergenceError as exc:
         # The same failure, at the same node.
         with pytest.raises(NonconvergenceError) as raised:
-            apply_bc(rho, theta)
+            apply_bc(rho, theta, BC_TOL)
         assert str(raised.value) == str(exc)
         return str(exc)
-    out = apply_bc(rho, theta)
+    out = apply_bc(rho, theta, BC_TOL)
     assert np.array_equal(out.values, expect.values)
     assert np.array_equal(bc_residual(out, theta), reference_bc_residual(out, theta))
     return None
@@ -316,7 +318,7 @@ def test_contact_residual_matches_reference_off_the_easy_path(
 def test_apply_bc_sphere2_keeps_interior_values():
     grid = build_grid(2, 13, "hemisphere")
     rho = initial_field(grid, "height:0.05")
-    out = apply_bc(rho, np.pi / 3)
+    out = apply_bc(rho, np.pi / 3, BC_TOL)
     interior = ~grid.boundary_mask
     assert np.array_equal(out.values[interior], rho.values[interior])
     assert not np.array_equal(out.values, rho.values)
@@ -326,7 +328,7 @@ def test_apply_bc_full_sphere2_is_noop():
     grid = build_grid(2, 13, "full-sphere")
     rho = RadialField(grid, sample_fields(grid)["random"])
     assert bc_residual(rho, np.pi / 3).shape == (0,)
-    assert np.array_equal(apply_bc(rho, np.pi / 3).values, rho.values)
+    assert np.array_equal(apply_bc(rho, np.pi / 3, BC_TOL).values, rho.values)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: Gauss–Seidel leaves 2.8e-3")
@@ -472,7 +474,7 @@ def test_step_constant_field_matches_scalar_fixed_point():
 def test_step_reports_boundary_residual():
     cfg = _cfg(resolution=65, topology="hemisphere", dt=2e-4)
     grid = build_grid(1, 65, "hemisphere")
-    rho = apply_bc(initial_field(grid, "height:0.05"), cfg.theta)
+    rho = apply_bc(initial_field(grid, "height:0.05"), cfg.theta, cfg.bc_tol)
     state = step(FlowState(t=0.0, rho=rho, dt=cfg.dt), cfg)
     assert state.bc_residual_max <= 1e-6
 
@@ -490,7 +492,7 @@ def test_step_retries_a_failed_boundary_projection_at_half_dt(monkeypatch):
     # try like any other and the step is retried at half the dt
     calls = []
 
-    def failing_once(rho, theta, tol=1e-6):
+    def failing_once(rho, theta, tol):
         calls.append(rho)
         if len(calls) == 1:
             raise NonconvergenceError("contact angle not met")
@@ -498,7 +500,7 @@ def test_step_retries_a_failed_boundary_projection_at_half_dt(monkeypatch):
 
     cfg = _cfg(resolution=65, topology="hemisphere", dt=2e-4, homotopy_order=4)
     grid = build_grid(1, 65, "hemisphere")
-    rho = apply_bc(initial_field(grid, "height:0.05"), cfg.theta)
+    rho = apply_bc(initial_field(grid, "height:0.05"), cfg.theta, cfg.bc_tol)
     monkeypatch.setattr(flow, "apply_bc", failing_once)
     state = step(FlowState(t=0.0, rho=rho, dt=cfg.dt), cfg)
     assert state.dt == cfg.dt / 2 and state.t == cfg.dt / 2
@@ -620,7 +622,7 @@ def test_run_flow_hemisphere_matches_reflected_circle():
     )
     traj_h = run_flow(cfg_h)
     assert traj_h.status == "completed"
-    rho0 = apply_bc(initial_field(traj_h.grid, "height:0.05"), HALF_PI)
+    rho0 = apply_bc(initial_field(traj_h.grid, "height:0.05"), HALF_PI, cfg_h.bc_tol)
     cfg_f = _cfg(
         resolution=128, dt=dt, homotopy_order=4, refresh_remainders="per-step"
     )

@@ -221,6 +221,19 @@ def test_sphere2_grid_matches_node_loop(topology, monkeypatch):
             assert np.array_equal(index_map, reference_sphere2_index_map(g, full))
 
 
+@pytest.mark.parametrize("n, resolution", [(1, 33), (2, 9)])
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_grid_records_its_resolution(n, resolution, topology):
+    # the spec a snapshot restart compares with its manifest's
+    g = build_grid(n, resolution, topology)
+    assert (g.n, g.resolution, g.topology) == (n, resolution, topology)
+    if topology == "hemisphere":
+        # n = 1 doubles the nodes, less the shared equator ones; n = 2
+        # keeps the ring spacing
+        full = double_grid(g)[0]
+        assert full.resolution == (2 * (resolution - 1) if n == 1 else resolution)
+
+
 def test_build_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         build_grid(1, 7, "hemisphere")
@@ -321,7 +334,13 @@ def test_boundary_stencil_matches_full_gradient(n, resolution):
     g = build_grid(n, resolution, "hemisphere")
     st = g.stencils()
     assert g.stencils() is st
-    assert np.array_equal(st.boundary, np.flatnonzero(g.boundary_mask))
+    # the boundary in increasing order: the two n = 1 endpoints, the
+    # n = 2 equator ring, stored last
+    if n == 1:
+        expect = [0, g.size - 1]
+    else:
+        expect = range(g.size - g.ring_counts[-1], g.size)
+    assert np.array_equal(st.boundary, expect)
     for u in sample_fields(g).values():
         dn = st.conormal(u)
         ref = [reference_conormal_derivative(g, u, b) for b in st.boundary]
@@ -393,19 +412,11 @@ def test_reflect_field_sphere2():
         assert abs(ref.values[k] - rho.values[partner]) < 1e-12
 
 
-def test_double_grid_cached():
-    g = build_grid(1, 33, "hemisphere")
-    d1, m1 = double_grid(g)
-    d2, m2 = double_grid(g)
-    assert d1 is d2 and m1 is m2
-
-
 def test_grid_caches_are_not_copied_by_replace():
     g = build_grid(1, 33, "hemisphere")
     g.stencils()
-    double_grid(g)
     copy = dataclasses.replace(g)
-    assert copy._stencils is None and copy._doubled is None
+    assert copy._stencils is None
 
 
 def test_radial_field_validation():

@@ -222,6 +222,11 @@ def reference_homotopy_derivative(tprime, rho, params):
     return corrected_sum(F, grid, tgt, params)
 
 
+def kernel_at(xi, rho, y, x, params):
+    """The kernel at one node pair, from a one-pair array call."""
+    return kernel_K(xi, rho, np.array([y]), np.array([x]), params)[0]
+
+
 def bumpy_field(grid, eps=0.2):
     vals = 1.0 + eps * np.cos(2.0 * grid.phi) + 0.5 * eps * np.sin(grid.phi)
     return RadialField(grid, vals)
@@ -275,9 +280,9 @@ def test_kernel_on_round_sphere_is_chord_power():
     grid = build_grid(1, 64, "full-sphere")
     rho = RadialField(grid, np.ones(grid.size))
     params = KernelParams(s=0.5)
-    for y, x in [(3, 40), (0, 1), (10, 33)]:
-        expect = np.sqrt(grid.chord2[y, x]) ** (-(grid.n + 1 + params.s))
-        assert kernel_K(0.7, rho, y, x, params) == pytest.approx(expect, rel=1e-14)
+    y, x = np.array([3, 0, 10]), np.array([40, 1, 33])
+    expect = np.sqrt(grid.chord2[y, x]) ** (-(grid.n + 1 + params.s))
+    assert kernel_K(0.7, rho, y, x, params) == pytest.approx(expect, rel=1e-14)
 
 
 def test_kernel_scaling_on_dilated_sphere():
@@ -286,15 +291,16 @@ def test_kernel_scaling_on_dilated_sphere():
     rho = RadialField(grid, np.full(grid.size, c))
     params = KernelParams(s=0.3)
     expect = (c * np.sqrt(grid.chord2[5, 20])) ** (-(grid.n + 1 + params.s))
-    assert kernel_K(1.0, rho, 5, 20, params) == pytest.approx(expect, rel=1e-13)
+    assert kernel_at(1.0, rho, 5, 20, params) == pytest.approx(expect, rel=1e-13)
 
 
 def test_kernel_is_symmetric_in_the_pair():
     grid = build_grid(1, 65, "hemisphere")
     rho = bumpy_field(grid)
     params = KernelParams(s=0.5)
-    assert kernel_K(0.4, rho, 7, 31, params) == pytest.approx(
-        kernel_K(0.4, rho, 31, 7, params), rel=1e-14
+    y, x = np.array([7, 12]), np.array([31, 50])
+    assert kernel_K(0.4, rho, y, x, params) == pytest.approx(
+        kernel_K(0.4, rho, x, y, params), rel=1e-14
     )
 
 
@@ -303,14 +309,14 @@ def test_kernel_rejects_coincident_nodes():
     rho = bumpy_field(grid)
     params = KernelParams(s=0.5)
     with pytest.raises(ValueError):
-        kernel_K(0.5, rho, 8, 8, params)
+        kernel_at(0.5, rho, 8, 8, params)
     with pytest.raises(ValueError):
         kernel_K(0.5, rho, np.array([3, 8, 9]), np.array([4, 8, 1]), params)
     # a negative index names the same node as its wrap-around, and an index
     # past the end names none: both are rejected before the kernel is formed
     for y, x in [(-1, 64), (64, -1), (-65, 0), (65, 3), (3, 65)]:
         with pytest.raises(ValueError, match="must lie in"):
-            kernel_K(0.5, rho, y, x, params)
+            kernel_at(0.5, rho, y, x, params)
     with pytest.raises(ValueError, match="must lie in"):
         kernel_K(0.5, rho, np.array([3, -1]), np.array([4, 64]), params)
 
@@ -323,8 +329,12 @@ def test_kernel_on_index_arrays_matches_pairwise_calls():
     x = np.array([31, 5, 2, 11])
     vals = kernel_K(0.4, rho, y, x, params)
     assert vals.shape == (4,)
+    # one call shape: no scalar pair, no broadcast of unequal shapes
+    for yb, xb in [(7, 31), (np.array(7), np.array(31)), (y, x[:1]), (y[:, None], x)]:
+        with pytest.raises(ValueError, match="equal-shape"):
+            kernel_K(0.4, rho, yb, xb, params)
     for k in range(4):
-        assert vals[k] == kernel_K(0.4, rho, int(y[k]), int(x[k]), params)
+        assert vals[k] == kernel_at(0.4, rho, y[k], x[k], params)
     # 200 random off-diagonal pairs on a curve and on a surface
     rng = np.random.default_rng(3)
     sphere = build_grid(2, 9, "full-sphere")
@@ -336,7 +346,7 @@ def test_kernel_on_index_arrays_matches_pairwise_calls():
         for xi in (0.15, 0.6, 1.0):
             vals = kernel_K(xi, rho, y, x, params)
             for k in range(200):
-                assert vals[k] == kernel_K(xi, rho, int(y[k]), int(x[k]), params)
+                assert vals[k] == kernel_at(xi, rho, y[k], x[k], params)
 
 
 def test_kernel_params_validation():
@@ -360,7 +370,7 @@ def test_kernel_dxi_matches_finite_differences(n, resolution, pair):
 
     def bk(xi):
         b = 1.0 + xi * (vals[y] - 1.0)
-        return b**n * kernel_K(xi, rho, y, x, params)
+        return b**n * kernel_at(xi, rho, y, x, params)
 
     fd = (bk(xi0 + h) - bk(xi0 - h)) / (2.0 * h)
     assert kernel_dxi(xi0, rho, y, x, params) == pytest.approx(fd, rel=1e-6)
@@ -394,7 +404,7 @@ def test_kernel_lower_bound_over_random_pairs():
         xi = rng.random()
         a_lo = min(1.0 + xi * (vals[y] - 1.0), 1.0 + xi * (vals[x] - 1.0), a_min)
         bound = (a_lo * np.sqrt(grid.chord2[y, x])) ** (-(grid.n + 1 + params.s))
-        assert kernel_K(xi, rho, y, x, params) <= bound * (1.0 + 1e-12)
+        assert kernel_at(xi, rho, y, x, params) <= bound * (1.0 + 1e-12)
 
 
 def test_corrected_mass_matches_analytic_circle_integral():
@@ -465,7 +475,7 @@ def test_kernel_bound_excess_matches_pairwise_loop():
         kappa = float(np.sqrt(ratio2.min())) ** -p
         idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
         for i, j in idx[idx[:, 0] != idx[:, 1]]:
-            val = kernel_K(xi, rho, int(j), int(i), params)
+            val = kernel_at(xi, rho, j, i, params)
             worst = max(worst, val * np.sqrt(grid.chord2[i, j]) ** p / kappa)
     assert kernel_bound_excess(resolution, pairs, s, seed) == worst
 
@@ -524,7 +534,7 @@ def _kinked_capillary_case():
     hemi = build_grid(1, 129, "hemisphere")
     work, index = double_grid(hemi)
     start = RadialField(hemi, 1.0 + 0.05 * hemi.nodes[:, -1])
-    vals = flow.apply_bc(start, math.pi / 3).values
+    vals = flow.apply_bc(start, math.pi / 3, flow.FlowConfig.bc_tol).values
     return RadialField(work, vals[index]), KernelParams(s=0.5)
 
 
@@ -576,7 +586,7 @@ BLOCKED_PASSES = {
         np.array([injectivity_ratio(rho)]),
     ),
     "homotopy_derivative": lambda rho, params, rule, hemi: tuple(
-        homotopy_derivative(tp, rho, params) for tp in (0.3, 1.0)
+        homotopy_derivative([tp], rho, params) for tp in (0.3, 1.0)
     ),
     "homotopy_derivative_sequence": lambda rho, params, rule, hemi: (
         homotopy_derivative([0.3, 0.7, 1.0], rho, params),
@@ -620,13 +630,14 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
         return RadialField(grid, rho.values)
 
     def fresh_doubled():
-        # a new grid, so the traced call finds nothing cached on it
+        # double_grid builds a new grid on each call, so the traced call
+        # finds nothing cached on it
         return double_grid(build_grid(2, 13, "hemisphere"))[0]
 
     # name: (argument maker, call)
     calls = {
         "injectivity_ratio": (field, injectivity_ratio),
-        "homotopy_derivative": (field, lambda f: homotopy_derivative(0.6, f, params)),
+        "homotopy_derivative": (field, lambda f: homotopy_derivative([0.6], f, params)),
         "homotopy_derivative sequence": (
             field,
             lambda f: homotopy_derivative([0.2, 0.6, 1.0], f, params),
@@ -699,16 +710,16 @@ def test_blocked_guard_and_derivative_match_full_matrix_routes(name):
     params = KernelParams(s=0.5)
     ref = reference_injectivity_ratio(rho)
     assert abs(injectivity_ratio(RadialField(rho.grid, rho.values)) - ref) <= 1e-12 * ref
-    for tp in (0.2, 0.6, 1.0):
+    tprimes = (0.2, 0.6, 1.0)
+    for tp, out in zip(tprimes, homotopy_derivative(tprimes, rho, params)):
         ref = reference_homotopy_derivative(tp, rho, params)
-        out = homotopy_derivative(tp, rho, params)
         assert np.max(np.abs(out - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 def single_tprime_homotopy_derivative(tprime, rho, params):
-    """One t' per pass, in the operation order of the blocked single-t'
-    route, with D2 in the expansion A0 + t' (A1 + t' A2): the bitwise
-    reference for both call forms."""
+    """One t' per pass, in the operation order of the blocked route, with D2
+    in the expansion A0 + t' (A1 + t' A2): the bitwise reference for each
+    row of a sequence."""
     grid, r = rho.grid, rho.values
     g = gradient_values(grid, r)
     u = r - 1.0
@@ -752,41 +763,30 @@ SEQUENCE_TPRIMES = [0.0, 0.3, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
-def test_homotopy_derivative_sequence_is_bitwise_the_scalar_calls(name):
-    rho = SEQUENCE_CASES[name]
-    params = KernelParams(s=0.5)
-    rows = homotopy_derivative(SEQUENCE_TPRIMES, rho, params)
-    scalar = np.stack([homotopy_derivative(tp, rho, params) for tp in SEQUENCE_TPRIMES])
-    assert np.array_equal(rows, scalar)
-    # the rule nodes the m1 oracle passes, as an array
-    nodes = HomotopyRule(order=8).tprime()[0]
-    rows = homotopy_derivative(nodes, rho, params)
-    assert np.array_equal(rows, np.stack([homotopy_derivative(tp, rho, params) for tp in nodes]))
-
-
-@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
 def test_homotopy_derivative_keeps_the_single_tprime_operation_order(name):
     rho = SEQUENCE_CASES[name]
     params = KernelParams(s=0.5)
-    rows = homotopy_derivative(SEQUENCE_TPRIMES, rho, params)
-    for tp, row in zip(SEQUENCE_TPRIMES, rows, strict=True):
-        assert np.array_equal(row, single_tprime_homotopy_derivative(tp, rho, params))
+    # a list, one t' alone, and the rule nodes the m1 oracle passes as an array
+    for tprimes in (SEQUENCE_TPRIMES, [0.3], HomotopyRule(order=8).tprime()[0]):
+        rows = homotopy_derivative(tprimes, rho, params)
+        for tp, row in zip(tprimes, rows, strict=True):
+            ref = single_tprime_homotopy_derivative(tp, rho, params)
+            assert np.array_equal(row, ref)
 
 
 def test_homotopy_derivative_shape_contract():
     rho = SEQUENCE_CASES["n1-hemisphere"]
     params = KernelParams(s=0.5)
     N = rho.grid.size
-    for scalar in (0.4, 1, np.float64(0.4), np.array(0.4)):
-        assert homotopy_derivative(scalar, rho, params).shape == (N,)
     for seq in ([0.4], [0.1, 0.4, 1.0], (0.1, 0.4), np.array([0.1, 0.4, 1.0])):
         assert homotopy_derivative(seq, rho, params).shape == (len(seq), N)
     assert homotopy_derivative([], rho, params).shape == (0, N)
-    with pytest.raises(ValueError, match="1-D"):
-        homotopy_derivative([[0.1, 0.4]], rho, params)
+    for bad in (0.4, np.array(0.4), [[0.1, 0.4]]):
+        with pytest.raises(ValueError, match="1-D"):
+            homotopy_derivative(bad, rho, params)
 
 
-@pytest.mark.parametrize("tprime", [0.5, [0.2, 0.6, 1.0]])
+@pytest.mark.parametrize("tprime", [pytest.param([0.5], id="0.5"), [0.2, 0.6, 1.0]])
 def test_homotopy_derivative_guard_raises_before_any_warning(tprime):
     grid = build_grid(1, 129, "hemisphere")
     # adjacent images this close underflow the squared distance to zero, so
@@ -919,9 +919,9 @@ def test_each_remainder_pass_calls_the_guard_once(folded, monkeypatch):
     remainder_R1(rho, params, GUARD_RULE, targets=[3, 7])
     assert calls == [rho, rho]
     # the homotopy derivative walks the same kernels: one guard call per
-    # call, at one t' or at a sequence of them
+    # call, at one t' or at several
     calls.clear()
-    homotopy_derivative(0.4, rho, params)
+    homotopy_derivative([0.4], rho, params)
     assert calls == [rho]
     homotopy_derivative([0.0, 0.4, 1.0], rho, params)
     assert calls == [rho, rho]
@@ -1066,7 +1066,7 @@ def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
         remainder_R1(RadialField(rho.grid, rho.values), params, rule)
         # at t' = 0 the kernel is the round one, |y - x|^(-p), infinite at
         # the own columns unless they are punctured
-        homotopy_derivative(0.0, rho, params)
+        homotopy_derivative([0.0], rho, params)
         homotopy_derivative([0.0, 0.5, 1.0], rho, params)
     assert block
 

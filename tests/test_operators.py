@@ -266,9 +266,7 @@ def test_operators_read_surface_dimension_from_grid(topology):
     if topology == "full-sphere":
         assert hs_reference(grid, params) == pytest.approx(free, rel=1e-12)
         x = grid.size // 3
-        oracle = divergence_oracle_Hs(
-            grid.nodes, grid.nodes, grid.weights, x, params, ordered_ring=False
-        )
+        oracle = divergence_oracle_Hs(grid.nodes, grid.nodes, grid.weights, x, params)
         assert oracle == pytest.approx(free[x], rel=1e-12)
 
 
@@ -353,7 +351,7 @@ def test_remainder_R2_matches_brute_force_refined():
 def test_homotopy_derivative_vanishes_on_unit_sphere():
     grid = build_grid(1, 128, "full-sphere")
     rho = RadialField(grid, np.ones(grid.size))
-    out = homotopy_derivative(0.6, rho, PARAMS)
+    out = homotopy_derivative([0.6], rho, PARAMS)
     assert np.abs(out).max() == 0.0
 
 
@@ -364,7 +362,7 @@ def test_homotopy_derivative_dilation_closed_form(tp):
     grid = build_grid(1, 512, "full-sphere")
     c = 1.3
     rho = RadialField(grid, np.full(grid.size, c))
-    out = homotopy_derivative(tp, rho, PARAMS)
+    out = homotopy_derivative([tp], rho, PARAMS)[0]
     radius = 1.0 + tp * (c - 1.0)
     expect = circle_mass(S) * (c - 1.0) * radius ** (-(1.0 + S))
     assert np.abs(out - expect).max() < 2e-4 * abs(expect)
@@ -382,8 +380,8 @@ def test_curvature_reassembles_from_homotopy_derivative(topology, res):
     lhs = parametrized_Hs(rho, PARAMS, rule, ref)
     tn, tw = rule.tprime()
     rhs = np.zeros(grid.size)
-    for tp, wt in zip(tn, tw):
-        rhs += wt * homotopy_derivative(tp, rho, PARAMS)
+    for wt, d in zip(tw, homotopy_derivative(tn, rho, PARAMS)):
+        rhs += wt * d
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() < 1e-8 * scale
 
@@ -422,6 +420,25 @@ def test_divergence_oracle_unit_circle():
     assert val == pytest.approx(circle_mass(S) / S, rel=1e-5)
 
 
+@pytest.mark.parametrize("n, resolution", [(1, 64), (2, 9)])
+def test_divergence_oracle_corrects_exactly_the_planar_curves(n, resolution):
+    # planar points are an ordered curve and take the two-neighbour lattice
+    # correction; surface points take the plain punctured sum
+    grid = build_grid(n, resolution, "full-sphere")
+    x = grid.size // 3
+    diff = grid.nodes - grid.nodes[x]
+    dist = np.linalg.norm(diff, axis=1)
+    dist[x] = 1.0
+    f = (2.0 / S) * np.sum(diff * grid.nodes, axis=1) * dist ** (-(n + 1 + S))
+    f[x] = 0.0
+    expect = grid.weights @ f
+    if n == 1:
+        near = [x - 1, x + 1]
+        expect -= riemann_zeta(S) * (grid.weights[near] @ f[near])
+    got = divergence_oracle_Hs(grid.nodes, grid.nodes, grid.weights, x, PARAMS)
+    assert got == pytest.approx(expect, rel=1e-14)
+
+
 def test_divergence_oracle_dilation_equivariance():
     grid = build_grid(1, 256, "full-sphere")
     base = divergence_oracle_Hs(grid.nodes, grid.nodes, grid.weights, 5, PARAMS)
@@ -458,9 +475,7 @@ def test_divergence_oracle_unit_two_sphere():
         grid = build_grid(2, res, "full-sphere")
         t = grid.size // 2
         vals.append(
-            divergence_oracle_Hs(
-                grid.nodes, grid.nodes, grid.weights, t, params, ordered_ring=False
-            )
+            divergence_oracle_Hs(grid.nodes, grid.nodes, grid.weights, t, params)
         )
     # without a lattice correction the punctured rule converges like
     # h^(1-s); at these resolutions that is a 10-20 percent defect
@@ -536,7 +551,7 @@ def test_injectivity_guard_trips_on_pinched_map():
     with pytest.raises(InjectivityError):
         remainder_R2(rho, PARAMS, rule)
     with pytest.raises(InjectivityError):
-        homotopy_derivative(0.5, rho, PARAMS)
+        homotopy_derivative([0.5], rho, PARAMS)
 
 
 def test_injectivity_ratio_near_one_for_mild_fields():
