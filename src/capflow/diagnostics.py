@@ -29,7 +29,6 @@ __all__ = [
 class HolderEstimate:
     """Discrete Hoelder data: sup part plus the all-pairs seminorm."""
 
-    alpha: float
     sup_part: float
     seminorm: float
 
@@ -49,7 +48,7 @@ def holder_norm(u: np.ndarray, grid: SphereGrid, alpha: float) -> HolderEstimate
     mask = ~np.eye(grid.size, dtype=bool)
     diffs = np.abs(u[None, :] - u[:, None])
     semi = float((diffs[mask] / dist[mask] ** alpha).max())
-    return HolderEstimate(alpha, float(np.abs(u).max()), semi)
+    return HolderEstimate(float(np.abs(u).max()), semi)
 
 
 def interpolation_check(

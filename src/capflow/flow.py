@@ -352,29 +352,20 @@ class _Context:
             self.work, self.index_map = self.grid, np.arange(self.grid.size)
         self.rows = np.arange(self.grid.size)
         self.hs_ref = hs_reference(self.work, self.params)[: self.grid.size]
-        M_work = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
+        M = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
         if folded:
             MT = np.zeros((self.grid.size, self.grid.size))
-            np.add.at(MT, self.index_map, M_work.T)
-            self.M = MT.T
-        else:
-            self.M = M_work
-        self._lu: dict[float, np.ndarray] = {}
+            np.add.at(MT, self.index_map, M.T)
+            M = MT.T
+        self.M = M
+        # the inverse of I - dt M, kept for the LU_CACHE most recently used
+        # dt; closing over M, not self, keeps the context out of a cycle
+        self.factor = lru_cache(maxsize=LU_CACHE)(
+            lambda dt: lu_factor(np.eye(M.shape[0]) - dt * M)
+        )
 
     def to_work(self, values: np.ndarray) -> RadialField:
         return RadialField(self.work, values[self.index_map])
-
-    def solver(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve with I - dt M; the LU_CACHE most recently used dt keep
-        their factorisation."""
-        key = float(dt)
-        fac = self._lu.pop(key, None)
-        if fac is None:
-            fac = lu_factor(np.eye(self.grid.size) - dt * self.M)
-            if len(self._lu) >= LU_CACHE:
-                del self._lu[next(iter(self._lu))]
-        self._lu[key] = fac
-        return lambda v: lu_solve(fac, v)
 
 
 # A context holds dense N x N matrices and up to LU_CACHE factorisations,
@@ -511,8 +502,7 @@ def _picard(
     star-shaped regime, a loop that does not settle, or a failed boundary
     projection) or InjectivityError (a pinched homotopy walk).
     """
-    hat = rho_old.copy()
-    solve = ctx.solver(dt)
+    hat, fac = rho_old, ctx.factor(dt)
     frozen = None
     for k in range(cfg.max_picard):
         wf = ctx.to_work(hat)
@@ -521,7 +511,7 @@ def _picard(
             frozen = _remainders(ctx, wf)
         P = _explicit_part(ctx, hat, A, *frozen)
         rhs = rho_old + dt * (P - ctx.hs_ref)
-        u = solve(rhs)
+        u = lu_solve(fac, rhs)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:
             raise NonconvergenceError("implicit solve left the star-shaped regime")
         u = apply_bc(RadialField(ctx.grid, u), cfg.theta, tol=cfg.bc_tol).values
@@ -610,7 +600,7 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
         _record(traj, state, grid, cfg)
     # Also on early termination: the last accepted state is the restart point.
     if traj.saved[-1][0] != state.t:
-        traj.saved.append((state.t, state.rho.values.copy()))
+        traj.saved.append((state.t, state.rho.values))
     return traj
 
 
@@ -629,7 +619,7 @@ def _record(traj: Trajectory, state: FlowState, grid: SphereGrid, cfg: FlowConfi
         }
     )
     if state.step % cfg.save_every == 0:
-        traj.saved.append((state.t, vals.copy()))
+        traj.saved.append((state.t, vals))
 
 
 def operator_matrix(cfg: FlowConfig) -> np.ndarray:

@@ -39,7 +39,8 @@ MIN_RESOLUTION = 8
 
 @dataclass(eq=False)
 class SphereGrid:
-    """Quadrature grid on the hemisphere or the full sphere.
+    """Quadrature grid on the hemisphere or the full sphere; `build_grid`
+    makes its arrays read-only, as chord2 and the stencils derive from them.
 
     Attributes
     ----------
@@ -55,7 +56,7 @@ class SphereGrid:
         Positive quadrature weights in surface-measure units.
     boundary_mask : ndarray of bool, shape (N,)
         True exactly at nodes on the equator x_{n+1} = 0 (hemisphere only).
-    chord2 : ndarray, shape (N, N), read-only
+    chord2 : ndarray, shape (N, N)
         Squared chords |y - x|^2 = 2 - 2 x.y of all node pairs, with a
         zero diagonal.
     h : float or None
@@ -231,12 +232,19 @@ def build_grid(n: int, resolution: int, topology: str) -> SphereGrid:
 
 
 def _pairwise(nodes: np.ndarray) -> np.ndarray:
-    """Read-only |y - x|^2 = 2 - 2 x.y of unit nodes, zero on the diagonal;
-    the clip keeps every entry >= 0."""
+    """|y - x|^2 = 2 - 2 x.y of unit nodes, zero on the diagonal; the clip
+    keeps every entry >= 0."""
     chord2 = 2.0 - 2.0 * np.clip(nodes @ nodes.T, -1.0, 1.0)
     np.fill_diagonal(chord2, 0.0)
-    chord2.setflags(write=False)
     return chord2
+
+
+def _read_only(grid: SphereGrid) -> SphereGrid:
+    """The grid, with every array made read-only."""
+    for value in vars(grid).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return grid
 
 
 def _build_circle(resolution: int, topology: str) -> SphereGrid:
@@ -260,7 +268,7 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
             [(np.arange(N) - 1) % N, (np.arange(N) + 1) % N]
         )
     nodes = np.column_stack([np.cos(phi), np.sin(phi)])
-    return SphereGrid(
+    grid = SphereGrid(
         n=1,
         topology=topology,
         resolution=resolution,
@@ -272,6 +280,7 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
         phi=phi,
         adjacent=adjacent,
     )
+    return _read_only(grid)
 
 
 def _rings(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +311,7 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
     )
     # Pole nodes sit exactly on the axis (cos beta is exactly +-1 there).
     nodes[start[poles], :2] = 0.0
-    return SphereGrid(
+    grid = SphereGrid(
         n=2,
         topology=topology,
         resolution=resolution,
@@ -316,6 +325,7 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
         dgamma=dgamma,
         ring_counts=counts,
     )
+    return _read_only(grid)
 
 
 # ----------------------------------------------------------------------

@@ -192,17 +192,14 @@ def load_snapshot(path, grid):
 
 
 def write_csv(path, manifest, diagnostics):
-    """Per-step diagnostics table; the manifest rides in a comment line."""
+    """Per-step diagnostics table of the CSV_COLUMNS, picard_iters as an
+    integer and the rest as float reprs; the manifest rides in a comment."""
     with open(path, "w") as fh:
         fh.write("# manifest: " + _dumps(manifest) + "\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for d in diagnostics:
-            row = [
-                repr(float(d["t"])),
-                repr(float(d["volume"])),
-                repr(float(d["sup_dev"])),
-                repr(float(d["max_bc_residual"])),
-                str(int(d["picard_iters"])),
-                repr(float(d["dt"])),
-            ]
+            row = (
+                str(int(d[c])) if c == "picard_iters" else repr(float(d[c]))
+                for c in CSV_COLUMNS
+            )
             fh.write(",".join(row) + "\n")

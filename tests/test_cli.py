@@ -310,6 +310,28 @@ def test_csv_layout(tmp_path):
     assert lines[2].split(",")[1] == repr(3.14)
 
 
+def test_csv_cells_follow_the_column_list(tmp_path, monkeypatch):
+    from capflow import snapshots
+
+    monkeypatch.setattr(snapshots, "CSV_COLUMNS", snapshots.CSV_COLUMNS[::-1])
+    diag = {
+        "t": 0.5,
+        "volume": 3.25,
+        "sup_dev": 0.125,
+        "max_bc_residual": 1e-7,
+        "picard_iters": 3,
+        "dt": 1e-3,
+    }
+    path = tmp_path / "diag.csv"
+    write_csv(path, {}, [diag])
+    header, row = path.read_text().splitlines()[1:]
+    assert header == ",".join(snapshots.CSV_COLUMNS)
+    cells = dict(zip(header.split(","), row.split(","), strict=True))
+    assert cells == {
+        k: str(v) if k == "picard_iters" else repr(float(v)) for k, v in diag.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # command entry points
 # ----------------------------------------------------------------------

@@ -366,20 +366,25 @@ def test_context_cache_keeps_at_most_four_configs():
     assert _cached_context.cache_info().hits >= 1
 
 
-def test_context_keeps_at_most_lu_cache_factorisations():
+def test_context_keeps_at_most_lu_cache_factorisations(monkeypatch):
     from capflow.flow import LU_CACHE, _Context
 
+    factored = []
+    real = flow.lu_factor
+    monkeypatch.setattr(flow, "lu_factor", lambda a: factored.append(a) or real(a))
     ctx = _Context(1, 0.5, 32, "full-sphere", 4)
     v = np.cos(3 * ctx.grid.phi)
     dts = [0.01 * 0.5**k for k in range(LU_CACHE + 3)]
-    first = {dt: ctx.solver(dt)(v) for dt in dts}
-    assert len(ctx._lu) == LU_CACHE
-    assert list(ctx._lu) == [float(dt) for dt in dts[-LU_CACHE:]]
-    # an evicted dt is factorised again; a kept one is moved to the back
-    for dt in (dts[0], dts[-1], dts[1]):
-        assert np.array_equal(ctx.solver(dt)(v), first[dt])
-        assert len(ctx._lu) == LU_CACHE
-    assert list(ctx._lu)[-3:] == [float(dts[0]), float(dts[-1]), float(dts[1])]
+    first = {dt: flow.lu_solve(ctx.factor(dt), v) for dt in dts}
+    assert len(factored) == len(dts)
+    # the cache holds the last LU_CACHE dt; a kept dt is not factorised
+    # again and becomes the most recent, so the next new dt evicts the one
+    # after it, which is then factorised again
+    oldest, second = dts[-LU_CACHE], dts[-LU_CACHE + 1]
+    for dt, again in ((oldest, 0), (dts[0], 1), (oldest, 0), (second, 1)):
+        count = len(factored)
+        assert np.array_equal(flow.lu_solve(ctx.factor(dt), v), first[dt])
+        assert len(factored) == count + again
 
 
 def test_operator_matrix_capillary_fold_matches_reflection():
@@ -537,11 +542,11 @@ def test_step_injectivity_floor():
 def test_solver_satisfies_discrete_max_principle():
     from capflow.flow import _get_context
 
-    solve = _get_context(_cfg(resolution=64)).solver(0.01)
+    fac = _get_context(_cfg(resolution=64)).factor(0.01)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = rng.standard_normal(64)
-        u = solve(v)
+        u = flow.lu_solve(fac, v)
         assert np.abs(u).max() <= np.abs(v).max() + 1e-12
 
 
@@ -558,7 +563,7 @@ def test_solver_residual_is_small(n, resolution, topology):
     rng = np.random.default_rng(11)
     b = rng.standard_normal(ctx.grid.size)
     for dt in (2e-4, 1e-2, 1.0):
-        x = ctx.solver(dt)(b)
+        x = flow.lu_solve(ctx.factor(dt), b)
         res = x - dt * (ctx.M @ x) - b
         assert np.abs(res).max() <= 1e-12 * np.abs(b).max()
 

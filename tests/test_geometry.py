@@ -419,6 +419,19 @@ def test_grid_caches_are_not_copied_by_replace():
     assert copy._stencils is None
 
 
+@pytest.mark.parametrize("n, resolution", [(1, 33), (2, 9)])
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_grid_arrays_are_read_only(n, resolution, topology):
+    # chord2 and the cached stencils derive from them: a write would stale both
+    g = build_grid(n, resolution, topology)
+    arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    per_n = {"phi", "adjacent"} if n == 1 else {"beta", "gamma", "ring_counts"}
+    assert set(arrays) == {"nodes", "weights", "boundary_mask", "chord2"} | per_n
+    for value in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            value.flat[0] = value.flat[0]
+
+
 def test_radial_field_validation():
     g = build_grid(1, 16, "hemisphere")
     with pytest.raises(ValueError):
