@@ -5,9 +5,10 @@ coordinates over the upper unit hemisphere: points rho(x)*x with x on the
 hemisphere and rho > 0.  Everything downstream (singular integrals, the
 evolution solver, the diagnostics) consumes the grids built here: unit
 nodes, quadrature weights, boundary markers, the squared chord |y - x|^2 of
-every node pair (the only pairwise fact the operators need), and
-finite-difference stencils (whose `eta` is the outward conormal on the
-equator).
+every node pair (the only pairwise fact the operators need), and one
+finite-difference stencil record of the same shape for n = 1 and n = 2:
+it holds the outward conormal `eta` on the equator, and `gradient_values`
+forms the one tangential gradient from it.
 
 n = 1 (curves in the half-plane) is the reference case: nodes are equally
 spaced angles with trapezoidal weights on the hemisphere and a uniform
@@ -63,10 +64,6 @@ class SphereGrid:
         Angular spacing of the n=1 parametrization (None for n=2).
     phi : ndarray or None
         Parameter angles for n=1 grids.
-    adjacent : ndarray of int, shape (N, 2), or None
-        Parameter-space neighbors of each node (used by the singular
-        quadrature correction); -1 marks a missing neighbor.  None for
-        n=2, where the correction is not applied.
     beta, gamma : ndarray or None
         Colatitude and longitude of each node for n=2 grids.
     dbeta, dgamma : float or None
@@ -85,7 +82,6 @@ class SphereGrid:
     chord2: np.ndarray
     h: float | None = None
     phi: np.ndarray | None = None
-    adjacent: np.ndarray | None = None
     beta: np.ndarray | None = None
     gamma: np.ndarray | None = None
     dbeta: float | None = None
@@ -139,28 +135,34 @@ class RadialField:
 
 @dataclass(frozen=True, eq=False)
 class Stencils:
-    """Finite-difference index arrays and tangent frame of one grid.
+    """Finite-difference index arrays and tangent frame of one grid, for
+    n = 1 and n = 2 alike; `_build_stencils` makes its arrays read-only.
 
     Attributes
     ----------
     boundary : ndarray of int, shape (m,)
         Boundary nodes, in increasing order; positions k below index it.
     inward : ndarray of int, shape (m, 2)
-        The two nodes next to each boundary node on its geodesic into the
-        interior (its meridian for n=2).
+        The two nodes next to each boundary node on its meridian into the
+        interior.
     step : float
-        Spacing of that geodesic stencil (h for n=1, dbeta for n=2).
+        Meridian spacing (h for n=1, dbeta for n=2).
     eta : ndarray, shape (m, n+1)
         Unit tangent at each boundary node along which `conormal`
-        differentiates (the outward conormal).
+        differentiates (the outward conormal): the boundary rows of e_beta.
+    meridian : ndarray of int, shape (N, 2)
+        The neighbours of each node at phi -+ h (n=1, periodic on the full
+        circle) or at beta -+ dbeta (n=2).  The node itself stands in where
+        a neighbour is missing; those rows are replaced by the boundary or
+        pole stencil.
+    e_beta : ndarray, shape (N, n+1)
+        Unit tangent along the meridian, towards its second neighbour; on
+        n=1 turned outward at the endpoint phi = 0.
     dgamma : float or None
         Node spacing in each ring (n=2).
-    meridian, ring : ndarray of int, shape (N, 2) or None
-        For n=2, the neighbours of each node at beta -+ dbeta and at
-        gamma -+ dgamma.  The node itself stands in where a neighbour is
-        missing; those rows are replaced by the boundary or pole stencil.
-    e_beta, e_gamma : ndarray, shape (N, 3) or None
-        Coordinate frame of each node (n=2).
+    ring, e_gamma : ndarray, shape (N, 2) and (N, 3), or None
+        For n=2, the neighbours of each node at gamma -+ dgamma, and the
+        unit tangent along its ring.
     sin_beta : ndarray or None
         sin(beta) of each node's ring, 1 at the poles (n=2).
     poles : ndarray of int or None
@@ -175,10 +177,10 @@ class Stencils:
     inward: np.ndarray
     step: float
     eta: np.ndarray
+    meridian: np.ndarray
+    e_beta: np.ndarray
     dgamma: float | None = None
-    meridian: np.ndarray | None = None
     ring: np.ndarray | None = None
-    e_beta: np.ndarray | None = None
     e_gamma: np.ndarray | None = None
     sin_beta: np.ndarray | None = None
     poles: np.ndarray | None = None
@@ -239,12 +241,13 @@ def _pairwise(nodes: np.ndarray) -> np.ndarray:
     return chord2
 
 
-def _read_only(grid: SphereGrid) -> SphereGrid:
-    """The grid, with every array made read-only."""
-    for value in vars(grid).values():
+def _read_only(record):
+    """The record (a grid or its stencils), with every array made
+    read-only."""
+    for value in vars(record).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return grid
+    return record
 
 
 def _build_circle(resolution: int, topology: str) -> SphereGrid:
@@ -256,17 +259,11 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
         weights[0] = weights[-1] = 0.5 * h
         boundary = np.zeros(N, dtype=bool)
         boundary[0] = boundary[-1] = True
-        adjacent = np.column_stack([np.arange(N) - 1, np.arange(N) + 1])
-        adjacent[0, 0] = -1
-        adjacent[-1, 1] = -1
     else:
         h = 2.0 * math.pi / N
         phi = h * np.arange(N)
         weights = np.full(N, h)
         boundary = np.zeros(N, dtype=bool)
-        adjacent = np.column_stack(
-            [(np.arange(N) - 1) % N, (np.arange(N) + 1) % N]
-        )
     nodes = np.column_stack([np.cos(phi), np.sin(phi)])
     grid = SphereGrid(
         n=1,
@@ -278,7 +275,6 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
         chord2=_pairwise(nodes),
         h=h,
         phi=phi,
-        adjacent=adjacent,
     )
     return _read_only(grid)
 
@@ -374,92 +370,90 @@ def reflect_field(rho: RadialField) -> RadialField:
 def gradient_values(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     """Tangential gradient of per-node samples as ambient vectors.
 
-    Second-order finite differences: centered in the interior (periodic
-    on the full circle), one-sided at the two hemisphere endpoints.
+    Second-order finite differences on the grid's stencils: centred along
+    the meridians (periodic on the full circle), one-sided along the
+    conormal at the boundary; on n = 2 also centred along the rings, and
+    along two orthogonal meridians at each pole.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.size,):
+    u = np.asarray(values, dtype=float)
+    if u.shape != (grid.size,):
         raise ValueError("sample count does not match grid size")
-    if grid.n == 2:
-        return _gradient_sphere2(grid, values)
-    du = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * grid.h)
-    grad = du[:, None] * np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
-    if grid.topology == "hemisphere":
-        # One-sided at the endpoints, where the conormal is -+ the tangent.
-        st = grid.stencils()
-        grad[st.boundary] = st.conormal(values)[:, None] * st.eta
+    st = grid.stencils()
+    ub = (u[st.meridian[:, 1]] - u[st.meridian[:, 0]]) / (2.0 * st.step)
+    # One-sided at the boundary, where the conormal is e_beta.
+    ub[st.boundary] = st.conormal(u)
+    grad = ub[:, None] * st.e_beta
+    if st.ring is None:
+        return grad
+    ug = (u[st.ring[:, 1]] - u[st.ring[:, 0]]) / (2.0 * st.dgamma)
+    grad += (ug / st.sin_beta)[:, None] * st.e_gamma
+    arms = u[st.pole_arms]
+    grad[st.poles, :2] = (
+        st.pole_sign[:, None] * (arms[:, :2] - arms[:, 2:]) / (2.0 * st.step)
+    )
+    grad[st.poles, 2] = 0.0
     return grad
 
 
 def _build_stencils(grid: SphereGrid) -> Stencils:
     bidx = np.flatnonzero(grid.boundary_mask)
+    rings = {}
     if grid.n == 1:
-        # The hemisphere endpoints: phi = 0 steps forward, phi = pi back.
-        into = np.where(bidx == 0, 1, -1)
-        tau = np.column_stack([-grid.nodes[bidx, 1], grid.nodes[bidx, 0]])
-        return Stencils(
-            boundary=bidx,
-            inward=bidx[:, None] + into[:, None] * np.array([1, 2]),
-            step=grid.h,
-            eta=-into[:, None] * tau,
+        k = np.arange(grid.size)
+        steps = np.column_stack([k - 1, k + 1])
+        meridian = np.clip(steps, 0, k[-1]) if bidx.size else steps % grid.size
+        e_beta = np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
+        # phi grows into the interior at the endpoint phi = 0
+        e_beta[bidx[:1]] *= -1.0
+    else:
+        counts = grid.ring_counts
+        start, ring_of, pos = _rings(counts)
+        last = counts.size - 1
+
+        def at(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+            return start[r] + p % counts[r]
+
+        meridian = np.column_stack(
+            [at(np.maximum(ring_of - 1, 0), pos), at(np.minimum(ring_of + 1, last), pos)]
         )
-
-    counts = grid.ring_counts
-    start, ring_of, pos = _rings(counts)
-    last = counts.size - 1
-
-    def at(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return start[r] + p % counts[r]
-
-    meridian = np.column_stack(
-        [at(np.maximum(ring_of - 1, 0), pos), at(np.minimum(ring_of + 1, last), pos)]
-    )
-    ring = np.column_stack([at(ring_of, pos - 1), at(ring_of, pos + 1)])
-    # The frame must be these array expressions: scalar and array trig can
-    # differ in the last bit, and the boundary rows must equal the full ones.
-    beta, gamma = grid.beta, grid.gamma
-    e_beta = np.column_stack(
-        [np.cos(beta) * np.cos(gamma), np.cos(beta) * np.sin(gamma), -np.sin(beta)]
-    )
-    e_gamma = np.column_stack([-np.sin(gamma), np.cos(gamma), np.zeros_like(gamma)])
-    sin_beta = np.sin(beta)
-    poles = np.flatnonzero(counts[ring_of] == 1)
-    sin_beta[poles] = 1.0
-    north = ring_of[poles] == 0
-    adjacent = np.where(north, 1, last - 1)
-    pole_arms = start[adjacent][:, None] + (counts[adjacent] // 4)[:, None] * np.arange(4)
-    inner = meridian[bidx, 0]
-    return Stencils(
+        # The frame must be these array expressions: scalar and array trig
+        # can differ in the last bit, and the boundary rows must equal the
+        # full ones.
+        beta, gamma = grid.beta, grid.gamma
+        e_beta = np.column_stack(
+            [np.cos(beta) * np.cos(gamma), np.cos(beta) * np.sin(gamma), -np.sin(beta)]
+        )
+        sin_beta = np.sin(beta)
+        poles = np.flatnonzero(counts[ring_of] == 1)
+        sin_beta[poles] = 1.0
+        north = ring_of[poles] == 0
+        arm_ring = np.where(north, 1, last - 1)
+        rings = dict(
+            dgamma=grid.dgamma,
+            ring=np.column_stack([at(ring_of, pos - 1), at(ring_of, pos + 1)]),
+            e_gamma=np.column_stack(
+                [-np.sin(gamma), np.cos(gamma), np.zeros_like(gamma)]
+            ),
+            sin_beta=sin_beta,
+            poles=poles,
+            pole_arms=start[arm_ring][:, None]
+            + (counts[arm_ring] // 4)[:, None] * np.arange(4),
+            pole_sign=np.where(north, 1.0, -1.0),
+        )
+    # From the meridian neighbour that is not the node itself, the next
+    # node on that side.
+    side = (meridian[bidx, 0] == bidx).astype(int)
+    inner = meridian[bidx, side]
+    stencils = Stencils(
         boundary=bidx,
-        inward=np.column_stack([inner, meridian[inner, 0]]),
-        step=grid.dbeta,
+        inward=np.column_stack([inner, meridian[inner, side]]),
+        step=grid.h if grid.n == 1 else grid.dbeta,
         eta=e_beta[bidx],
-        dgamma=grid.dgamma,
         meridian=meridian,
-        ring=ring,
         e_beta=e_beta,
-        e_gamma=e_gamma,
-        sin_beta=sin_beta,
-        poles=poles,
-        pole_arms=pole_arms,
-        pole_sign=np.where(north, 1.0, -1.0),
+        **rings,
     )
-
-
-def _gradient_sphere2(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
-    st = grid.stencils()
-    ub = (u[st.meridian[:, 1]] - u[st.meridian[:, 0]]) / (2.0 * grid.dbeta)
-    # One-sided at the equator, where the conormal is e_beta.
-    ub[st.boundary] = st.conormal(u)
-    ug = (u[st.ring[:, 1]] - u[st.ring[:, 0]]) / (2.0 * grid.dgamma)
-    grad = ub[:, None] * st.e_beta + (ug / st.sin_beta)[:, None] * st.e_gamma
-    # Pole: centered differences along two orthogonal meridians.
-    arms = u[st.pole_arms]
-    grad[st.poles, :2] = (
-        st.pole_sign[:, None] * (arms[:, :2] - arms[:, 2:]) / (2.0 * grid.dbeta)
-    )
-    grad[st.poles, 2] = 0.0
-    return grad
+    return _read_only(stencils)
 
 
 def quad_integrate(grid: SphereGrid, samples: np.ndarray) -> float:

@@ -154,9 +154,10 @@ def _lattice_stencil(grid: SphereGrid, targets: np.ndarray) -> list:
     doubled grid, where every row is interior."""
     if grid.n != 1:
         return []
-    adj = grid.adjacent[targets]
-    rows = np.flatnonzero(np.all(adj >= 0, axis=1))
-    return [(rows, adj[rows, side]) for side in (0, 1)]
+    nbrs = grid.stencils().meridian[targets]
+    # an endpoint stands in for its own missing neighbour
+    rows = np.flatnonzero(np.all(nbrs != targets[:, None], axis=1))
+    return [(rows, nbrs[rows, side]) for side in (0, 1)]
 
 
 def _corrected_sum(

@@ -15,6 +15,7 @@ MODULES = ("cli", "diagnostics", "flow", "geometry", "nonlocal_ops", "snapshots"
 GONE = [
     "RunManifest",
     "_contact_residual",
+    "_gradient_sphere2",
     "_least_ratio2",
     "_mass_rows",
     "_wetted_disk_samples",

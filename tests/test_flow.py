@@ -37,6 +37,7 @@ from capflow.nonlocal_ops import (
 )
 from test_geometry import (
     reference_conormal_derivative,
+    reference_gradient_circle,
     reference_gradient_sphere2,
     sample_fields,
 )
@@ -186,7 +187,7 @@ def _reference_residual(grid, u, g, b, theta):
 
 def _reference_gradient(grid, u):
     if grid.n == 1:
-        return gradient_values(grid, u)
+        return reference_gradient_circle(grid, u)
     return reference_gradient_sphere2(grid, u)
 
 
@@ -537,6 +538,37 @@ def test_step_injectivity_floor():
     state = FlowState(t=0.0, rho=RadialField(grid, np.full(64, 0.12)), dt=cfg.dt)
     with pytest.raises(InjectivityError):
         step(state, cfg)
+
+
+@pytest.mark.parametrize("factor, error", [(0.999, ExtinctionError), (1.001, InjectivityError)])
+def test_step_ends_a_run_at_the_extinction_threshold(monkeypatch, factor, error):
+    # just above the threshold a constant field passes the extinction check
+    # and meets the injectivity floor, as its ratio is its value
+    level = factor * flow.EXTINCTION_THRESHOLD
+    monkeypatch.setattr(
+        flow, "_picard", lambda ctx, cfg, rho_old, dt: (np.full(rho_old.size, level), 1)
+    )
+    cfg = _cfg(homotopy_order=4)
+    grid = build_grid(1, 64, "full-sphere")
+    state = FlowState(t=0.0, rho=RadialField(grid, np.ones(64)), dt=cfg.dt)
+    with pytest.raises(error) as info:
+        step(state, cfg)
+    assert type(info.value) is error
+
+
+def test_full_circle_steps_meet_picard_tol():
+    # with no boundary, each accepted step solves backward Euler to
+    # picard_tol: G = u - rho_old - dt assemble_rhs(u) is bounded by it
+    cfg = _cfg(resolution=128, dt=2e-3, initial="cosine:4:0.2", homotopy_order=8)
+    grid = build_grid(1, 128, "full-sphere")
+    state = FlowState(t=0.0, rho=initial_field(grid, cfg.initial), dt=cfg.dt)
+    for _ in range(4):
+        new = step(state, cfg)
+        u = new.rho.values
+        G = u - state.rho.values - new.dt * assemble_rhs(new.rho, cfg)
+        assert new.dt == cfg.dt
+        assert np.abs(G).max() <= cfg.picard_tol * max(1.0, np.abs(u).max())
+        state = new
 
 
 def test_solver_satisfies_discrete_max_principle():

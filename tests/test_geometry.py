@@ -78,6 +78,24 @@ def reference_gradient_sphere2(grid, u):
     return grad
 
 
+def reference_gradient_circle(grid, u):
+    """The n = 1 gradient written out node by node: centred differences
+    (periodic on the full circle) times the unit tangent, and at each
+    hemisphere endpoint the one-sided conormal derivative times the
+    outward conormal.  Independent of the stencil record.
+    """
+    N, h = grid.size, grid.h
+    grad = np.zeros((N, 2))
+    for i in range(N):
+        tangent = np.array([-grid.nodes[i, 1], grid.nodes[i, 0]])
+        if grid.topology == "hemisphere" and i in (0, N - 1):
+            outward = -tangent if i == 0 else tangent
+            grad[i] = reference_conormal_derivative(grid, u, i) * outward
+        else:
+            grad[i] = (u[(i + 1) % N] - u[(i - 1) % N]) / (2.0 * h) * tangent
+    return grad
+
+
 def reference_conormal_derivative(grid, u, b):
     """Outward conormal derivative at boundary node b, stencil written out."""
     if grid.n == 1:
@@ -215,7 +233,7 @@ def test_sphere2_grid_matches_node_loop(topology, monkeypatch):
         ref = reference_sphere2_layout(resolution, topology)
         for name, value in ref.items():
             assert np.array_equal(getattr(g, name), value), (resolution, name)
-        assert g.adjacent is None and g.h is None and g.phi is None
+        assert g.h is None and g.phi is None
         if topology == "hemisphere":
             full, index_map = double_grid(g)
             assert np.array_equal(index_map, reference_sphere2_index_map(g, full))
@@ -329,6 +347,35 @@ def test_gradient_sphere2_matches_ring_loop(topology, resolution):
         assert np.array_equal(gradient_values(g, u), reference_gradient_sphere2(g, u))
 
 
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+@pytest.mark.parametrize("resolution", [8, 64, 65, 129])
+def test_gradient_circle_matches_written_out_formula(topology, resolution):
+    g = build_grid(1, resolution, topology)
+    for u in sample_fields(g).values():
+        assert np.array_equal(gradient_values(g, u), reference_gradient_circle(g, u))
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_circle_stencils_follow_the_parameter_line(topology):
+    g = build_grid(1, 16, topology)
+    st = g.stencils()
+    N = g.size
+    for i in range(N):
+        expect = [(i - 1) % N, (i + 1) % N]
+        if topology == "hemisphere":
+            # an endpoint stands in for its own missing neighbour
+            expect = [max(i - 1, 0), min(i + 1, N - 1)]
+        assert st.meridian[i].tolist() == expect
+    if topology == "hemisphere":
+        assert st.inward.tolist() == [[1, 2], [N - 2, N - 3]]
+        # the outward conormal points down, out of the half-plane, at both ends
+        np.testing.assert_allclose(st.eta, [[0.0, -1.0], [0.0, -1.0]], atol=1e-15)
+    else:
+        assert st.boundary.size == 0 and st.inward.shape == (0, 2)
+    assert np.array_equal(st.eta, st.e_beta[st.boundary])
+    assert st.step == g.h and st.ring is None
+
+
 @pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
 def test_boundary_stencil_matches_full_gradient(n, resolution):
     g = build_grid(n, resolution, "hemisphere")
@@ -422,14 +469,19 @@ def test_grid_caches_are_not_copied_by_replace():
 @pytest.mark.parametrize("n, resolution", [(1, 33), (2, 9)])
 @pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
 def test_grid_arrays_are_read_only(n, resolution, topology):
-    # chord2 and the cached stencils derive from them: a write would stale both
+    # a write to a grid array would stale chord2 and the cached stencils; a
+    # write to a stencil array, every later gradient and lattice correction
     g = build_grid(n, resolution, topology)
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
-    per_n = {"phi", "adjacent"} if n == 1 else {"beta", "gamma", "ring_counts"}
+    per_n = {"phi"} if n == 1 else {"beta", "gamma", "ring_counts"}
     assert set(arrays) == {"nodes", "weights", "boundary_mask", "chord2"} | per_n
-    for value in arrays.values():
+    stencils = {k: v for k, v in vars(g.stencils()).items() if isinstance(v, np.ndarray)}
+    rings = {"ring", "e_gamma", "sin_beta", "poles", "pole_arms", "pole_sign"}
+    frame = {"boundary", "inward", "eta", "meridian", "e_beta"}
+    assert set(stencils) == (frame if n == 1 else frame | rings)
+    for value in [*arrays.values(), *stencils.values()]:
         with pytest.raises(ValueError, match="read-only"):
-            value.flat[0] = value.flat[0]
+            value[...] = value
 
 
 def test_radial_field_validation():

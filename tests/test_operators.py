@@ -179,12 +179,12 @@ def reference_frac_laplacian(u, grid, params):
     psi = _first_moment(grid, K * grid.weights[None, :])
     out = S @ grid.weights + 2.0 * np.sum(g * psi, axis=1)
     if grid.n == 1:
-        adj = grid.adjacent
-        both = (adj[:, 0] >= 0) & (adj[:, 1] >= 0)
-        rows = np.flatnonzero(both)
-        corr = np.zeros(grid.size)
-        for side in (0, 1):
-            idx = adj[rows, side]
+        # parameter neighbours: periodic on the full circle, and none at
+        # the two hemisphere endpoints
+        N = grid.size
+        rows = np.arange(N) if grid.topology == "full-sphere" else np.arange(1, N - 1)
+        corr = np.zeros(N)
+        for idx in ((rows - 1) % N, (rows + 1) % N):
             corr[rows] += 2.0 * (u[idx] - u[rows]) * K[rows, idx]
         out -= riemann_zeta(params.s) * grid.h * corr
     return out
