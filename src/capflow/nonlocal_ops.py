@@ -59,7 +59,6 @@ __all__ = [
     "HomotopyRule",
     "InjectivityError",
     "riemann_zeta",
-    "kernel_K",
     "frac_laplacian",
     "frac_laplacian_matrix",
     "remainder_R1",
@@ -107,7 +106,8 @@ class HomotopyRule:
     """
 
     order: int
-    _base: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # derived from `order`, so equality and hashing read the order alone
+    _base: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -207,48 +207,26 @@ def _dist2_coeffs(
     u_x: np.ndarray,
     u_y: np.ndarray,
     A0: np.ndarray,
-    A1: np.ndarray | None = None,
-    A2: np.ndarray | None = None,
-    T: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    A1: np.ndarray,
+    A2: np.ndarray,
+    T: np.ndarray,
+) -> None:
     """A1, A2 of |Phi_xi(y) - Phi_xi(x)|^2 = A0 + xi (A1 + xi A2), unit x, y:
     A1 = (u(x) + u(y)) A0, A2 = (u(x) - u(y))^2 + u(x) u(y) A0, u = rho - 1.
-    Broadcasts over pairs or target rows; written into A1 and A2, with T as
-    scratch, when given (each must have the broadcast shape)."""
-    A1 = np.add(u_x, u_y, out=A1)
+    Broadcasts u(x) over target rows; writes A1 and A2, with T as scratch
+    (each has the shape of A0)."""
+    np.add(u_x, u_y, out=A1)
     A1 *= A0
-    A2 = np.subtract(u_x, u_y, out=A2)
+    np.subtract(u_x, u_y, out=A2)
     np.square(A2, out=A2)
-    T = np.multiply(u_x, u_y, out=T)
+    np.multiply(u_x, u_y, out=T)
     T *= A0
     A2 += T
-    return A1, A2
 
 
 def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
     """x . grad rho(y) per entry (a matrix product rounds by row count)."""
     return sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
-
-
-def kernel_K(
-    xi: float, rho: RadialField, y: np.ndarray, x: np.ndarray, params: KernelParams
-) -> np.ndarray:
-    """Kernel |Phi_xi(y) - Phi_xi(x)|^(-(n+1+s)) for node pairs.
-
-    `y` and `x` are equal-shape index arrays, and the result has their
-    shape; every pair must be off the diagonal.
-    """
-    y, x = np.asarray(y), np.asarray(x)
-    if y.ndim == 0 or y.shape != x.shape:
-        raise ValueError("y and x must be equal-shape index arrays")
-    r, grid = rho.values, rho.grid
-    if np.any((np.minimum(y, x) < 0) | (np.maximum(y, x) >= grid.size)):
-        raise ValueError(f"node indices must lie in [0, {grid.size})")
-    if np.any(y == x):
-        raise ValueError("kernel is singular at y = x")
-    A0 = grid.chord2[y, x]
-    A1, A2 = _dist2_coeffs(r[x] - 1.0, r[y] - 1.0, A0)
-    return (A0 + xi * (A1 + xi * A2)) ** (-0.5 * (grid.n + 1 + params.s))
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,6 @@ from .diagnostics import (
 from .flow import (
     FlowConfig,
     FlowState,
-    apply_bc,
-    initial_field,
     operator_matrix,
     run_flow,
     step,
@@ -40,10 +38,10 @@ from .geometry import (
 from .nonlocal_ops import (
     HomotopyRule,
     KernelParams,
+    _homotopy_blocks,
     divergence_oracle_Hs,
     homotopy_derivative,
     hs_reference,
-    kernel_K,
     parametrized_Hs,
 )
 
@@ -266,7 +264,8 @@ def suite_bc(resolution=129):
             )
         )
         if theta == HALF_PI:
-            rho0 = apply_bc(initial_field(traj.grid, "height:0.05"), theta, cfg.bc_tol)
+            # frame 0 is the projected initial field
+            rho0 = RadialField(traj.grid, traj.saved[0][1])
             full = reflect_field(rho0)  # on a new double_grid(traj.grid)[0]
             cfg_f = _oracle_config(
                 dt=dt, resolution=full.grid.resolution, topology="full-sphere"
@@ -304,21 +303,19 @@ def _interpolation_family(grid):
             yield f"a={a}, degree {k}", a * np.cos(k * grid.phi)
 
 
-def kernel_bound_excess(resolution=512, pairs=10**4, s=ORACLE_S, seed=2026):
-    """Worst excess of kernel values over the distance-ratio bound.
+def kernel_bound_excess(resolution=512):
+    """Worst excess of the flow's kernel over the distance-ratio bound.
 
     For the deformed surface Phi_xi the kernel times chord^(n+1+s) equals
     (chord/image distance)^(n+1+s), which the minimal image separation
-    ratio bounds from above.  Samples node pairs and interpolation stages
-    and returns max(kernel * chord^p / kappa), which must stay at or
-    below 1.
+    ratio bounds from above.  Reads the kernel of every node pair from the
+    homotopy walk (`_homotopy_blocks`) at three interpolation stages and
+    returns max(kernel * chord^p / kappa), which must stay at or below 1.
     """
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
-    params = KernelParams(s)
-    p = grid.n + 1 + s
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    p = grid.n + 1 + ORACLE_S
+    stages = []
     for xi in (0.0, 0.37, 1.0):
         r = 1.0 + xi * (rho.values - 1.0)
         pts = r[:, None] * grid.nodes
@@ -327,11 +324,14 @@ def kernel_bound_excess(resolution=512, pairs=10**4, s=ORACLE_S, seed=2026):
         )
         ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
-        kappa = float(np.sqrt(ratio2.min())) ** -p
-        idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
-        i, j = idx[idx[:, 0] != idx[:, 1]].T
-        val = kernel_K(xi, rho, j, i, params)
-        worst = max(worst, float(np.max(val * np.sqrt(grid.chord2[i, j]) ** p / kappa)))
+        stages.append((xi, float(np.sqrt(ratio2.min())) ** -p))
+    worst = 0.0
+    _, blocks = _homotopy_blocks(rho, KernelParams(ORACLE_S), np.arange(grid.size), 1)
+    for _, tb, *_, kernel, (K,) in blocks:
+        # the walk's own columns are zero, as is their chord
+        chord_p = np.sqrt(grid.chord2[tb]) ** p
+        for xi, kappa in stages:
+            worst = max(worst, float(np.max(kernel(xi, K) * chord_p / kappa)))
     return worst
 
 
@@ -395,10 +395,10 @@ def suite_identities(resolution=512):
 
     rows.append(
         _le(
-            "kernel bound on sampled pairs",
+            "kernel bound on every node pair",
             kernel_bound_excess(resolution),
             1.0 + 1e-12,
-            "kernel values against the separation-ratio bound, 1e4 pairs",
+            "homotopy-walk kernel against the separation-ratio bound at 3 stages",
         )
     )
     return rows

@@ -22,6 +22,7 @@ GONE = [
     "conormal_derivative",
     "first_moment_psi",
     "jacobian_J",
+    "kernel_K",
     "kernel_K_dxi",
     "remainder_P",
     "shrinking_circle_constant",

@@ -17,7 +17,6 @@ from capflow import (
     homotopy_derivative,
     hs_reference,
     injectivity_ratio,
-    kernel_K,
     remainder_R1,
     remainder_R2,
     riemann_zeta,
@@ -223,8 +222,21 @@ def reference_homotopy_derivative(tprime, rho, params):
 
 
 def kernel_at(xi, rho, y, x, params):
-    """The kernel at one node pair, from a one-pair array call."""
-    return kernel_K(xi, rho, np.array([y]), np.array([x]), params)[0]
+    """The kernel at one node pair, from the chord form of the image
+    distance: a test-side formula, independent of the homotopy walk."""
+    D2 = _image_dist2(rho.values, rho.grid, xi, np.array([x]))[0, y]
+    return D2 ** (-0.5 * (rho.grid.n + 1 + params.s))
+
+
+def walk_kernel(xi, rho, params):
+    """The N x N kernel K_xi of the homotopy walk, row x and column y, with
+    the rows' own columns zero."""
+    size = rho.grid.size
+    K_all = np.empty((size, size))
+    _, blocks = nonlocal_ops._homotopy_blocks(rho, params, np.arange(size), 1)
+    for sl, *_, kernel, (K,) in blocks:
+        K_all[sl] = kernel(xi, K)
+    return K_all
 
 
 def bumpy_field(grid, eps=0.2):
@@ -271,6 +283,13 @@ def test_homotopy_rule_integrates_polynomials():
         assert (tw @ ((1.0 - tn) * tn**m)) == pytest.approx(expect, rel=1e-13)
 
 
+def test_homotopy_rule_compares_and_hashes_by_order():
+    assert HomotopyRule(order=4) == HomotopyRule(order=4)
+    assert hash(HomotopyRule(order=4)) == hash(HomotopyRule(order=4))
+    assert HomotopyRule(order=4) != HomotopyRule(order=8)
+    assert len({HomotopyRule(order=4), HomotopyRule(order=4), HomotopyRule(order=8)}) == 2
+
+
 def test_homotopy_rule_rejects_bad_order():
     with pytest.raises(ValueError):
         HomotopyRule(order=0)
@@ -282,7 +301,7 @@ def test_kernel_on_round_sphere_is_chord_power():
     params = KernelParams(s=0.5)
     y, x = np.array([3, 0, 10]), np.array([40, 1, 33])
     expect = np.sqrt(grid.chord2[y, x]) ** (-(grid.n + 1 + params.s))
-    assert kernel_K(0.7, rho, y, x, params) == pytest.approx(expect, rel=1e-14)
+    assert walk_kernel(0.7, rho, params)[x, y] == pytest.approx(expect, rel=1e-14)
 
 
 def test_kernel_scaling_on_dilated_sphere():
@@ -291,62 +310,33 @@ def test_kernel_scaling_on_dilated_sphere():
     rho = RadialField(grid, np.full(grid.size, c))
     params = KernelParams(s=0.3)
     expect = (c * np.sqrt(grid.chord2[5, 20])) ** (-(grid.n + 1 + params.s))
-    assert kernel_at(1.0, rho, 5, 20, params) == pytest.approx(expect, rel=1e-13)
+    assert walk_kernel(1.0, rho, params)[20, 5] == pytest.approx(expect, rel=1e-13)
 
 
 def test_kernel_is_symmetric_in_the_pair():
     grid = build_grid(1, 65, "hemisphere")
     rho = bumpy_field(grid)
     params = KernelParams(s=0.5)
-    y, x = np.array([7, 12]), np.array([31, 50])
-    assert kernel_K(0.4, rho, y, x, params) == pytest.approx(
-        kernel_K(0.4, rho, x, y, params), rel=1e-14
-    )
+    K = walk_kernel(0.4, rho, params)
+    assert np.all(np.diag(K) == 0.0)
+    np.testing.assert_allclose(K, K.T, rtol=1e-14, atol=0.0)
 
 
-def test_kernel_rejects_coincident_nodes():
-    grid = build_grid(1, 65, "hemisphere")
-    rho = bumpy_field(grid)
-    params = KernelParams(s=0.5)
-    with pytest.raises(ValueError):
-        kernel_at(0.5, rho, 8, 8, params)
-    with pytest.raises(ValueError):
-        kernel_K(0.5, rho, np.array([3, 8, 9]), np.array([4, 8, 1]), params)
-    # a negative index names the same node as its wrap-around, and an index
-    # past the end names none: both are rejected before the kernel is formed
-    for y, x in [(-1, 64), (64, -1), (-65, 0), (65, 3), (3, 65)]:
-        with pytest.raises(ValueError, match="must lie in"):
-            kernel_at(0.5, rho, y, x, params)
-    with pytest.raises(ValueError, match="must lie in"):
-        kernel_K(0.5, rho, np.array([3, -1]), np.array([4, 64]), params)
-
-
-def test_kernel_on_index_arrays_matches_pairwise_calls():
-    grid = build_grid(1, 65, "hemisphere")
-    rho = bumpy_field(grid)
-    params = KernelParams(s=0.5)
-    y = np.array([7, 0, 64, 12])
-    x = np.array([31, 5, 2, 11])
-    vals = kernel_K(0.4, rho, y, x, params)
-    assert vals.shape == (4,)
-    # one call shape: no scalar pair, no broadcast of unequal shapes
-    for yb, xb in [(7, 31), (np.array(7), np.array(31)), (y, x[:1]), (y[:, None], x)]:
-        with pytest.raises(ValueError, match="equal-shape"):
-            kernel_K(0.4, rho, yb, xb, params)
-    for k in range(4):
-        assert vals[k] == kernel_at(0.4, rho, y[k], x[k], params)
+def test_walk_kernel_matches_pairwise_formula():
     # 200 random off-diagonal pairs on a curve and on a surface
     rng = np.random.default_rng(3)
+    params = KernelParams(s=0.5)
     sphere = build_grid(2, 9, "full-sphere")
     waves = 1.0 + 0.1 * sphere.nodes[:, 0] ** 2 + 0.05 * sphere.nodes[:, 2]
-    for rho in (bumpy_field(grid), RadialField(sphere, waves)):
+    for rho in (bumpy_field(build_grid(1, 65, "hemisphere")), RadialField(sphere, waves)):
         size = rho.grid.size
         x = rng.integers(0, size, 200)
         y = (x + rng.integers(1, size, 200)) % size
         for xi in (0.15, 0.6, 1.0):
-            vals = kernel_K(xi, rho, y, x, params)
+            K = walk_kernel(xi, rho, params)
             for k in range(200):
-                assert vals[k] == kernel_at(xi, rho, y[k], x[k], params)
+                expect = kernel_at(xi, rho, y[k], x[k], params)
+                assert K[x[k], y[k]] == pytest.approx(expect, rel=1e-13)
 
 
 def test_kernel_params_validation():
@@ -404,7 +394,7 @@ def test_kernel_lower_bound_over_random_pairs():
         xi = rng.random()
         a_lo = min(1.0 + xi * (vals[y] - 1.0), 1.0 + xi * (vals[x] - 1.0), a_min)
         bound = (a_lo * np.sqrt(grid.chord2[y, x])) ** (-(grid.n + 1 + params.s))
-        assert kernel_at(xi, rho, y, x, params) <= bound * (1.0 + 1e-12)
+        assert walk_kernel(xi, rho, params)[x, y] <= bound * (1.0 + 1e-12)
 
 
 def test_corrected_mass_matches_analytic_circle_integral():
@@ -460,12 +450,11 @@ def test_corrected_mass_other_orders(s):
 def test_kernel_bound_excess_matches_pairwise_loop():
     from capflow.validation import kernel_bound_excess
 
-    resolution, pairs, s, seed = 64, 300, 0.5, 4
+    resolution, s = 64, 0.5
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
     params = KernelParams(s)
     p = grid.n + 1 + s
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for xi in (0.0, 0.37, 1.0):
         pts = (1.0 + xi * (rho.values - 1.0))[:, None] * grid.nodes
@@ -473,11 +462,34 @@ def test_kernel_bound_excess_matches_pairwise_loop():
         ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
         kappa = float(np.sqrt(ratio2.min())) ** -p
-        idx = rng.integers(0, resolution, size=(pairs // 3 + 1, 2))
-        for i, j in idx[idx[:, 0] != idx[:, 1]]:
-            val = kernel_at(xi, rho, j, i, params)
-            worst = max(worst, val * np.sqrt(grid.chord2[i, j]) ** p / kappa)
-    assert kernel_bound_excess(resolution, pairs, s, seed) == worst
+        for i in range(resolution):
+            for j in range(resolution):
+                if i != j:
+                    val = kernel_at(xi, rho, j, i, params)
+                    worst = max(worst, val * np.sqrt(grid.chord2[i, j]) ** p / kappa)
+    assert worst <= 1.0 + 1e-12
+    assert kernel_bound_excess(resolution) == pytest.approx(worst, rel=1e-13)
+
+
+def test_kernel_bound_excess_reads_the_homotopy_walk(monkeypatch):
+    # a walk whose kernels are all 1e-9 too large must fail the oracle
+    from capflow import validation
+
+    walk = nonlocal_ops._homotopy_blocks
+
+    def scaled_walk(*args):
+        u, blocks = walk(*args)
+
+        def scaled_blocks():
+            for *head, kernel, bufs in blocks:
+                scaled = lambda xi, out, k=kernel: k(xi, out) * (1.0 + 1e-9)
+                yield (*head, scaled, bufs)
+
+        return u, scaled_blocks()
+
+    # raising=False: an oracle that reads some other route fails the assert
+    monkeypatch.setattr(validation, "_homotopy_blocks", scaled_walk, raising=False)
+    assert validation.kernel_bound_excess(64) > 1.0 + 1e-12
 
 
 # ----------------------------------------------------------------------
