@@ -64,7 +64,7 @@ def parse_config(path):
 
     Unknown keys are rejected by name; value errors name the key and its
     legal range.  The output base defaults to the config path without its
-    extension.
+    extension, and must end in a file name (not "", "." or "..").
     """
     try:
         with open(path) as fh:
@@ -109,6 +109,8 @@ def parse_config(path):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     base = raw.get("output", os.path.splitext(path)[0])
+    if os.path.basename(base) in ("", ".", ".."):
+        raise ConfigError(f"output must end in a file name, got {base!r}")
     return cfg, base
 
 
@@ -152,7 +154,7 @@ def cmd_validate(args):
         failures += not r.passed
         print(
             f"{flag}  {r.name:<{name_w}}  measured {r.measured:>12.5g}  "
-            f"tolerance {r.tolerance:>8.1g}  [{r.basis}]"
+            f"tolerance {r.tolerance!r:>8}  [{r.basis}]"
         )
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return EXIT_OK if failures == 0 else 1

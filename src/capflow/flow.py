@@ -7,11 +7,21 @@ curvature.  In the radial variable this reads
     d rho / dt = A(rho) * [ D^s rho - Hs_ref + R1 + R2 (rho - 1) ],
 
 with A = sqrt(rho^2 + |grad rho|^2) / rho the conversion from normal
-speed to radial speed.  Each backward Euler step treats the fractional
-Laplacian implicitly through its matrix and freezes the nonlinear rest in
-a Picard iteration; the implicit matrix I - dt*M is strictly diagonally
-dominant with nonnegative off-diagonal entries, so the linear solve obeys
-a discrete maximum principle.
+speed to radial speed.  With M the matrix of D^s, a backward Euler step
+from rho_n at dt takes the Picard iterates rho^0 = rho_n and
+
+    (I - dt M) u = rho_n + dt (P(rho^k) - Hs_ref),   rho^(k+1) = B(u),
+    P(rho) = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)),
+
+M implicit and P explicit (`_explicit_part`, which `assemble_rhs` also
+reads).  R1 and R2 are formed at each iterate (refresh_remainders =
+per-iterate) or once per step, at rho_n (per-step).  B is the
+contact-angle projection `apply_bc`, the identity on a full sphere.  The
+loop stops when max |rho^(k+1) - rho^k| <= picard_tol * max(1, max
+|rho^(k+1)|); a try that misses this in max_picard iterates, or whose
+u is not finite and positive, is retried at dt / 2.  M has zero row sums and
+nonnegative off-diagonal entries, so (I - dt M)^(-1) is nonnegative with
+unit row sums: the solve obeys a discrete maximum principle.
 
 Capillary runs on a hemisphere grid use the reflected operators, the one
 capillary operator: fields are evenly extended across the contact plane
@@ -173,7 +183,6 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    config: FlowConfig
     grid: SphereGrid
     saved: list = field(default_factory=list)  # (t, values) pairs
     diagnostics: list = field(default_factory=list)  # per-step dicts
@@ -383,31 +392,27 @@ def _get_context(cfg: FlowConfig) -> _Context:
     )
 
 
-def _remainders(ctx: _Context, wf: RadialField) -> tuple[np.ndarray, np.ndarray]:
-    r1 = remainder_R1(wf, ctx.params, ctx.rule, targets=ctx.rows)
-    r2 = remainder_R2(wf, ctx.params, ctx.rule, targets=ctx.rows)
-    return r1, r2
-
-
 def _explicit_part(
-    ctx: _Context, values: np.ndarray, A: np.ndarray, r1: np.ndarray, r2: np.ndarray
-) -> np.ndarray:
-    """P = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)) at the grid rows."""
+    ctx: _Context, values: np.ndarray, remainders: tuple | None = None
+) -> tuple[np.ndarray, tuple]:
+    """P = (A - 1)(M rho - Hs_ref) + A (R1 + R2 (rho - 1)) at the grid rows,
+    and the pair (R1, R2) it used: the one given, or else formed here."""
+    wf = ctx.to_work(values)
+    A = prefactor_A(wf)[: ctx.grid.size]
+    if remainders is None:
+        r1 = remainder_R1(wf, ctx.params, ctx.rule, targets=ctx.rows)
+        r2 = remainder_R2(wf, ctx.params, ctx.rule, targets=ctx.rows)
+        remainders = r1, r2
+    r1, r2 = remainders
     lin = ctx.M @ values - ctx.hs_ref
-    return (A - 1.0) * lin + A * (r1 + r2 * (values - 1.0))
+    return (A - 1.0) * lin + A * (r1 + r2 * (values - 1.0)), remainders
 
 
 def assemble_rhs(rho: RadialField, cfg: FlowConfig) -> np.ndarray:
-    """Full radial speed d rho / dt at the current field.
-
-    The speed A (M rho - Hs_ref + R1 + R2 (rho - 1)) is summed as
-    (M rho - Hs_ref) + P, with the matrix part, which a step treats
-    implicitly, apart from the explicit part P (`_explicit_part`).
-    """
+    """Full radial speed d rho / dt at the current field, summed as
+    (M rho - Hs_ref) + P with P from the step's route, `_explicit_part`."""
     ctx = _get_context(cfg)
-    wf = ctx.to_work(rho.values)
-    A = prefactor_A(wf)[: ctx.grid.size]
-    P = _explicit_part(ctx, rho.values, A, *_remainders(ctx, wf))
+    P, _ = _explicit_part(ctx, rho.values)
     return ctx.M @ rho.values - ctx.hs_ref + P
 
 
@@ -503,13 +508,9 @@ def _picard(
     projection) or InjectivityError (a pinched homotopy walk).
     """
     hat, fac = rho_old, ctx.factor(dt)
-    frozen = None
+    per_step, frozen = cfg.refresh_remainders == "per-step", None
     for k in range(cfg.max_picard):
-        wf = ctx.to_work(hat)
-        A = prefactor_A(wf)[: ctx.grid.size]
-        if frozen is None or cfg.refresh_remainders == "per-iterate":
-            frozen = _remainders(ctx, wf)
-        P = _explicit_part(ctx, hat, A, *frozen)
+        P, frozen = _explicit_part(ctx, hat, frozen if per_step else None)
         rhs = rho_old + dt * (P - ctx.hs_ref)
         u = lu_solve(fac, rhs)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:
@@ -573,7 +574,7 @@ def run_flow(cfg: FlowConfig) -> Trajectory:
     """
     ctx = _get_context(cfg)
     grid = ctx.grid
-    traj = Trajectory(config=cfg, grid=grid)
+    traj = Trajectory(grid=grid)
     rho = initial_field(grid, cfg.initial)
     try:
         rho = apply_bc(rho, cfg.theta, tol=cfg.bc_tol)

@@ -24,7 +24,7 @@ def _report(num, rows):
         flag = "PASS" if r.passed else "FAIL"
         print(
             f"criterion {num} {flag}: {r.name} "
-            f"(measured {r.measured:.5g}, tolerance {r.tolerance:g})"
+            f"(measured {r.measured:.5g}, tolerance {r.tolerance!r})"
         )
     bad = [r.name for r in rows if not r.passed]
     assert not bad, f"criterion {num} failed: " + "; ".join(bad)

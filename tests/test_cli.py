@@ -24,7 +24,7 @@ from capflow.snapshots import (
     write_csv,
     write_snapshot,
 )
-from capflow.validation import SUITES
+from capflow.validation import SUITES, CheckResult, Suite
 
 BASE_CONFIG = """\
 s = 0.5
@@ -76,6 +76,21 @@ def test_parse_config_output_key_sets_base(tmp_path):
     path = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/custom\n")
     _, base = parse_config(path)
     assert base == f"{tmp_path}/custom"
+
+
+@pytest.mark.parametrize("output", ["", "{tmp}/sub/", "{tmp}/.", "."])
+def test_run_rejects_an_output_without_a_file_name(tmp_path, monkeypatch, capsys, output):
+    # an empty file-name part would write the hidden files .snap and .csv
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    line = f"output = {output.format(tmp=tmp_path)}\n"
+    path = _write_config(tmp_path, BASE_CONFIG + line)
+    with pytest.raises(ConfigError, match="output must end in a file name"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 2
+    assert "config error: output" in capsys.readouterr().err
+    outputs = [p for p in tmp_path.rglob("*") if p.name.endswith((".snap", ".csv"))]
+    assert outputs == []
 
 
 @pytest.mark.parametrize(
@@ -694,6 +709,18 @@ def test_validate_rerun_prints_identical_table(capsys):
         tables.append(capsys.readouterr().out)
     assert "checks passed" in tables[0]
     assert tables[0] == tables[1]
+
+
+def test_validate_prints_each_tolerance_as_its_gate(monkeypatch, capsys):
+    gates = [0.75, 1.0 + 1e-12, 1e-6, 0.0]
+    rows = [
+        CheckResult(f"gate {k}", 0.5 * gate, gate, True, "stub")
+        for k, gate in enumerate(gates)
+    ]
+    monkeypatch.setitem(SUITES, "stub", Suite(lambda: rows))
+    assert main(["validate", "stub"]) == 0
+    printed = re.findall(r"tolerance +(\S+)", capsys.readouterr().out)
+    assert [float(text) for text in printed] == gates
 
 
 def test_every_run_status_has_an_exit_code():

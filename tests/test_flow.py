@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capflow import flow, nonlocal_ops
+from capflow import flow, nonlocal_ops, validation
 from capflow import (
     ExtinctionError,
     FlowConfig,
@@ -608,6 +608,63 @@ def test_solver_satisfies_discrete_max_principle():
         v = rng.standard_normal(64)
         u = flow.lu_solve(fac, v)
         assert np.abs(u).max() <= np.abs(v).max() + 1e-12
+
+
+def test_max_principle_check_reads_the_step_inverse(monkeypatch):
+    [row] = validation.check_max_principle()
+    assert row.passed and 0.0 <= row.measured <= row.tolerance == 1e-12
+    # a step inverse scaled by 1.5 grows the sup norm by 1/2
+    calls = []
+
+    def scaled(a):
+        calls.append(a.shape)
+        return 1.5 * flow.lu_factor(a)
+
+    monkeypatch.setattr(validation, "lu_factor", scaled)
+    [row] = validation.check_max_principle()
+    assert calls == [(256, 256)]
+    assert not row.passed
+    assert row.measured == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "topology, resolution", [("full-sphere", 64), ("hemisphere", 33)]
+)
+def test_explicit_part_keeps_a_given_remainder_pair(topology, resolution, monkeypatch):
+    cfg = _cfg(topology=topology, resolution=resolution, homotopy_order=4)
+    ctx = flow._get_context(cfg)
+    values = 1.0 + 0.05 * ctx.grid.nodes[:, -1]
+    P, pair = flow._explicit_part(ctx, values)
+    wf = ctx.to_work(values)
+    r1 = remainder_R1(wf, ctx.params, ctx.rule, targets=ctx.rows)
+    r2 = remainder_R2(wf, ctx.params, ctx.rule, targets=ctx.rows)
+    assert np.array_equal(pair[0], r1) and np.array_equal(pair[1], r2)
+    assert np.array_equal(
+        assemble_rhs(RadialField(ctx.grid, values), cfg),
+        ctx.M @ values - ctx.hs_ref + P,
+    )
+    # a frozen pair is used as given, and no remainder is formed
+    monkeypatch.setattr(flow, "remainder_R1", None)
+    monkeypatch.setattr(flow, "remainder_R2", None)
+    P2, same = flow._explicit_part(ctx, values, pair)
+    assert same is pair and np.array_equal(P2, P)
+
+
+@pytest.mark.parametrize("refresh", ["per-iterate", "per-step"])
+def test_picard_forms_remainders_at_its_refresh(refresh, monkeypatch):
+    cfg = _cfg(homotopy_order=4, refresh_remainders=refresh, picard_tol=1e-12)
+    formed = []
+    r1 = flow.remainder_R1
+
+    def counting(*args, **kw):
+        formed.append(1)
+        return r1(*args, **kw)
+
+    monkeypatch.setattr(flow, "remainder_R1", counting)
+    grid = build_grid(1, 64, "full-sphere")
+    state = step(FlowState(t=0.0, rho=_wavy(grid), dt=cfg.dt), cfg)
+    assert state.picard_iters >= 2
+    assert len(formed) == (state.picard_iters if refresh == "per-iterate" else 1)
 
 
 @pytest.mark.parametrize(

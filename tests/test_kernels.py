@@ -1193,5 +1193,5 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
     assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
     mass_rows.clear()
     # ... and the first remainder pass forms none
-    flow._remainders(ctx, ctx.to_work(1.0 + 0.05 * ctx.grid.nodes[:, -1]))
+    flow._explicit_part(ctx, 1.0 + 0.05 * ctx.grid.nodes[:, -1])
     assert mass_rows == []
