@@ -50,6 +50,7 @@ from .geometry import (
     RadialField,
     SphereGrid,
     Stencils,
+    _read_only,
     build_grid,
     double_grid,
     gradient_values,
@@ -81,7 +82,6 @@ __all__ = [
     "bc_residual",
     "apply_bc",
     "initial_field",
-    "operator_matrix",
     "step",
     "run_flow",
 ]
@@ -337,10 +337,14 @@ def lu_solve(fac: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _Context:
-    """Grids, reference curvature, and matrices shared across steps.
+    """The one owner of what a step runs with: the grid and its working
+    (doubled, on a hemisphere) grid with the even-extension `index_map`,
+    the reference curvature, the matrix M, and the inverses of I - dt M.
 
     Built from the config fields that fix them; per-run settings (theta,
-    tolerances, refresh mode) travel with the caller.
+    tolerances, refresh mode) travel with the caller.  Every array it
+    holds, each cached inverse included, is read-only, so the oracles read
+    them as they are and no cache derived from one can go stale.
     """
 
     def __init__(
@@ -367,11 +371,17 @@ class _Context:
             np.add.at(MT, self.index_map, M.T)
             M = MT.T
         self.M = M
+        _read_only(self)
+
         # the inverse of I - dt M, kept for the LU_CACHE most recently used
         # dt; closing over M, not self, keeps the context out of a cycle
-        self.factor = lru_cache(maxsize=LU_CACHE)(
-            lambda dt: lu_factor(np.eye(M.shape[0]) - dt * M)
-        )
+        @lru_cache(maxsize=LU_CACHE)
+        def factor(dt: float) -> np.ndarray:
+            inverse = lu_factor(np.eye(M.shape[0]) - dt * M)
+            inverse.setflags(write=False)
+            return inverse
+
+        self.factor = factor
 
     def to_work(self, values: np.ndarray) -> RadialField:
         return RadialField(self.work, values[self.index_map])
@@ -621,8 +631,3 @@ def _record(traj: Trajectory, state: FlowState, grid: SphereGrid, cfg: FlowConfi
     )
     if state.step % cfg.save_every == 0:
         traj.saved.append((state.t, vals))
-
-
-def operator_matrix(cfg: FlowConfig) -> np.ndarray:
-    """The implicit-side matrix (reflected and folded in capillary runs)."""
-    return _get_context(cfg).M.copy()

@@ -29,7 +29,6 @@ __all__ = [
     "Stencils",
     "build_grid",
     "double_grid",
-    "reflect_field",
     "gradient_values",
     "quad_integrate",
 ]
@@ -242,11 +241,12 @@ def _pairwise(nodes: np.ndarray) -> np.ndarray:
 
 
 def _read_only(record):
-    """The record (a grid or its stencils), with every array made
-    read-only."""
+    """The record (a grid, its stencils or a flow context), with every
+    array made read-only, and the array a view reads from too."""
     for value in vars(record).values():
-        if isinstance(value, np.ndarray):
+        while isinstance(value, np.ndarray):
             value.setflags(write=False)
+            value = value.base
     return record
 
 
@@ -334,8 +334,8 @@ def double_grid(grid: SphereGrid) -> tuple[SphereGrid, np.ndarray]:
 
     Returns the doubled grid together with an index map: entry k is the
     hemisphere node whose value an even extension places at doubled node
-    k.  Equator nodes are shared, not duplicated.  Each call builds a new
-    grid.
+    k, so `values[index_map]` is the even extension of a hemisphere field.
+    Equator nodes are shared, not duplicated.  Each call builds a new grid.
     """
     if grid.topology != "hemisphere":
         raise ValueError("double_grid expects a hemisphere grid")
@@ -352,14 +352,6 @@ def double_grid(grid: SphereGrid) -> tuple[SphereGrid, np.ndarray]:
         # hemisphere index is the ring's first node plus the in-ring position.
         index_map = _rings(grid.ring_counts)[0][mirrored] + pos
     return full, index_map
-
-
-def reflect_field(rho: RadialField) -> RadialField:
-    """Even extension of a hemisphere field across the equator."""
-    if rho.grid.topology != "hemisphere":
-        raise ValueError("reflect_field expects a field on a hemisphere grid")
-    full, index_map = double_grid(rho.grid)
-    return RadialField(full, rho.values[index_map])
 
 
 # ----------------------------------------------------------------------

@@ -20,21 +20,13 @@ from .diagnostics import (
     interpolation_check,
     lemma521_bound,
 )
-from .flow import (
-    FlowConfig,
-    FlowState,
-    lu_factor,
-    operator_matrix,
-    run_flow,
-    step,
-)
+from .flow import FlowConfig, FlowState, _get_context, run_flow, step
 from .geometry import (
     MIN_RESOLUTION,
     RadialField,
     build_grid,
     double_grid,
     quad_integrate,
-    reflect_field,
 )
 from .nonlocal_ops import (
     HomotopyRule,
@@ -265,9 +257,9 @@ def suite_bc(resolution=129):
             )
         )
         if theta == HALF_PI:
-            # frame 0 is the projected initial field
-            rho0 = RadialField(traj.grid, traj.saved[0][1])
-            full = reflect_field(rho0)  # on a new double_grid(traj.grid)[0]
+            # frame 0, the projected initial field, evenly extended onto
+            # the run's doubled grid
+            full = _get_context(cfg).to_work(traj.saved[0][1])
             cfg_f = _oracle_config(
                 dt=dt, resolution=full.grid.resolution, topology="full-sphere"
             )
@@ -413,11 +405,11 @@ def suite_identities(resolution=512):
 def check_max_principle():
     """Worst sup-norm growth of the zero-source implicit step at resolution
     256, as a list of one row: the infinity norm of the inverse of
-    I - dt M that the step applies, minus 1."""
+    I - dt M that the step applies, read from its context, minus 1."""
     resolution, dt = 256, 1e-3
     # the matrix does not depend on the rule or the refresh mode
     cfg = _oracle_config(dt=dt, resolution=resolution, topology="full-sphere")
-    inverse = lu_factor(np.eye(resolution) - dt * operator_matrix(cfg))
+    inverse = _get_context(cfg).factor(dt)
     return [
         _le(
             "implicit step sup-norm growth",

@@ -24,6 +24,8 @@ GONE = [
     "jacobian_J",
     "kernel_K",
     "kernel_K_dxi",
+    "operator_matrix",
+    "reflect_field",
     "remainder_P",
     "shrinking_circle_constant",
     "tangential_gradient",

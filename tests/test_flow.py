@@ -20,9 +20,7 @@ from capflow import (
     gradient_values,
     initial_field,
     normal_velocity,
-    operator_matrix,
     prefactor_A,
-    reflect_field,
     run_flow,
     step,
     surface_samples,
@@ -35,6 +33,7 @@ from capflow.nonlocal_ops import (
     remainder_R1,
     remainder_R2,
 )
+from capflow.snapshots import CSV_COLUMNS
 from test_geometry import (
     reference_conormal_derivative,
     reference_gradient_circle,
@@ -348,7 +347,7 @@ def test_apply_bc_sphere2_reaches_tolerance():
 def test_operator_matrix_full_circle_matches_pointwise_operator():
     cfg = _cfg(resolution=128)
     grid = build_grid(1, 128, "full-sphere")
-    M = operator_matrix(cfg)
+    M = flow._get_context(cfg).M
     u = np.cos(2 * grid.phi) + 0.3 * np.sin(5 * grid.phi)
     direct = reference_frac_laplacian(u, grid, KernelParams(cfg.s))
     assert np.abs(M @ u - direct).max() < 1e-9 * np.abs(direct).max()
@@ -359,10 +358,10 @@ def test_context_cache_keeps_at_most_four_configs():
 
     _cached_context.cache_clear()
     for res in (16, 17, 18, 19, 20):
-        operator_matrix(_cfg(resolution=res))
+        flow._get_context(_cfg(resolution=res))
     assert _cached_context.cache_info().currsize == 4
     # theta is not part of the key: a second angle reuses the context
-    operator_matrix(_cfg(resolution=20, theta=1.0))
+    flow._get_context(_cfg(resolution=20, theta=1.0))
     assert _cached_context.cache_info().currsize == 4
     assert _cached_context.cache_info().hits >= 1
 
@@ -388,19 +387,34 @@ def test_context_keeps_at_most_lu_cache_factorisations(monkeypatch):
         assert len(factored) == count + again
 
 
+def test_context_arrays_are_read_only():
+    # a write into a cached inverse would move every later step that reads it
+    ctx = flow._get_context(
+        _cfg(resolution=33, topology="hemisphere", theta=1.0, homotopy_order=4)
+    )
+    inverse = ctx.factor(1e-3)
+    for arr in (ctx.M, ctx.hs_ref, ctx.index_map, ctx.rows, inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+        # nor through the array a view reads from (M and hs_ref are views)
+        assert arr.base is None or not arr.base.flags.writeable
+    # the cache hands out the inverse itself, not a copy
+    assert ctx.factor(1e-3) is inverse
+
+
 def test_operator_matrix_capillary_fold_matches_reflection():
     # A hemisphere row of the folded matrix must act like the full-circle
     # operator applied to the evenly reflected field.
     cfg = _cfg(resolution=33, topology="hemisphere")
     grid = build_grid(1, 33, "hemisphere")
-    work, _ = double_grid(grid)
-    M_fold = operator_matrix(cfg)
+    work, index_map = double_grid(grid)
+    M_fold = flow._get_context(cfg).M
     M_full = frac_laplacian_matrix(work, KernelParams(cfg.s))
     rng = np.random.default_rng(7)
     for _ in range(3):
         u = 1 + 0.1 * rng.standard_normal(33)
         lhs = M_fold @ u
-        rhs = (M_full @ reflect_field(RadialField(grid, u)).values)[:33]
+        rhs = (M_full @ u[index_map])[:33]
         assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
@@ -414,7 +428,7 @@ def test_remainder_decomposition_reassembles_full_speed():
     r1 = remainder_R1(rho, KernelParams(cfg.s), rule)
     r2 = remainder_R2(rho, KernelParams(cfg.s), rule)
     expected = A * (
-        operator_matrix(cfg) @ rho.values - ref + r1 + r2 * (rho.values - 1.0)
+        flow._get_context(cfg).M @ rho.values - ref + r1 + r2 * (rho.values - 1.0)
     )
     got = assemble_rhs(rho, cfg)
     assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
@@ -615,16 +629,35 @@ def test_max_principle_check_reads_the_step_inverse(monkeypatch):
     assert row.passed and 0.0 <= row.measured <= row.tolerance == 1e-12
     # a step inverse scaled by 1.5 grows the sup norm by 1/2
     calls = []
+    real = flow.lu_factor
 
     def scaled(a):
         calls.append(a.shape)
-        return 1.5 * flow.lu_factor(a)
+        return 1.5 * real(a)
 
-    monkeypatch.setattr(validation, "lu_factor", scaled)
-    [row] = validation.check_max_principle()
+    monkeypatch.setattr(flow, "lu_factor", scaled)
+    # a new context factorises through the patch; the scaled inverse it
+    # caches must not outlive this test
+    flow._cached_context.cache_clear()
+    try:
+        [row] = validation.check_max_principle()
+    finally:
+        flow._cached_context.cache_clear()
     assert calls == [(256, 256)]
     assert not row.passed
     assert row.measured == pytest.approx(0.5, rel=1e-12)
+
+
+def test_max_principle_check_reads_the_cached_inverse(monkeypatch):
+    calls = []
+    real = flow.lu_factor
+    monkeypatch.setattr(flow, "lu_factor", lambda a: calls.append(a.shape) or real(a))
+    flow._cached_context.cache_clear()
+    [row] = validation.check_max_principle()
+    assert calls == [(256, 256)]
+    # the inverse is cached on the step's context now, so no new one is formed
+    assert validation.check_max_principle() == [row]
+    assert calls == [(256, 256)]
 
 
 @pytest.mark.parametrize(
@@ -749,7 +782,8 @@ def test_run_flow_hemisphere_matches_reflected_circle():
         resolution=128, dt=dt, homotopy_order=4, refresh_remainders="per-step"
     )
     grid_f = build_grid(1, 128, "full-sphere")
-    state = FlowState(t=0.0, rho=RadialField(grid_f, reflect_field(rho0).values), dt=dt)
+    _, index_map = double_grid(traj_h.grid)
+    state = FlowState(t=0.0, rho=RadialField(grid_f, rho0.values[index_map]), dt=dt)
     saved = dict((round(t / dt), v) for t, v in traj_h.saved)
     for k in range(20):
         state = step(state, cfg_f)
@@ -845,9 +879,9 @@ def test_run_flow_save_every_still_records_last_frame():
 def test_trajectory_diagnostics_fields():
     cfg = _cfg(resolution=64, dt=1e-3, t_end=3e-3, homotopy_order=4)
     traj = run_flow(cfg)
-    d = traj.diagnostics[0]
-    for key in ("t", "volume", "sup_dev", "max_bc_residual", "picard_iters", "dt"):
-        assert key in d
+    # the CSV writes exactly these keys, in this order
+    for d in traj.diagnostics:
+        assert tuple(d) == CSV_COLUMNS
     assert [d["t"] for d in traj.diagnostics] == pytest.approx(
         [0.0, 1e-3, 2e-3, 3e-3]
     )
