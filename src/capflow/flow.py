@@ -367,9 +367,12 @@ class _Context:
         self.hs_ref = hs_reference(self.work, self.params)[: self.grid.size]
         M = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
         if folded:
-            MT = np.zeros((self.grid.size, self.grid.size))
-            np.add.at(MT, self.index_map, M.T)
-            M = MT.T
+            # the first m work nodes are the hemisphere's own, and their
+            # mirrors are distinct, so one indexed add folds the columns
+            m = self.grid.size
+            fold = M[:, :m].copy()
+            fold[:, self.index_map[m:]] += M[:, m:]
+            M = fold
         self.M = M
         _read_only(self)
 

@@ -5,8 +5,9 @@ coordinates over the upper unit hemisphere: points rho(x)*x with x on the
 hemisphere and rho > 0.  Everything downstream (singular integrals, the
 evolution solver, the diagnostics) consumes the grids built here: unit
 nodes, quadrature weights, boundary markers, the squared chord |y - x|^2 of
-every node pair (the only pairwise fact the operators need), and one
-finite-difference stencil record of the same shape for n = 1 and n = 2:
+the node pairs a pass reads (the only pairwise fact the operators need,
+formed on demand by `SphereGrid.chord2`: a grid stores no N x N table), and
+one finite-difference stencil record of the same shape for n = 1 and n = 2:
 it holds the outward conormal `eta` on the equator, and `gradient_values`
 forms the one tangential gradient from it.
 
@@ -40,7 +41,8 @@ MIN_RESOLUTION = 8
 @dataclass(eq=False)
 class SphereGrid:
     """Quadrature grid on the hemisphere or the full sphere; `build_grid`
-    makes its arrays read-only, as chord2 and the stencils derive from them.
+    makes its arrays read-only, as the chords and the stencils derive from
+    them.
 
     Attributes
     ----------
@@ -56,9 +58,6 @@ class SphereGrid:
         Positive quadrature weights in surface-measure units.
     boundary_mask : ndarray of bool, shape (N,)
         True exactly at nodes on the equator x_{n+1} = 0 (hemisphere only).
-    chord2 : ndarray, shape (N, N)
-        Squared chords |y - x|^2 = 2 - 2 x.y of all node pairs, with a
-        zero diagonal.
     h : float or None
         Angular spacing of the n=1 parametrization (None for n=2).
     phi : ndarray or None
@@ -78,7 +77,6 @@ class SphereGrid:
     nodes: np.ndarray
     weights: np.ndarray
     boundary_mask: np.ndarray
-    chord2: np.ndarray
     h: float | None = None
     phi: np.ndarray | None = None
     beta: np.ndarray | None = None
@@ -95,6 +93,29 @@ class SphereGrid:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def chord2(
+        self, rows=slice(None), cols=slice(None), out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Squared chords |y - x|^2 for x the nodes `rows` and y the nodes
+        `cols` (index arrays or slices; all nodes by default), written into
+        `out` when given.
+
+        Summed entry by entry as sum_d (x_d - y_d)^2, so the table is
+        bitwise symmetric, exactly zero on the diagonal and never negative,
+        and an entry does not depend on which other rows or columns are
+        asked for.  (A matrix product rounds a row by how many rows it is
+        given, and 2 - 2 x.y loses digits on near pairs.)
+        """
+        x, y = self.nodes[rows], self.nodes[cols]
+        out = np.subtract(x[:, 0, None], y[:, 0], out=out)
+        np.square(out, out=out)
+        term = np.empty_like(out)
+        for d in range(1, x.shape[1]):
+            np.subtract(x[:, d, None], y[:, d], out=term)
+            np.square(term, out=term)
+            out += term
+        return out
 
     def stencils(self) -> "Stencils":
         """Finite-difference stencils of this grid, built once and cached."""
@@ -232,14 +253,6 @@ def build_grid(n: int, resolution: int, topology: str) -> SphereGrid:
     raise ValueError(f"surface dimension must be 1 or 2, got {n}")
 
 
-def _pairwise(nodes: np.ndarray) -> np.ndarray:
-    """|y - x|^2 = 2 - 2 x.y of unit nodes, zero on the diagonal; the clip
-    keeps every entry >= 0."""
-    chord2 = 2.0 - 2.0 * np.clip(nodes @ nodes.T, -1.0, 1.0)
-    np.fill_diagonal(chord2, 0.0)
-    return chord2
-
-
 def _read_only(record):
     """The record (a grid, its stencils or a flow context), with every
     array made read-only, and the array a view reads from too."""
@@ -272,7 +285,6 @@ def _build_circle(resolution: int, topology: str) -> SphereGrid:
         nodes=nodes,
         weights=weights,
         boundary_mask=boundary,
-        chord2=_pairwise(nodes),
         h=h,
         phi=phi,
     )
@@ -314,7 +326,6 @@ def _build_sphere2(resolution: int, topology: str) -> SphereGrid:
         nodes=nodes,
         weights=(band / counts)[ring],
         boundary_mask=hemisphere & (ring == counts.size - 1),
-        chord2=_pairwise(nodes),
         beta=beta,
         gamma=gamma,
         dbeta=dbeta,

@@ -15,9 +15,11 @@ principal-value fractional Laplacian, the two homotopy remainder terms
 along the homotopy (at a sequence of t', in one blocked pass), the
 injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has one form, the
-expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`).  The guard
-has one route, `injectivity_ratio`, which reads the xi = 1 value over A0
-in closed form on each unordered pair once.  The kernel family has one
+expansion in xi D2 = A0 + xi (A1 + xi A2) (`_dist2_coeffs`), with A0 the
+squared chord `SphereGrid.chord2` forms per block.  The guard has one
+route, `injectivity_ratio`, which reads the xi = 1 value over A0 in closed
+form: the row of the least rho bounds the minimum, and only the pairs that
+bound leaves open are walked, each once.  The kernel family has one
 walk, `_homotopy_blocks`, shared by the remainder pass and
 `homotopy_derivative`: the one homotopy walk calls the guard before any
 fractional power, sets up each block, punctures the rows' own columns and
@@ -224,9 +226,15 @@ def _dist2_coeffs(
     A2 += T
 
 
-def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x . grad rho(y) per entry (a matrix product rounds by row count)."""
-    return sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
+def _x_dot_grad(
+    xt: np.ndarray, g: np.ndarray, out: np.ndarray, T: np.ndarray
+) -> None:
+    """x . grad rho(y) per entry, summed over the coordinates in order into
+    `out`, with T as scratch (a matrix product rounds by row count)."""
+    np.multiply(xt[:, 0, None], g[:, 0], out=out)
+    for d in range(1, xt.shape[1]):
+        np.multiply(xt[:, d, None], g[:, d], out=T)
+        out += T
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +244,7 @@ def _x_dot_grad(xt: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _chord_kernel(grid: SphereGrid, exponent: float, targets: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        K = np.sqrt(grid.chord2[targets]) ** (-exponent)
+        K = np.sqrt(grid.chord2(targets)) ** (-exponent)
     K[np.arange(targets.size), targets] = 0.0
     return K
 
@@ -283,23 +291,39 @@ def frac_laplacian_matrix(
 # ----------------------------------------------------------------------
 
 
+def _ratio2(r: np.ndarray, grid: SphereGrid, rows, cols) -> np.ndarray:
+    """Squared ratio rho(x) rho(y) + (rho(x) - rho(y))^2 / |y - x|^2 of the
+    pairs of nodes x in `rows` and y in `cols`; an entry does not depend on
+    which others are asked for, and swapping the ends changes no bit."""
+    rt, ry = r[rows, None], r[cols]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return rt * ry + (rt - ry) ** 2 / grid.chord2(rows, cols)
+
+
 def injectivity_ratio(rho: RadialField) -> float:
     """min over node pairs of |Phi(y)-Phi(x)| / |y-x| for the full map.
 
     The one injectivity guard: every guarded operator calls it before any
-    fractional power.  The squared ratio D2(1) / A0 (`_dist2_coeffs`) is
-    rho(x) rho(y) + (rho(x) - rho(y))^2 / |y - x|^2, symmetric in the pair,
-    so each block of rows reads only the columns from its own first row on.
-    As |y - x|^2 <= 4 it is at least ((rho(x) + rho(y)) / 2)^2, so the
-    ratio is at least min rho.
+    fractional power.  The squared ratio D2(1) / A0 (`_dist2_coeffs`),
+    rho(x) rho(y) + (rho(x) - rho(y))^2 / |y - x|^2, is symmetric in the
+    pair and at least rho(x) rho(y).  The row of the least rho bounds the
+    minimum by some B, so a pair below B has both ends among the
+    candidates x with rho(x) min rho < B; the exact minimum walks only
+    their pairs, each once (every pair in the worst case).  As
+    |y - x|^2 <= 4 the squared ratio is also at least
+    ((rho(x) + rho(y)) / 2)^2, so the ratio is at least min rho.
     """
-    r, chord2 = rho.values, rho.grid.chord2
-    least = np.inf
-    for sl, tb, _ in _blocks(np.arange(r.size)):
-        rt, ry = r[tb, None], r[sl.start :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio2 = rt * ry + (rt - ry) ** 2 / chord2[tb, sl.start :]
-        # row k's own column is the block's column k
+    r, grid = rho.values, rho.grid
+    k = int(np.argmin(r))
+    row = _ratio2(r, grid, [k], slice(None))
+    row[0, k] = np.inf
+    least = np.nanmin(row)
+    # rounding is monotone: a pair's computed ratio^2 is at least the
+    # computed rho(x) rho(y), and that at least the computed rho(x) min rho
+    cand = np.flatnonzero(r * r[k] < least)
+    for sl, tb, _ in _blocks(cand):
+        ratio2 = _ratio2(r, grid, tb, cand[sl.start :])
+        # row i's own column is the block's column i
         np.fill_diagonal(ratio2, np.inf)
         least = min(least, np.nanmin(ratio2))
     return float(np.sqrt(least))
@@ -334,14 +358,15 @@ def _homotopy_blocks(
     g = gradient_values(grid, rho.values)
     blocks = list(_blocks(targets))
     rows = max((tb.size for _, tb, _ in blocks), default=0)
-    work = np.empty((3 + buffers, rows, grid.size))
+    work = np.empty((4 + buffers, rows, grid.size))
 
     def walk():
         for sl, tb, col in blocks:
-            A0, A1, A2, *bufs = work[:, : tb.size]
+            A0, A1, A2, X, *bufs = work[:, : tb.size]
             ut = u[tb, None]
-            np.copyto(A0, grid.chord2[tb])
+            grid.chord2(tb, out=A0)
             _dist2_coeffs(ut, u, A0, A1, A2, bufs[0])
+            _x_dot_grad(grid.nodes[tb], g, X, bufs[0])
             A0[col] = A2[col] = 1.0
 
             def kernel(xi: float, out: np.ndarray) -> np.ndarray:
@@ -353,7 +378,6 @@ def _homotopy_blocks(
                 out[col] = 0.0
                 return out
 
-            X = _x_dot_grad(grid.nodes[tb], g)
             yield sl, tb, ut, A0, X, _lattice_stencil(grid, tb), kernel, bufs
 
     return u, walk()

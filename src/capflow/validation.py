@@ -315,14 +315,14 @@ def kernel_bound_excess(resolution=512):
         D2 = np.maximum(
             np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2), 0.0
         )
-        ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
+        ratio2 = D2 / np.maximum(grid.chord2(), 1e-300)
         np.fill_diagonal(ratio2, np.inf)
         stages.append((xi, float(np.sqrt(ratio2.min())) ** -p))
     worst = 0.0
     _, blocks = _homotopy_blocks(rho, KernelParams(ORACLE_S), np.arange(grid.size), 1)
     for _, tb, *_, kernel, (K,) in blocks:
         # the walk's own columns are zero, as is their chord
-        chord_p = np.sqrt(grid.chord2[tb]) ** p
+        chord_p = np.sqrt(grid.chord2(tb)) ** p
         for xi, kappa in stages:
             worst = max(worst, float(np.max(kernel(xi, K) * chord_p / kappa)))
     return worst

@@ -10,7 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capflow import FlowConfig, RadialField, bc_residual, build_grid, cli, flow
+from capflow import (
+    FlowConfig,
+    RadialField,
+    bc_residual,
+    build_grid,
+    cli,
+    flow,
+    geometry,
+)
 from capflow.cli import ConfigError, main, parse_config
 from capflow.geometry import MIN_RESOLUTION
 from capflow.snapshots import (
@@ -287,14 +295,23 @@ def test_load_snapshot_rejects_size_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("frame_size", [2001, 65], ids=["own-grid", "run-grid"])
-def test_snapshot_on_a_larger_grid_is_rejected_before_it_is_built(tmp_path, frame_size):
-    # the chord2 of the 2001-node grid the manifest names is 32 MB, and
-    # building it takes about three times that: the restart must reject the
-    # snapshot from its manifest, whatever its frame holds, and build nothing
+def test_snapshot_on_a_larger_grid_is_rejected_before_it_is_built(
+    tmp_path, frame_size, monkeypatch
+):
+    # the restart must reject the snapshot from its manifest, whatever its
+    # frame holds, and build nothing: no context (the matrix of the
+    # 2001-node grid the manifest names is 32 MB) and no grid, whose arrays
+    # are too small for the memory bound to see, so building one fails here
     manifest = {"grid": {"n": 1, "resolution": 2001, "topology": "hemisphere"}}
     path = tmp_path / "large.snap"
     write_snapshot(path, manifest, [frame_record(0.0, np.ones(frame_size), 0.0, 1.0)])
     grid = build_grid(1, 65, "hemisphere")
+
+    def refuse(*args):
+        raise AssertionError("the restart built a grid")
+
+    monkeypatch.setattr(geometry, "_build_circle", refuse)
+    monkeypatch.setattr(geometry, "_build_sphere2", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=f"hemisphere grid of {frame_size} nodes"):

@@ -396,7 +396,7 @@ def test_context_arrays_are_read_only():
     for arr in (ctx.M, ctx.hs_ref, ctx.index_map, ctx.rows, inverse):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
-        # nor through the array a view reads from (M and hs_ref are views)
+        # nor through the array a view reads from (hs_ref is a view)
         assert arr.base is None or not arr.base.flags.writeable
     # the cache hands out the inverse itself, not a copy
     assert ctx.factor(1e-3) is inverse

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from capflow import geometry
 from capflow.geometry import (
     RadialField,
     build_grid,
@@ -205,28 +204,48 @@ def test_weight_positivity():
 def test_chord_symmetric_zero_diagonal():
     g = build_grid(1, 32, "full-sphere")
     # spot value: antipodal nodes two apart
-    assert abs(np.sqrt(g.chord2[0, 16]) - 2.0) < 1e-12
+    assert abs(np.sqrt(g.chord2([0], [16])[0, 0]) - 2.0) < 1e-12
     grids = [(1, 33, "hemisphere"), (1, 32, "full-sphere"), (2, 9, "hemisphere"), (2, 9, "full-sphere")]
     for n, resolution, topology in grids:
         g = build_grid(n, resolution, topology)
-        assert np.array_equal(g.chord2, g.chord2.T)
-        assert np.all(np.diag(g.chord2) == 0.0)
+        full = g.chord2()
+        assert full.shape == (g.size, g.size)
+        assert np.array_equal(full, full.T)
+        assert np.all(np.diag(full) == 0.0)
+        assert np.all(full >= 0.0)
+        # rows asked for 1, 7 and all at a time, over every column or some,
+        # are the full table's rows bit for bit
+        rows = np.arange(g.size)
+        for block in (1, 7, g.size):
+            for start in range(0, g.size, block):
+                tb = rows[start : start + block]
+                assert np.array_equal(g.chord2(tb), full[tb])
+        cols = rows[::-3]
+        assert np.array_equal(g.chord2(rows[5:], cols), full[5:][:, cols])
+        out = np.empty((4, g.size))
+        assert g.chord2(rows[:4], out=out) is out
+        assert np.array_equal(out, full[:4])
+        # the sum of squared differences keeps its digits on near pairs,
+        # where 2 - 2 x.y would not
+        x = g.nodes.astype(np.longdouble)
+        ref = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         off = ~np.eye(g.size, dtype=bool)
-        expect = 2.0 - 2.0 * np.clip(g.nodes @ g.nodes.T, -1.0, 1.0)
-        assert np.array_equal(g.chord2[off], expect[off])
-        assert np.all(g.chord2 >= 0.0)
-        with pytest.raises(ValueError):
-            g.chord2[0, 1] = 1.0
-        # the one N x N array of a grid
-        square = [k for k, v in vars(g).items() if np.shape(v) == (g.size, g.size)]
-        assert square == ["chord2"]
+        assert np.max(np.abs(full[off] - ref[off]) / ref[off]) <= 1e-15
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 129), (2, 13)])
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_grid_and_stencil_arrays_are_linear_in_the_node_count(n, resolution, topology):
+    # a grid stores no pairwise table: its chords are formed per block
+    g = build_grid(n, resolution, topology)
+    for record in (g, g.stencils()):
+        for name, value in vars(record).items():
+            if isinstance(value, np.ndarray):
+                assert value.size <= 4 * g.size, name
 
 
 @pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
-def test_sphere2_grid_matches_node_loop(topology, monkeypatch):
-    # chord2 has its own test; skipping it keeps the sweep to resolution 40
-    # (6242 doubled nodes) free of N x N arrays
-    monkeypatch.setattr(geometry, "_pairwise", lambda nodes: None)
+def test_sphere2_grid_matches_node_loop(topology):
     for resolution in range(8, 41):
         g = build_grid(2, resolution, topology)
         ref = reference_sphere2_layout(resolution, topology)
@@ -475,12 +494,12 @@ def test_grid_caches_are_not_copied_by_replace():
 @pytest.mark.parametrize("n, resolution", [(1, 33), (2, 9)])
 @pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
 def test_grid_arrays_are_read_only(n, resolution, topology):
-    # a write to a grid array would stale chord2 and the cached stencils; a
+    # a write to a grid array would stale the chords and the cached stencils; a
     # write to a stencil array, every later gradient and lattice correction
     g = build_grid(n, resolution, topology)
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
     per_n = {"phi"} if n == 1 else {"beta", "gamma", "ring_counts"}
-    assert set(arrays) == {"nodes", "weights", "boundary_mask", "chord2"} | per_n
+    assert set(arrays) == {"nodes", "weights", "boundary_mask"} | per_n
     stencils = {k: v for k, v in vars(g.stencils()).items() if isinstance(v, np.ndarray)}
     rings = {"ring", "e_gamma", "sin_beta", "poles", "pole_arms", "pole_sign"}
     frame = {"boundary", "inward", "eta", "meridian", "e_beta"}

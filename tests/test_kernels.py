@@ -60,7 +60,7 @@ def _image_dist2(r, grid, xi, targets):
     near the diagonal."""
     a = 1.0 + xi * (r - 1.0)
     at = a[targets, None]
-    return (at - a) ** 2 + (at * a) * grid.chord2[targets]
+    return (at - a) ** 2 + (at * a) * grid.chord2(targets)
 
 
 def _zero_target_cols(F, targets):
@@ -91,7 +91,7 @@ def _kernel_and_dxi(r, grid, params, xi, targets):
     # D2, keeps its digits near the diagonal
     W = (a[None, :] - at[:, None]) * (rm[None, :] - rt[:, None]) + (
         a[None, :] * rt[:, None] + at[:, None] * rm[None, :]
-    ) * (0.5 * grid.chord2[targets])
+    ) * (0.5 * grid.chord2(targets))
     Bn1 = a[None, :] ** (n - 1)
     dK = n * rm[None, :] * Bn1 * K - p * (Bn1 * a[None, :]) * W * Kp2
     return K, dK
@@ -122,7 +122,7 @@ def derivative_remainder_R2(rho, params, rule):
     gradient coupling, two corrected sums per rule node."""
     grid, r = rho.grid, rho.values
     tgt = np.arange(grid.size)
-    chord2 = grid.chord2[tgt]
+    chord2 = grid.chord2(tgt)
     mass = _chord_kernel(grid, grid.n - 1 + params.s, tgt)
     out = corrected_sum(mass, grid, tgt, params)
     ydotg = _gradient_coupling(rho)
@@ -173,7 +173,7 @@ def by_parts_remainder_R2(rho, params, rule):
     mass = corrected_sum(_chord_kernel(grid, grid.n - 1 + params.s, tgt), grid, tgt, params)
     return (
         mass
-        + corrected_sum(grid.chord2 * dF, grid, tgt, params)
+        + corrected_sum(grid.chord2() * dF, grid, tgt, params)
         - 2.0 * corrected_sum(_gradient_coupling(rho) * S3, grid, tgt, params)
     )
 
@@ -195,7 +195,7 @@ def reference_injectivity_ratio(rho):
     grid = rho.grid
     D2 = _image_dist2(rho.values, grid, 1.0, np.arange(grid.size))
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio2 = D2 / grid.chord2
+        ratio2 = D2 / grid.chord2()
     np.fill_diagonal(ratio2, np.inf)
     return float(np.sqrt(np.nanmin(ratio2)))
 
@@ -211,7 +211,7 @@ def reference_homotopy_derivative(tprime, rho, params):
         K = _image_dist2(r, grid, tprime, tgt) ** (-0.5 * (grid.n + 1 + params.s))
     _zero_target_cols(K, tgt)
     dr = r[None, :] - r[:, None]
-    one_minus = 0.5 * grid.chord2
+    one_minus = 0.5 * grid.chord2()
     xdotg = grid.nodes @ g.T
     Bn1 = B[None, :] ** (grid.n - 1)
     F = 2.0 * K * (
@@ -300,7 +300,7 @@ def test_kernel_on_round_sphere_is_chord_power():
     rho = RadialField(grid, np.ones(grid.size))
     params = KernelParams(s=0.5)
     y, x = np.array([3, 0, 10]), np.array([40, 1, 33])
-    expect = np.sqrt(grid.chord2[y, x]) ** (-(grid.n + 1 + params.s))
+    expect = np.sqrt(grid.chord2()[y, x]) ** (-(grid.n + 1 + params.s))
     assert walk_kernel(0.7, rho, params)[x, y] == pytest.approx(expect, rel=1e-14)
 
 
@@ -309,7 +309,7 @@ def test_kernel_scaling_on_dilated_sphere():
     c = 1.7
     rho = RadialField(grid, np.full(grid.size, c))
     params = KernelParams(s=0.3)
-    expect = (c * np.sqrt(grid.chord2[5, 20])) ** (-(grid.n + 1 + params.s))
+    expect = (c * np.sqrt(grid.chord2()[5, 20])) ** (-(grid.n + 1 + params.s))
     assert walk_kernel(1.0, rho, params)[20, 5] == pytest.approx(expect, rel=1e-13)
 
 
@@ -375,7 +375,7 @@ def test_kernel_dxi_constant_field_closed_form(n):
     params = KernelParams(s=0.6)
     y, x = 2, 11
     p = grid.n + 1 + params.s
-    expect = (c - 1.0) * (n - p) * np.sqrt(grid.chord2[y, x]) ** (-p)
+    expect = (c - 1.0) * (n - p) * np.sqrt(grid.chord2()[y, x]) ** (-p)
     assert kernel_dxi(0.0, rho, y, x, params) == pytest.approx(expect, rel=1e-12)
 
 
@@ -387,13 +387,14 @@ def test_kernel_lower_bound_over_random_pairs():
     rho = RadialField(grid, vals)
     params = KernelParams(s=0.5)
     a_min = 1.0  # at xi the radii are 1 + xi*(vals-1) >= min(vals, 1)
+    chord2 = grid.chord2()
     for _ in range(200):
         y, x = rng.integers(0, grid.size, size=2)
         if y == x:
             continue
         xi = rng.random()
         a_lo = min(1.0 + xi * (vals[y] - 1.0), 1.0 + xi * (vals[x] - 1.0), a_min)
-        bound = (a_lo * np.sqrt(grid.chord2[y, x])) ** (-(grid.n + 1 + params.s))
+        bound = (a_lo * np.sqrt(chord2[y, x])) ** (-(grid.n + 1 + params.s))
         assert walk_kernel(xi, rho, params)[x, y] <= bound * (1.0 + 1e-12)
 
 
@@ -414,7 +415,7 @@ def test_raw_punctured_mass_is_much_worse():
     params = KernelParams(s=0.5)
     exact = circle_mass(params.s)
     grid = build_grid(1, 256, "full-sphere")
-    row = np.sqrt(grid.chord2[0])
+    row = np.sqrt(grid.chord2([0])[0])
     row[0] = 1.0
     f = row ** (-params.s)
     f[0] = 0.0
@@ -455,18 +456,19 @@ def test_kernel_bound_excess_matches_pairwise_loop():
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
     params = KernelParams(s)
     p = grid.n + 1 + s
+    chord2 = grid.chord2()
     worst = 0.0
     for xi in (0.0, 0.37, 1.0):
         pts = (1.0 + xi * (rho.values - 1.0))[:, None] * grid.nodes
         D2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        ratio2 = D2 / np.maximum(grid.chord2, 1e-300)
+        ratio2 = D2 / np.maximum(chord2, 1e-300)
         np.fill_diagonal(ratio2, np.inf)
         kappa = float(np.sqrt(ratio2.min())) ** -p
         for i in range(resolution):
             for j in range(resolution):
                 if i != j:
                     val = kernel_at(xi, rho, j, i, params)
-                    worst = max(worst, val * np.sqrt(grid.chord2[i, j]) ** p / kappa)
+                    worst = max(worst, val * np.sqrt(chord2[i, j]) ** p / kappa)
     assert worst <= 1.0 + 1e-12
     assert kernel_bound_excess(resolution) == pytest.approx(worst, rel=1e-13)
 
@@ -649,6 +651,8 @@ def test_blocked_passes_keep_temporaries_small(monkeypatch):
     # name: (argument maker, call)
     calls = {
         "injectivity_ratio": (field, injectivity_ratio),
+        # the guard's worst case walks every pair
+        "injectivity_ratio steep pair": (lambda: steep_pair(grid), injectivity_ratio),
         "homotopy_derivative": (field, lambda f: homotopy_derivative([0.6], f, params)),
         "homotopy_derivative sequence": (
             field,
@@ -740,7 +744,7 @@ def single_tprime_homotopy_derivative(tprime, rho, params):
     out = np.empty(grid.size)
     for sl, tb, col in _blocks(np.arange(grid.size)):
         ut = u[tb, None]
-        A0 = grid.chord2[tb]
+        A0 = grid.chord2(tb)
         A1 = (ut + u) * A0
         A2 = (ut - u) ** 2 + ut * u * A0
         D2 = (A2 * tprime + A1) * tprime + A0
@@ -820,6 +824,71 @@ def test_blocked_guard_threshold_agrees_on_pinched_map():
     assert abs(out - ref) <= 1e-12 * ref
     limit = nonlocal_ops.INJECTIVITY_RATIO_MIN
     assert ref < limit and out < limit
+
+
+def steep_pair(grid):
+    """Unit field whose two least values, 0.5 and 0.6, sit on neighbouring
+    nodes.  The least rho's row then bounds the least squared ratio only by
+    0.5 + 0.25 / |y - x|^2 >= 0.5625 at its farthest node, above
+    max rho min rho = 0.5, so every node is a candidate pair end: the
+    guard's worst case, a walk over every pair."""
+    vals = np.ones(grid.size)
+    k = grid.size // 3
+    vals[k] = 0.5
+    vals[grid.stencils().meridian[k, 1]] = 0.6
+    return RadialField(grid, vals)
+
+
+def pit(grid):
+    """Field of 2 with a plateau of 0.8 around a pit of 0.1: every entry of
+    the least rho's row is at least 0.2 + 3.61 / 4 (a far node) or
+    0.08 + 0.49 / 0.25 (a plateau node), so its bound leaves the exact
+    minimum, 0.8^2 on a plateau pair beside the pit, to the walk."""
+    k = grid.size // 3
+    vals = np.where(grid.chord2([k])[0] < 0.25, 0.8, 2.0)
+    vals[k] = 0.1
+    return RadialField(grid, vals)
+
+
+def all_pairs_ratio2(rho):
+    """rho(x) rho(y) + (rho(x) - rho(y))^2 / |y - x|^2 over every pair, in
+    the guard's operation order, with inf on the diagonal."""
+    r = rho.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio2 = r[:, None] * r + (r[:, None] - r) ** 2 / rho.grid.chord2()
+    np.fill_diagonal(ratio2, np.inf)
+    return ratio2
+
+
+def _exact_guard_cases():
+    rng = np.random.default_rng(24)
+    for n, resolution in ((1, 65), (2, 9)):
+        for topology in ("hemisphere", "full-sphere"):
+            grid = build_grid(n, resolution, topology)
+            name = f"n{n}-{topology}"
+            for sigma in (0.05, 0.3, 1.0):
+                vals = np.exp(sigma * rng.standard_normal(grid.size))
+                yield f"{name}-lognormal{sigma}", RadialField(grid, vals)
+            yield f"{name}-constant", RadialField(grid, np.full(grid.size, 0.7))
+            yield f"{name}-steep-pair", steep_pair(grid)
+            yield f"{name}-pit", pit(grid)
+
+
+@pytest.mark.parametrize("name, rho", list(_exact_guard_cases()))
+def test_injectivity_ratio_is_the_exact_all_pairs_minimum(name, rho, monkeypatch):
+    ratio2 = all_pairs_ratio2(rho)
+    expect = float(np.sqrt(ratio2.min()))
+    for block in (1, 7, nonlocal_ops.ROW_BLOCK):
+        monkeypatch.setattr(nonlocal_ops, "ROW_BLOCK", block)
+        assert injectivity_ratio(RadialField(rho.grid, rho.values)) == expect
+    r = rho.values
+    row = ratio2[np.argmin(r)]
+    if name.endswith("steep-pair"):
+        # the least rho's row leaves every node a candidate
+        assert np.all(r * r.min() < row.min())
+    if name.endswith("pit"):
+        # the minimum is on a pair the least rho's row does not hold
+        assert expect == 0.8 and row.min() > 1.0
 
 
 def test_remainder_memo_matches_fresh_fields():
@@ -1195,3 +1264,17 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
     # ... and the first remainder pass forms none
     flow._explicit_part(ctx, 1.0 + 0.05 * ctx.grid.nodes[:, -1])
     assert mass_rows == []
+
+
+def test_capillary_context_holds_no_pairwise_table():
+    # once built, a context holds M (m x m) and arrays linear in the node
+    # count: no chord table of the m hemisphere nodes or of the doubled grid
+    flow._Context(2, 0.5, 9, "hemisphere", 4)  # the imports a build makes
+    tracemalloc.start()
+    try:
+        ctx = flow._Context(2, 0.5, 13, "hemisphere", 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    m = ctx.grid.size
+    assert held <= 2 * m**2 * 8, held / (m**2 * 8)

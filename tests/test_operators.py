@@ -170,7 +170,7 @@ def reference_frac_laplacian(u, grid, params):
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        K = np.sqrt(grid.chord2) ** (-(grid.n + 1 + params.s))
+        K = np.sqrt(grid.chord2()) ** (-(grid.n + 1 + params.s))
     np.fill_diagonal(K, 0.0)
     g = gradient_values(grid, u)
     # g(x) . (y - x) = g(x) . y, since the gradient is tangent at x
@@ -260,7 +260,7 @@ def test_operators_read_surface_dimension_from_grid(topology):
     out = frac_laplacian_matrix(grid, params) @ u
     assert np.abs(out - ref).max() < 1e-9 * np.abs(ref).max()
     with np.errstate(divide="ignore"):
-        mass = np.sqrt(grid.chord2) ** -(1.0 + S)
+        mass = np.sqrt(grid.chord2()) ** -(1.0 + S)
     np.fill_diagonal(mass, 0.0)
     free = mass @ grid.weights / S
     if topology == "full-sphere":
