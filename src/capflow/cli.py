@@ -17,6 +17,8 @@ Exit codes: 0 ok, 2 config error, 3 nonconvergence, 4 extinction,
 """
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -176,6 +178,11 @@ def cmd_inspect(args):
 
 
 def main(argv=None):
+    # At exit, freeze what the imports left (numpy's ~20k objects), so the
+    # interpreter's shutdown collections skip them; registered once per
+    # process, and a caller's heap is never frozen during a call.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="capflow", description=__doc__.splitlines()[0]
     )

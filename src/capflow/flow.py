@@ -61,6 +61,7 @@ from .nonlocal_ops import (
     HomotopyRule,
     InjectivityError,
     KernelParams,
+    _blocks,
     _raise_if_pinched,
     frac_laplacian_matrix,
     hs_reference,
@@ -364,15 +365,19 @@ class _Context:
         else:
             self.work, self.index_map = self.grid, np.arange(self.grid.size)
         self.rows = np.arange(self.grid.size)
-        self.hs_ref = hs_reference(self.work, self.params)[: self.grid.size]
-        M = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
+        self.hs_ref = hs_reference(self.work, self.params, self.rows)
         if folded:
-            # the first m work nodes are the hemisphere's own, and their
-            # mirrors are distinct, so one indexed add folds the columns
+            # each row block of the work-grid matrix is folded as it is
+            # built: the first m work nodes are the hemisphere's own, and
+            # their mirrors are distinct, so one indexed add folds a block
             m = self.grid.size
-            fold = M[:, :m].copy()
-            fold[:, self.index_map[m:]] += M[:, m:]
-            M = fold
+            M = np.empty((m, m))
+            for sl, tb, _ in _blocks(self.rows):
+                Mb = frac_laplacian_matrix(self.work, self.params, targets=tb)
+                M[sl] = Mb[:, :m]
+                M[sl, self.index_map[m:]] += Mb[:, m:]
+        else:
+            M = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
         self.M = M
         _read_only(self)
 

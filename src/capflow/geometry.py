@@ -107,12 +107,13 @@ class SphereGrid:
         asked for.  (A matrix product rounds a row by how many rows it is
         given, and 2 - 2 x.y loses digits on near pairs.)
         """
-        x, y = self.nodes[rows], self.nodes[cols]
-        out = np.subtract(x[:, 0, None], y[:, 0], out=out)
+        # coordinates as rows, so each y_d is read contiguously
+        x, y = self.nodes[rows].T, np.ascontiguousarray(self.nodes[cols].T)
+        out = np.subtract(x[0, :, None], y[0], out=out)
         np.square(out, out=out)
         term = np.empty_like(out)
-        for d in range(1, x.shape[1]):
-            np.subtract(x[:, d, None], y[:, d], out=term)
+        for d in range(1, x.shape[0]):
+            np.subtract(x[d, :, None], y[d], out=term)
             np.square(term, out=term)
             out += term
         return out

@@ -11,7 +11,7 @@ interpolating between the round sphere (xi = 0) and the actual surface
 from the grid (or, for the point-cloud oracle, the point dimension), so
 the exponent always matches the surface.  The module provides the
 principal-value fractional Laplacian, the two homotopy remainder terms
-(from one shared kernel pass per rule node), the derivative of curvature
+(from one shared kernel pass), the derivative of curvature
 along the homotopy (at a sequence of t', in one blocked pass), the
 injectivity guard, and an independent curvature oracle based
 on the divergence theorem.  The squared image distance has one form, the
@@ -23,17 +23,19 @@ bound leaves open are walked, each once.  The kernel family has one
 walk, `_homotopy_blocks`, shared by the remainder pass and
 `homotopy_derivative`: the one homotopy walk calls the guard before any
 fractional power, sets up each block, punctures the rows' own columns and
-takes the power D2(xi)^(-(n+1+s)/2).  Every pass
+takes the power D2(xi)^(-(n+1+s)/2), as exp of a multiple of log D2, for
+a sequence of xi in one call.  Every pass
 over node pairs walks the target rows in near-equal blocks of at most
 ROW_BLOCK rows (`_blocks`), so temporaries stay small and rows are
 bitwise independent of the block size; the one larger array is the
 matrix `frac_laplacian_matrix` returns.  The reference curvature has one
 route, `hs_reference`: the unit sphere's chord mass over s, summed on a
-full-sphere grid on each call (a capillary run reads it on the doubled
-grid of its hemisphere).  The remainder pass (`_remainder_pair`)
-integrates the kernel's xi-derivative by parts, so it needs no mass (the
-mass term cancels) and per rule node only one power and n + 1 moment
-sums.
+full-sphere grid on each call at the rows asked for (a capillary run
+reads its hemisphere rows of the doubled grid).  The remainder pass
+(`_remainder_pair`) integrates the kernel's xi-derivative by parts, so it
+needs no mass (the mass term cancels); per block it takes the kernels at
+xi = 0 and at every rule node in one walk call, and their n + 1 moments
+in one matrix product.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -186,14 +188,17 @@ def _corrected_sum(
 # target rows per block of every pass over node pairs; row results do not
 # depend on it, only the size of the temporaries does
 ROW_BLOCK = 64
+# the planes of ROW_BLOCK rows a homotopy walk's work buffer may hold: a
+# walk that needs more planes (a longer stack of kernels) takes fewer rows
+WALK_PLANES = 6
 
 
-def _blocks(targets: np.ndarray):
+def _blocks(targets: np.ndarray, size: int | None = None):
     """Per block of target rows: the rows' slice, their targets, and the
     index of each row's own (target) column.  The targets are split into
-    ceil(N / ROW_BLOCK) blocks whose sizes differ by at most one, so no
-    block is a short tail; no targets give no block."""
-    count = -(-targets.size // ROW_BLOCK)
+    ceil(N / size) blocks (size ROW_BLOCK by default) whose sizes differ by
+    at most one, so no block is a short tail; no targets give no block."""
+    count = -(-targets.size // (ROW_BLOCK if size is None else size))
     for k in range(count):
         sl = slice(k * targets.size // count, (k + 1) * targets.size // count)
         tb = targets[sl]
@@ -346,39 +351,51 @@ def _homotopy_blocks(
     raises InjectivityError below INJECTIVITY_RATIO_MIN, then returns
     u = rho - 1 and an iterator that yields per `_blocks` block: the slice,
     the targets, u(x) as a column, A0 and x . grad rho(y), the stencil,
-    `kernel(xi, out)`, writing D2(xi)^(-(n+1+s)/2) with the own columns
-    zero, and `buffers` (at least one) work buffers, all allocated once
-    per call.  The own columns are punctured once per block: A1 = 0 there,
-    and A0 = A2 = 1 keep D2 = 1 + xi^2 finite for every xi.
+    `kernel(xis, out)` and `bufs`, 2 + `buffers` work planes (`buffers` at
+    least one), all allocated once per call; the blocks take as many rows
+    as keep the 4 + `buffers` planes within WALK_PLANES planes of ROW_BLOCK
+    rows.  `kernel` takes a 1-D sequence of xi and writes into the stack
+    `out` one plane per xi, D2(xi)^(-(n+1+s)/2) taken as
+    exp(-(n+1+s)/2 log D2(xi)), with the own columns zero; a plane does
+    not depend on the other xi of its call.  bufs[0] and bufs[1] hold A1
+    and A2, which every kernel call reads, so a caller writes them only
+    after its block's last kernel call.  The own columns are punctured once
+    per block: A1 = 0 there, and A0 = A2 = 1 keep D2 = 1 + xi^2 finite for
+    every xi.
     """
     _raise_if_pinched(injectivity_ratio(rho))
     grid = rho.grid
     power = -0.5 * (grid.n + 1 + params.s)
     u = rho.values - 1.0
     g = gradient_values(grid, rho.values)
-    blocks = list(_blocks(targets))
+    size = max(1, WALK_PLANES * ROW_BLOCK // (4 + buffers))
+    blocks = list(_blocks(targets, size))
     rows = max((tb.size for _, tb, _ in blocks), default=0)
     work = np.empty((4 + buffers, rows, grid.size))
 
     def walk():
         for sl, tb, col in blocks:
-            A0, A1, A2, X, *bufs = work[:, : tb.size]
+            planes = work[:, : tb.size]
+            A0, X, A1, A2 = planes[:4]
             ut = u[tb, None]
             grid.chord2(tb, out=A0)
-            _dist2_coeffs(ut, u, A0, A1, A2, bufs[0])
-            _x_dot_grad(grid.nodes[tb], g, X, bufs[0])
+            _dist2_coeffs(ut, u, A0, A1, A2, X)
+            _x_dot_grad(grid.nodes[tb], g, X, planes[4])
             A0[col] = A2[col] = 1.0
 
-            def kernel(xi: float, out: np.ndarray) -> np.ndarray:
+            def kernel(xis, out: np.ndarray) -> np.ndarray:
+                xi = np.asarray(xis, dtype=float)[:, None, None]
                 np.multiply(A2, xi, out=out)
                 out += A1
                 out *= xi
                 out += A0
-                np.power(out, power, out=out)
-                out[col] = 0.0
+                np.log(out, out=out)
+                out *= power
+                np.exp(out, out=out)
+                out[:, col[0], col[1]] = 0.0
                 return out
 
-            yield sl, tb, ut, A0, X, _lattice_stencil(grid, tb), kernel, bufs
+            yield sl, tb, ut, A0, X, _lattice_stencil(grid, tb), kernel, planes[2:]
 
     return u, walk()
 
@@ -386,41 +403,45 @@ def _homotopy_blocks(
 def _remainder_pair(
     rho: RadialField, params: KernelParams, rule: HomotopyRule, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R1 and R2 at the target rows, from one kernel pass per rule node.
+    """R1 and R2 at the target rows, from one kernel call per block.
 
     With u = rho - 1, the squared image distance is D2(xi) = A0 + xi (A1 +
     xi A2) (`_dist2_coeffs`).  Both remainders weight the xi-derivative of
     F = B^n K_xi, B = 1 + xi u(y), by 1 - xi; integrated by parts,
     int_0^1 (1 - xi) F' dxi = int_0^1 F dxi - K0 with K0 = |y - x|^(-p).
-    Expanding B^n in powers of xi u(y), the pass accumulates only the
-    moments P_k = sum w xi^k K_xi, k = 0..n, each with a scalar weight, and
-    applies the column factors once per block:
-    int F = sum_k C(n, k) u^k P_k, S3 = sum w xi B^(n-1) K =
+    Expanding B^n in powers of xi u(y), the pass needs only the moments
+    P_k = sum w xi^k K_xi, k = 0..n, and applies the column factors once
+    per block: int F = sum_k C(n, k) u^k P_k, S3 = sum w xi B^(n-1) K =
     sum_k C(n - 1, k) u^k P_(k+1), and with corrected row sums
     R1 = 2 sum (rho(y) - rho(x)) (int F - K0) and
     R2 = sum (A0 int F - 2 ((y - x) . grad rho(y)) S3).
     The chord mass of R2 cancels against A0 K0, its integrand.
 
-    The kernels come from the one homotopy walk (`_homotopy_blocks`),
-    which calls the guard; the column factors are formed once per call.
+    Per block, the one homotopy walk (`_homotopy_blocks`, which calls the
+    guard) writes the kernels at xi = 0 and at the rule nodes as one
+    stack, K0 its first plane, and the moments are one matrix product of
+    the weights w xi^k (0 on K0) with the stack; they take the planes of
+    A1 and A2, which the stack has consumed.
     """
     n = rho.grid.n
-    u, blocks = _homotopy_blocks(rho, params, targets, n + 3)
-    # per rule node: xi and the weights w xi^k of the moments P_0..P_n
-    nodes = [(xv, [wv * xv**k for k in range(n + 1)]) for xv, wv in zip(*rule.tprime())]
+    xs, ws = rule.tprime()
+    xis = np.concatenate(([0.0], xs))
+    u, blocks = _homotopy_blocks(rho, params, targets, n - 1 + xis.size)
+    # row k: the weights w xi^k of P_k per plane of the stack
+    weights = np.array(
+        [[0.0] + [wv * xv**k for xv, wv in zip(xs, ws)] for k in range(n + 1)]
+    )
     # the column factors of P_1..P_n in int F, and of P_2..P_n in S3
     f_cols = [math.comb(n, k) * u**k for k in range(1, n + 1)]
     s3_cols = [math.comb(n - 1, k) * u**k for k in range(1, n)]
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
-    for sl, _, ut, A0, X, stencil, kernel, (K, T, *P) in blocks:
-        for Pk in P:
-            Pk.fill(0.0)
-        for xv, wk in nodes:
-            kernel(xv, K)
-            for Pk, w in zip(P, wk):
-                np.multiply(K, w, out=T)
-                Pk += T
+    for sl, _, ut, A0, X, stencil, kernel, bufs in blocks:
+        stack = kernel(xis, bufs[n + 1 :])
+        P = bufs[: n + 1]
+        # planes of one row stride: both reshapes are views
+        np.matmul(weights, stack.reshape(xis.size, -1), out=P.reshape(n + 1, -1))
+        K0, T = stack[0], stack[1]
         # int F into P_0, then S3 into P_1
         F, S3 = P[0], P[1]
         for Pk, c in zip(P[1:], f_cols):
@@ -436,8 +457,7 @@ def _remainder_pair(
         np.multiply(A0, F, out=T)
         T += S3
         r2[sl] = _corrected_sum(T, rho.grid, stencil, params)
-        # K0 = |y - x|^(-p), the kernel at xi = 0
-        F -= kernel(0.0, K)
+        F -= K0
         np.subtract(u, ut, out=T)
         T *= F
         r1[sl] = 2.0 * _corrected_sum(T, rho.grid, stencil, params)
@@ -542,7 +562,8 @@ def homotopy_derivative(
         Bn1 = B ** (grid.n - 1)
         factors.append((tp, Bn1, Bn1 * B))
     out = np.empty((tps.size, grid.size))
-    for sl, tb, ut, A0, X, stencil, kernel, (P, K, F) in blocks:
+    for sl, tb, ut, A0, X, stencil, kernel, bufs in blocks:
+        P, K, F = bufs[2:]
         # P = (rho(y) - rho(x)) + u(x) A0 / 2
         np.multiply(A0, 0.5, out=F)
         F *= ut
@@ -554,7 +575,7 @@ def homotopy_derivative(
             F *= Bn1
             np.multiply(P, BnB, out=K)
             F += K
-            kernel(tp, K)
+            kernel((tp,), K[None])
             K *= 2.0
             K *= F
             out[k, sl] = _corrected_sum(K, grid, stencil, params)
@@ -613,19 +634,24 @@ def divergence_oracle_Hs(
     return total
 
 
-def hs_reference(grid: SphereGrid, params: KernelParams) -> np.ndarray:
-    """Reference curvature H^s of the unit sphere, per node of a
-    full-sphere grid.
+def hs_reference(
+    grid: SphereGrid, params: KernelParams, targets: np.ndarray | None = None
+) -> np.ndarray:
+    """Reference curvature H^s of the unit sphere at nodes of a full-sphere
+    grid.
 
     On the unit sphere (y-x).y = |y-x|^2/2, so the divergence identity
     reduces to the chord mass int |y - x|^(-(n-1+s)) over s: the corrected
-    row sums of the chord kernel, one block of rows at a time.  Capillary
-    runs read it on the doubled grid of their hemisphere.
+    row sums of the chord kernel, one block of rows at a time.  `targets`
+    selects rows (default: all nodes); a row does not depend on which
+    others are asked for.  Capillary runs read their hemisphere rows of
+    the doubled grid.
     """
     if grid.topology != "full-sphere":
         raise ValueError("the reference curvature needs a full-sphere grid")
-    mass = np.empty(grid.size)
-    for sl, tb, _ in _blocks(np.arange(grid.size)):
+    targets = np.arange(grid.size) if targets is None else np.asarray(targets)
+    mass = np.empty(targets.size)
+    for sl, tb, _ in _blocks(targets):
         K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
         mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
     return mass / params.s

@@ -102,7 +102,7 @@ def m1_relative_residual(resolution):
     grid = build_grid(1, resolution, "hemisphere")
     params = KernelParams(ORACLE_S)
     rule = HomotopyRule(order=8)
-    ref = np.full(grid.size, hs_reference(double_grid(grid)[0], params)[0])
+    ref = np.full(grid.size, hs_reference(double_grid(grid)[0], params, [0])[0])
     tp, tw = rule.tprime()
     out = {}
     for shape_name, shape in M1_SHAPES:
@@ -302,8 +302,9 @@ def kernel_bound_excess(resolution=512):
     For the deformed surface Phi_xi the kernel times chord^(n+1+s) equals
     (chord/image distance)^(n+1+s), which the minimal image separation
     ratio bounds from above.  Reads the kernel of every node pair from the
-    homotopy walk (`_homotopy_blocks`) at three interpolation stages and
-    returns max(kernel * chord^p / kappa), which must stay at or below 1.
+    homotopy walk (`_homotopy_blocks`) at three interpolation stages, one
+    kernel call per block, and returns max(kernel * chord^p / kappa), which
+    must stay at or below 1.
     """
     grid = build_grid(1, resolution, "full-sphere")
     rho = RadialField(grid, 1.0 + 0.3 * np.cos(2 * grid.phi))
@@ -319,12 +320,15 @@ def kernel_bound_excess(resolution=512):
         np.fill_diagonal(ratio2, np.inf)
         stages.append((xi, float(np.sqrt(ratio2.min())) ** -p))
     worst = 0.0
-    _, blocks = _homotopy_blocks(rho, KernelParams(ORACLE_S), np.arange(grid.size), 1)
-    for _, tb, *_, kernel, (K,) in blocks:
+    xis = [xi for xi, _ in stages]
+    _, blocks = _homotopy_blocks(
+        rho, KernelParams(ORACLE_S), np.arange(grid.size), len(xis)
+    )
+    for _, tb, *_, kernel, bufs in blocks:
         # the walk's own columns are zero, as is their chord
         chord_p = np.sqrt(grid.chord2(tb)) ** p
-        for xi, kappa in stages:
-            worst = max(worst, float(np.max(kernel(xi, K) * chord_p / kappa)))
+        for K, (_, kappa) in zip(kernel(xis, bufs[2:]), stages):
+            worst = max(worst, float(np.max(K * chord_p / kappa)))
     return worst
 
 

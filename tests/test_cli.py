@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import gc
 import json
 import math
 import re
@@ -743,3 +744,24 @@ def test_validate_prints_each_tolerance_as_its_gate(monkeypatch, capsys):
 def test_every_run_status_has_an_exit_code():
     statuses = set(flow._STOP_STATUS.values()) | {"completed"}
     assert statuses == set(cli._STATUS_CODES)
+
+
+def test_main_freezes_the_heap_only_at_exit(tmp_path, monkeypatch, capsys):
+    # the shutdown freeze is registered once per process, however often
+    # main runs, and never freezes the caller's heap during a call
+    # (CPython's own atexit count keeps the slots of removed entries)
+    entries = []
+
+    class Registry:
+        register = staticmethod(entries.append)
+
+        @staticmethod
+        def unregister(func):
+            entries[:] = [f for f in entries if f != func]
+
+    monkeypatch.setattr(cli, "atexit", Registry)
+    path = _write_config(tmp_path, BASE_CONFIG)
+    for _ in range(2):
+        assert main(["run", str(path)]) == 0
+        assert gc.get_freeze_count() == 0
+    assert entries == [gc.freeze]

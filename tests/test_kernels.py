@@ -234,8 +234,8 @@ def walk_kernel(xi, rho, params):
     size = rho.grid.size
     K_all = np.empty((size, size))
     _, blocks = nonlocal_ops._homotopy_blocks(rho, params, np.arange(size), 1)
-    for sl, *_, kernel, (K,) in blocks:
-        K_all[sl] = kernel(xi, K)
+    for sl, *_, kernel, bufs in blocks:
+        K_all[sl] = kernel([xi], bufs[2:])[0]
     return K_all
 
 
@@ -749,7 +749,7 @@ def single_tprime_homotopy_derivative(tprime, rho, params):
         A2 = (ut - u) ** 2 + ut * u * A0
         D2 = (A2 * tprime + A1) * tprime + A0
         D2[col] = 1.0
-        K = D2 ** (-0.5 * (grid.n + 1 + params.s))
+        K = np.exp(-0.5 * (grid.n + 1 + params.s) * np.log(D2))
         K[col] = 0.0
         xt = grid.nodes[tb]
         xdotg = sum(xt[:, d, None] * g[:, d] for d in range(xt.shape[1]))
@@ -776,6 +776,37 @@ def _sequence_cases():
 
 SEQUENCE_CASES = dict(_sequence_cases())
 SEQUENCE_TPRIMES = [0.0, 0.3, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
+def test_batched_kernel_planes_equal_each_xi_alone(name):
+    rho = SEQUENCE_CASES[name]
+    params = KernelParams(s=0.5)
+    xis = [0.0, *HomotopyRule(order=4).tprime()[0], 1.0]
+    size = rho.grid.size
+    _, blocks = nonlocal_ops._homotopy_blocks(rho, params, np.arange(size), len(xis) + 1)
+    for *_, kernel, bufs in blocks:
+        stack, alone = bufs[2:-1], bufs[-1:]
+        kernel(xis, stack)
+        # reversed, so a plane's place in the stack cannot matter either
+        for xi, plane in reversed(list(zip(xis, stack, strict=True))):
+            assert np.array_equal(kernel([xi], alone)[0], plane)
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
+def test_batched_kernel_at_xi_zero_is_the_chord_power(name):
+    rho = SEQUENCE_CASES[name]
+    grid = rho.grid
+    params = KernelParams(s=0.5)
+    p = grid.n + 1 + params.s
+    _, blocks = nonlocal_ops._homotopy_blocks(rho, params, np.arange(grid.size), 2)
+    for _, tb, _, _, _, _, kernel, bufs in blocks:
+        K0 = kernel([0.0, 0.5], bufs[2:])[0]
+        with np.errstate(divide="ignore"):
+            expect = np.exp(-0.5 * p * np.log(grid.chord2(tb)))
+        expect[np.arange(tb.size), tb] = 0.0
+        assert np.array_equal(K0, expect)
+        np.testing.assert_allclose(K0, _chord_kernel(grid, p, tb), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
@@ -1258,8 +1289,9 @@ def test_context_set_up_sums_the_work_mass_once(n, resolution, monkeypatch):
 
     monkeypatch.setattr(nonlocal_ops, "_chord_kernel", counting)
     ctx = flow._Context(n, s, resolution, "hemisphere", 3)
-    # the reference forms each work-grid row once ...
-    assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.work.size))
+    # the reference forms each hemisphere row of the work grid once, the
+    # only rows the flow reads ...
+    assert np.array_equal(np.concatenate(mass_rows), np.arange(ctx.grid.size))
     mass_rows.clear()
     # ... and the first remainder pass forms none
     flow._explicit_part(ctx, 1.0 + 0.05 * ctx.grid.nodes[:, -1])
