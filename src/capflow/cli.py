@@ -178,6 +178,9 @@ def cmd_inspect(args):
 
 
 def main(argv=None):
+    """The `capflow` entry point.  Calling it in-process makes the host
+    process skip cycle collection at shutdown, so an in-process caller must
+    not rely on the finalizers of cyclic garbage running at exit."""
     # At exit, freeze what the imports left (numpy's ~20k objects), so the
     # interpreter's shutdown collections skip them; registered once per
     # process, and a caller's heap is never frozen during a call.

@@ -359,25 +359,22 @@ class _Context:
         self.grid = build_grid(n, resolution, topology)
         self.params = KernelParams(s)
         self.rule = HomotopyRule(order=homotopy_order)
-        folded = topology == "hemisphere"
-        if folded:
+        if topology == "hemisphere":
             self.work, self.index_map = double_grid(self.grid)
         else:
             self.work, self.index_map = self.grid, np.arange(self.grid.size)
         self.rows = np.arange(self.grid.size)
         self.hs_ref = hs_reference(self.work, self.params, self.rows)
-        if folded:
-            # each row block of the work-grid matrix is folded as it is
-            # built: the first m work nodes are the hemisphere's own, and
-            # their mirrors are distinct, so one indexed add folds a block
-            m = self.grid.size
-            M = np.empty((m, m))
-            for sl, tb, _ in _blocks(self.rows):
-                Mb = frac_laplacian_matrix(self.work, self.params, targets=tb)
-                M[sl] = Mb[:, :m]
-                M[sl, self.index_map[m:]] += Mb[:, m:]
-        else:
-            M = frac_laplacian_matrix(self.work, self.params, targets=self.rows)
+        # each row block of the work-grid matrix is folded as it is built:
+        # the first m work nodes are the grid's own, and on a hemisphere
+        # their mirrors are distinct, so one indexed add folds a block (on a
+        # full sphere there are no mirrors and the add is empty)
+        m = self.grid.size
+        M = np.empty((m, m))
+        for sl, tb, _ in _blocks(self.rows):
+            Mb = frac_laplacian_matrix(self.work, self.params, targets=tb)
+            M[sl] = Mb[:, :m]
+            M[sl, self.index_map[m:]] += Mb[:, m:]
         self.M = M
         _read_only(self)
 

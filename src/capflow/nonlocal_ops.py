@@ -35,7 +35,7 @@ reads its hemisphere rows of the doubled grid).  The remainder pass
 (`_remainder_pair`) integrates the kernel's xi-derivative by parts, so it
 needs no mass (the mass term cancels); per block it takes the kernels at
 xi = 0 and at every rule node in one walk call, and their n + 1 moments
-in one matrix product.
+in one per-column reduction over the planes.
 
 Principal values are handled by puncturing the singular node and adding a
 lattice correction: a uniform punctured trapezoid sum of an integrand with
@@ -419,18 +419,17 @@ def _remainder_pair(
 
     Per block, the one homotopy walk (`_homotopy_blocks`, which calls the
     guard) writes the kernels at xi = 0 and at the rule nodes as one
-    stack, K0 its first plane, and the moments are one matrix product of
-    the weights w xi^k (0 on K0) with the stack; they take the planes of
-    A1 and A2, which the stack has consumed.
+    stack, K0 its first plane, and the moments are one einsum of the
+    weights w xi^k with the rule-node planes, which sums each column over
+    the planes in order; they take the planes of A1 and A2, which the
+    stack has consumed.
     """
     n = rho.grid.n
     xs, ws = rule.tprime()
     xis = np.concatenate(([0.0], xs))
     u, blocks = _homotopy_blocks(rho, params, targets, n - 1 + xis.size)
-    # row k: the weights w xi^k of P_k per plane of the stack
-    weights = np.array(
-        [[0.0] + [wv * xv**k for xv, wv in zip(xs, ws)] for k in range(n + 1)]
-    )
+    # row k: the weights w xi^k of P_k per rule-node plane of the stack
+    weights = np.array([[wv * xv**k for xv, wv in zip(xs, ws)] for k in range(n + 1)])
     # the column factors of P_1..P_n in int F, and of P_2..P_n in S3
     f_cols = [math.comb(n, k) * u**k for k in range(1, n + 1)]
     s3_cols = [math.comb(n - 1, k) * u**k for k in range(1, n)]
@@ -439,8 +438,11 @@ def _remainder_pair(
     for sl, _, ut, A0, X, stencil, kernel, bufs in blocks:
         stack = kernel(xis, bufs[n + 1 :])
         P = bufs[: n + 1]
-        # planes of one row stride: both reshapes are views
-        np.matmul(weights, stack.reshape(xis.size, -1), out=P.reshape(n + 1, -1))
+        # planes of one row stride: both reshapes are views.  A per-column
+        # reduction over the rule-node planes: a BLAS product may round a
+        # column differently depending on how many columns it is given
+        nodes = stack[1:].reshape(xs.size, -1)
+        np.einsum("kl,lj->kj", weights, nodes, out=P.reshape(n + 1, -1))
         K0, T = stack[0], stack[1]
         # int F into P_0, then S3 into P_1
         F, S3 = P[0], P[1]

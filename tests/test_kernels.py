@@ -1243,35 +1243,40 @@ def reference_frac_laplacian_matrix(grid, params):
     return M
 
 
-def reference_context_parts(n, resolution, s):
-    """M and hs_ref of a hemisphere flow context: the whole doubled-grid
-    matrix and reference, sliced to the hemisphere rows, with the matrix
-    folded back onto the hemisphere."""
-    grid = build_grid(n, resolution, "hemisphere")
+def reference_context_parts(n, resolution, s, topology):
+    """M, hs_ref and the work grid of a flow context: the whole work-grid
+    matrix and reference, sliced to the grid's rows, with the matrix folded
+    back onto a hemisphere (a full sphere is its own work grid)."""
+    grid = build_grid(n, resolution, topology)
     params = KernelParams(s)
-    work, index = double_grid(grid)
+    if topology == "hemisphere":
+        work, index = double_grid(grid)
+    else:
+        work, index = grid, np.arange(grid.size)
     hs_ref = reference_hs_reference(work, params)[: grid.size]
     M_work = reference_frac_laplacian_matrix(work, params)[: grid.size]
     MT = np.zeros((grid.size, grid.size))
     np.add.at(MT, index, M_work.T)
-    return MT.T, hs_ref
+    return MT.T, hs_ref, work
 
 
-# the ids name the work grid's topology
+# the ids name the work grid's topology; an unfolded context is a
+# full-sphere one, whose matrix has no mirror columns to fold
 @pytest.mark.parametrize(
-    "n, resolution",
+    "n, resolution, topology",
     [
-        pytest.param(1, 129, id="1-129-full-sphere"),
-        pytest.param(2, 13, id="2-13-full-sphere"),
+        pytest.param(1, 129, "hemisphere", id="1-129-full-sphere"),
+        pytest.param(2, 13, "hemisphere", id="2-13-full-sphere"),
+        pytest.param(1, 128, "full-sphere", id="1-128-full-sphere-unfolded"),
+        pytest.param(2, 13, "full-sphere", id="2-13-full-sphere-unfolded"),
     ],
 )
-def test_context_fixed_parts_match_whole_grid_routes(n, resolution):
+def test_context_fixed_parts_match_whole_grid_routes(n, resolution, topology):
     s = 0.5
-    ctx = flow._Context(n, s, resolution, "hemisphere", 4)
-    M, hs_ref = reference_context_parts(n, resolution, s)
+    ctx = flow._Context(n, s, resolution, topology, 4)
+    M, hs_ref, work = reference_context_parts(n, resolution, s, topology)
     assert np.array_equal(ctx.M, M)
     assert np.array_equal(ctx.hs_ref, hs_ref)
-    work = double_grid(build_grid(n, resolution, "hemisphere"))[0]
     ref = reference_hs_reference(work, KernelParams(s))
     assert np.array_equal(hs_reference(work, KernelParams(s)), ref)
 
