@@ -18,7 +18,6 @@ from .nonlocal_ops import (
     _blocks,
     _chord_kernel,
     _corrected_sum,
-    _lattice_stencil,
 )
 
 __all__ = [
@@ -89,8 +88,7 @@ def _corrected_vector_sum(
     one corrected row per ambient component."""
     rows = F.T.copy()
     rows[:, x] = 0.0
-    stencil = _lattice_stencil(grid, np.full(rows.shape[0], x))
-    return _corrected_sum(rows, grid, stencil, params)
+    return _corrected_sum(rows, grid, np.full(rows.shape[0], x), params)
 
 
 def divergence_identity_residual(

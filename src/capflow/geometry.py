@@ -8,7 +8,8 @@ nodes, quadrature weights, boundary markers, the squared chord |y - x|^2 of
 the node pairs a pass reads (the only pairwise fact the operators need,
 formed on demand by `SphereGrid.chord2`: a grid stores no N x N table), and
 one finite-difference stencil record of the same shape for n = 1 and n = 2:
-it holds the outward conormal `eta` on the equator, and `gradient_values`
+it holds the outward conormal `eta` on the equator and the columns of each
+row's principal-value lattice correction (`lattice`), and `gradient_values`
 forms the one tangential gradient from it.
 
 n = 1 (curves in the half-plane) is the reference case: nodes are equally
@@ -176,6 +177,11 @@ class Stencils:
         circle) or at beta -+ dbeta (n=2).  The node itself stands in where
         a neighbour is missing; those rows are replaced by the boundary or
         pole stencil.
+    lattice : ndarray of int, shape (N, 2)
+        The two columns of each row's principal-value lattice correction:
+        the meridian neighbours of interior n=1 nodes, and the node itself
+        twice everywhere else (hemisphere endpoints, every n=2 node), where
+        the punctured integrand is zero, so the correction is 0.
     e_beta : ndarray, shape (N, n+1)
         Unit tangent along the meridian, towards its second neighbour; on
         n=1 turned outward at the endpoint phi = 0.
@@ -190,8 +196,6 @@ class Stencils:
         Pole nodes (n=2).
     pole_arms : ndarray of int, shape (P, 4) or None
         Nodes of the ring next to each pole at gamma = 0, pi/2, pi, 3pi/2.
-    pole_sign : ndarray or None
-        +1 at the north pole, -1 at the south pole.
     """
 
     boundary: np.ndarray
@@ -199,6 +203,7 @@ class Stencils:
     step: float
     eta: np.ndarray
     meridian: np.ndarray
+    lattice: np.ndarray
     e_beta: np.ndarray
     dgamma: float | None = None
     ring: np.ndarray | None = None
@@ -206,7 +211,6 @@ class Stencils:
     sin_beta: np.ndarray | None = None
     poles: np.ndarray | None = None
     pole_arms: np.ndarray | None = None
-    pole_sign: np.ndarray | None = None
 
     def conormal(self, u: np.ndarray) -> np.ndarray:
         """Outward conormal derivative of samples u at every boundary node.
@@ -392,20 +396,23 @@ def gradient_values(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     ug = (u[st.ring[:, 1]] - u[st.ring[:, 0]]) / (2.0 * st.dgamma)
     grad += (ug / st.sin_beta)[:, None] * st.e_gamma
     arms = u[st.pole_arms]
-    grad[st.poles, :2] = (
-        st.pole_sign[:, None] * (arms[:, :2] - arms[:, 2:]) / (2.0 * st.step)
-    )
+    # the arm at gamma = 0 lies towards +x next to either pole
+    grad[st.poles, :2] = (arms[:, :2] - arms[:, 2:]) / (2.0 * st.step)
     grad[st.poles, 2] = 0.0
     return grad
 
 
 def _build_stencils(grid: SphereGrid) -> Stencils:
     bidx = np.flatnonzero(grid.boundary_mask)
+    k = np.arange(grid.size)
+    # the node itself twice: a zero lattice correction
+    lattice = np.column_stack([k, k])
     rings = {}
     if grid.n == 1:
-        k = np.arange(grid.size)
         steps = np.column_stack([k - 1, k + 1])
         meridian = np.clip(steps, 0, k[-1]) if bidx.size else steps % grid.size
+        # interior rows take their two neighbours; an endpoint has one
+        lattice[~grid.boundary_mask] = meridian[~grid.boundary_mask]
         e_beta = np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
         # phi grows into the interior at the endpoint phi = 0
         e_beta[bidx[:1]] *= -1.0
@@ -430,8 +437,7 @@ def _build_stencils(grid: SphereGrid) -> Stencils:
         sin_beta = np.sin(beta)
         poles = np.flatnonzero(counts[ring_of] == 1)
         sin_beta[poles] = 1.0
-        north = ring_of[poles] == 0
-        arm_ring = np.where(north, 1, last - 1)
+        arm_ring = np.where(ring_of[poles] == 0, 1, last - 1)
         rings = dict(
             dgamma=grid.dgamma,
             ring=np.column_stack([at(ring_of, pos - 1), at(ring_of, pos + 1)]),
@@ -442,7 +448,6 @@ def _build_stencils(grid: SphereGrid) -> Stencils:
             poles=poles,
             pole_arms=start[arm_ring][:, None]
             + (counts[arm_ring] // 4)[:, None] * np.arange(4),
-            pole_sign=np.where(north, 1.0, -1.0),
         )
     # From the meridian neighbour that is not the node itself, the next
     # node on that side.
@@ -454,6 +459,7 @@ def _build_stencils(grid: SphereGrid) -> Stencils:
         step=grid.h if grid.n == 1 else grid.dbeta,
         eta=e_beta[bidx],
         meridian=meridian,
+        lattice=lattice,
         e_beta=e_beta,
         **rings,
     )

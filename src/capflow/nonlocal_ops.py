@@ -43,9 +43,11 @@ an even |phi|^(-s) singularity misses 2*zeta(s)*h^(1-s) times the singular
 amplitude (zeta the Riemann zeta function, negative on (0,1)), which is
 several percent at practical resolutions.  Sampling the integrand at the
 two parameter neighbors of the singular node estimates that amplitude and
-cancels the defect, leaving an O(h^2)-class error.  `_lattice_stencil`
-alone decides which rows get the correction: interior rows of n = 1 grids;
-n = 2 grids fall back to the plain punctured rule.
+cancels the defect, leaving an O(h^2)-class error.  The grid's
+`Stencils.lattice` alone decides which rows get the correction: it names
+the two neighbors of interior rows of n = 1 grids, and each other row's
+own, punctured column twice, so n = 2 rows and hemisphere endpoints take
+the plain punctured rule through the same `_corrected_sum`.
 """
 
 from __future__ import annotations
@@ -150,39 +152,22 @@ def riemann_zeta(s: float) -> float:
     return float(eta / (1.0 - 2.0 ** (1.0 - s)))
 
 
-def _lattice_stencil(grid: SphereGrid, targets: np.ndarray) -> list:
-    """Per side, the row positions of the interior targets and their
-    neighbor nodes: the one place that decides where the lattice correction
-    applies.  n = 2 grids get [], and hemisphere endpoints, with one
-    neighbor, no row; a capillary run evaluates its hemisphere rows on the
-    doubled grid, where every row is interior."""
-    if grid.n != 1:
-        return []
-    nbrs = grid.stencils().meridian[targets]
-    # an endpoint stands in for its own missing neighbour
-    rows = np.flatnonzero(np.all(nbrs != targets[:, None], axis=1))
-    return [(rows, nbrs[rows, side]) for side in (0, 1)]
-
-
 def _corrected_sum(
-    F: np.ndarray, grid: SphereGrid, stencil: list, params: KernelParams
+    F: np.ndarray, grid: SphereGrid, targets: np.ndarray, params: KernelParams
 ) -> np.ndarray:
     """Punctured quadrature of integrand rows with the lattice correction.
 
-    F[t, j] holds the integrand at node j for the target of row t; the
-    entry at the target's own column must already be zero.  `stencil` is
-    the rows' `_lattice_stencil`, built once by a caller that sums several
-    integrands over the same targets; [] leaves the plain punctured sums.
+    F[t, j] holds the integrand at node j for targets[t]; the entry at the
+    target's own column must already be zero, since the rows without a
+    correction read it (`Stencils.lattice`).
     """
+    st = grid.stencils()
+    lat = st.lattice[targets]
+    t = np.arange(targets.size)
     # a row-by-row reduction: a matrix-vector product may round a row
     # differently depending on how many rows it is given
     base = np.einsum("tj,j->t", F, grid.weights)
-    if not stencil:
-        return base
-    corr = np.zeros(F.shape[0])
-    for rows, cols in stencil:
-        corr[rows] += F[rows, cols]
-    return base - riemann_zeta(params.s) * grid.h * corr
+    return base - riemann_zeta(params.s) * st.step * (F[t, lat[:, 0]] + F[t, lat[:, 1]])
 
 
 # target rows per block of every pass over node pairs; row results do not
@@ -274,18 +259,22 @@ def frac_laplacian_matrix(
     """Rows of the dense matrix of the discrete fractional Laplacian.
 
     Off-diagonal entries 2 w_j K0(i,j) plus the lattice correction at the
-    rows' `_lattice_stencil`; the diagonal is set for exact zero row sums,
-    so constants are annihilated.  `targets` selects rows (default: all
-    nodes), built one block of rows at a time.
+    rows' `Stencils.lattice` columns; the diagonal is set for exact zero row
+    sums, so constants are annihilated.  `targets` selects rows (default:
+    all nodes), built one block of rows at a time.
     """
     targets = np.arange(grid.size) if targets is None else np.asarray(targets)
+    st = grid.stencils()
+    corr = -2.0 * riemann_zeta(params.s) * st.step
     M = np.empty((targets.size, grid.size))
     for sl, tb, col in _blocks(targets):
         K = _chord_kernel(grid, grid.n + 1 + params.s, tb)
         Mb = M[sl]
         np.multiply(2.0 * K, grid.weights, out=Mb)
-        for rows, cols in _lattice_stencil(grid, tb):
-            Mb[rows, cols] += -2.0 * riemann_zeta(params.s) * grid.h * K[rows, cols]
+        for side in (0, 1):
+            # a row without a correction adds 0 to its own column
+            at = (col[0], st.lattice[tb, side])
+            Mb[at] += corr * K[at]
         Mb[col] = 0.0
         Mb[col] = -Mb.sum(axis=1)
     return M
@@ -350,7 +339,7 @@ def _homotopy_blocks(
     Calls the guard, `injectivity_ratio`, on every pair of the field and
     raises InjectivityError below INJECTIVITY_RATIO_MIN, then returns
     u = rho - 1 and an iterator that yields per `_blocks` block: the slice,
-    the targets, u(x) as a column, A0 and x . grad rho(y), the stencil,
+    the targets, u(x) as a column, A0 and x . grad rho(y),
     `kernel(xis, out)` and `bufs`, 2 + `buffers` work planes (`buffers` at
     least one), all allocated once per call; the blocks take as many rows
     as keep the 4 + `buffers` planes within WALK_PLANES planes of ROW_BLOCK
@@ -395,7 +384,7 @@ def _homotopy_blocks(
                 out[:, col[0], col[1]] = 0.0
                 return out
 
-            yield sl, tb, ut, A0, X, _lattice_stencil(grid, tb), kernel, planes[2:]
+            yield sl, tb, ut, A0, X, kernel, planes[2:]
 
     return u, walk()
 
@@ -435,7 +424,7 @@ def _remainder_pair(
     s3_cols = [math.comb(n - 1, k) * u**k for k in range(1, n)]
     r1 = np.empty(targets.size)
     r2 = np.empty(targets.size)
-    for sl, _, ut, A0, X, stencil, kernel, bufs in blocks:
+    for sl, tb, ut, A0, X, kernel, bufs in blocks:
         stack = kernel(xis, bufs[n + 1 :])
         P = bufs[: n + 1]
         # planes of one row stride: both reshapes are views.  A per-column
@@ -458,11 +447,11 @@ def _remainder_pair(
         S3 *= 2.0
         np.multiply(A0, F, out=T)
         T += S3
-        r2[sl] = _corrected_sum(T, rho.grid, stencil, params)
+        r2[sl] = _corrected_sum(T, rho.grid, tb, params)
         F -= K0
         np.subtract(u, ut, out=T)
         T *= F
-        r1[sl] = 2.0 * _corrected_sum(T, rho.grid, stencil, params)
+        r1[sl] = 2.0 * _corrected_sum(T, rho.grid, tb, params)
     return r1, r2
 
 
@@ -564,7 +553,7 @@ def homotopy_derivative(
         Bn1 = B ** (grid.n - 1)
         factors.append((tp, Bn1, Bn1 * B))
     out = np.empty((tps.size, grid.size))
-    for sl, tb, ut, A0, X, stencil, kernel, bufs in blocks:
+    for sl, tb, ut, A0, X, kernel, bufs in blocks:
         P, K, F = bufs[2:]
         # P = (rho(y) - rho(x)) + u(x) A0 / 2
         np.multiply(A0, 0.5, out=F)
@@ -580,7 +569,7 @@ def homotopy_derivative(
             kernel((tp,), K[None])
             K *= 2.0
             K *= F
-            out[k, sl] = _corrected_sum(K, grid, stencil, params)
+            out[k, sl] = _corrected_sum(K, grid, tb, params)
     return out
 
 
@@ -655,5 +644,5 @@ def hs_reference(
     mass = np.empty(targets.size)
     for sl, tb, _ in _blocks(targets):
         K = _chord_kernel(grid, grid.n - 1 + params.s, tb)
-        mass[sl] = _corrected_sum(K, grid, _lattice_stencil(grid, tb), params)
+        mass[sl] = _corrected_sum(K, grid, tb, params)
     return mass / params.s

@@ -16,6 +16,7 @@ GONE = [
     "RunManifest",
     "_contact_residual",
     "_gradient_sphere2",
+    "_lattice_stencil",
     "_least_ratio2",
     "_mass_rows",
     "_wetted_disk_samples",

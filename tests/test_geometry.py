@@ -52,9 +52,9 @@ def reference_gradient_sphere2(grid, u):
             rr = 1 if r == 0 else n_rings - 2
             quarter = ngam // 4
             ring = u[slices[rr]]
-            sign = 1.0 if r == 0 else -1.0
-            gx = sign * (ring[0] - ring[2 * quarter]) / (2.0 * dbeta)
-            gy = sign * (ring[quarter] - ring[3 * quarter]) / (2.0 * dbeta)
+            # gamma = 0 lies towards +x on the ring next to either pole
+            gx = (ring[0] - ring[2 * quarter]) / (2.0 * dbeta)
+            gy = (ring[quarter] - ring[3 * quarter]) / (2.0 * dbeta)
             grad[s] = (gx, gy, 0.0)
             continue
         pos = np.arange(counts[r])
@@ -366,6 +366,19 @@ def test_gradient_sphere2_matches_ring_loop(topology, resolution):
 
 
 @pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+@pytest.mark.parametrize("resolution", [9, 17, 33])
+def test_gradient_sphere2_of_a_linear_field_is_exact_to_second_order(topology, resolution):
+    # x . c has the tangential gradient c - (x . c) x, at the poles too,
+    # which read it from the arms of the next ring (non-axisymmetric c)
+    g = build_grid(2, resolution, topology)
+    c = np.array([0.24, 0.18, 0.4])
+    u = g.nodes @ c
+    err = np.linalg.norm(gradient_values(g, u) - (c - u[:, None] * g.nodes), axis=1)
+    assert np.max(err) <= 0.5 * g.dbeta**2
+    assert np.max(err[g.stencils().poles]) <= 0.5 * g.dbeta**2
+
+
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
 @pytest.mark.parametrize("resolution", [8, 64, 65, 129])
 def test_gradient_circle_matches_written_out_formula(topology, resolution):
     g = build_grid(1, resolution, topology)
@@ -392,6 +405,25 @@ def test_circle_stencils_follow_the_parameter_line(topology):
         assert st.boundary.size == 0 and st.inward.shape == (0, 2)
     assert np.array_equal(st.eta, st.e_beta[st.boundary])
     assert st.step == g.h and st.ring is None
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 8), (1, 16), (2, 8), (2, 9)])
+@pytest.mark.parametrize("topology", ["hemisphere", "full-sphere"])
+def test_lattice_columns_match_a_written_out_table(n, resolution, topology):
+    # the n = 1 neighbours k -+ 1 of the lattice correction, periodic on the
+    # full circle; the row itself twice at the hemisphere endpoints and on
+    # every n = 2 row, whose punctured column makes the correction zero
+    g = build_grid(n, resolution, topology)
+    N = g.size
+    expect = []
+    for k in range(N):
+        if n == 1 and topology == "full-sphere":
+            expect.append([(k - 1) % N, (k + 1) % N])
+        elif n == 1 and 0 < k < N - 1:
+            expect.append([k - 1, k + 1])
+        else:
+            expect.append([k, k])
+    assert g.stencils().lattice.tolist() == expect
 
 
 @pytest.mark.parametrize("n,resolution", [(1, 65), (1, 129), (2, 13), (2, 25)])
@@ -501,8 +533,8 @@ def test_grid_arrays_are_read_only(n, resolution, topology):
     per_n = {"phi"} if n == 1 else {"beta", "gamma", "ring_counts"}
     assert set(arrays) == {"nodes", "weights", "boundary_mask"} | per_n
     stencils = {k: v for k, v in vars(g.stencils()).items() if isinstance(v, np.ndarray)}
-    rings = {"ring", "e_gamma", "sin_beta", "poles", "pole_arms", "pole_sign"}
-    frame = {"boundary", "inward", "eta", "meridian", "e_beta"}
+    rings = {"ring", "e_gamma", "sin_beta", "poles", "pole_arms"}
+    frame = {"boundary", "inward", "eta", "meridian", "lattice", "e_beta"}
     assert set(stencils) == (frame if n == 1 else frame | rings)
     for value in [*arrays.values(), *stencils.values()]:
         with pytest.raises(ValueError, match="read-only"):

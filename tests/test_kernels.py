@@ -21,19 +21,42 @@ from capflow import (
     remainder_R2,
     riemann_zeta,
 )
-from capflow import flow, nonlocal_ops
+from capflow import diagnostics, flow, nonlocal_ops
+from capflow.diagnostics import divergence_identity_residual
 from capflow.nonlocal_ops import (
     InjectivityError,
     _blocks,
     _chord_kernel,
     _corrected_sum,
-    _lattice_stencil,
 )
 
 
+def lattice_neighbours(grid, targets):
+    """Row positions of the targets of an n = 1 grid that take the lattice
+    correction, and their k -+ 1 neighbours: every row on the full circle
+    (periodic), every row but the two endpoints on the hemisphere.  Written
+    out, independent of the grid's stencil record."""
+    targets = np.asarray(targets)
+    N = grid.size
+    if grid.topology == "full-sphere":
+        rows = np.arange(targets.size)
+    else:
+        rows = np.flatnonzero((targets > 0) & (targets < N - 1))
+    k = targets[rows]
+    return rows, (k - 1) % N, (k + 1) % N
+
+
 def corrected_sum(F, grid, targets, params):
-    """`_corrected_sum` of rows over the targets' own lattice stencil."""
-    return _corrected_sum(F, grid, _lattice_stencil(grid, targets), params)
+    """The punctured row sums of F minus zeta(s) h times the integrand at
+    each corrected row's two neighbours (`lattice_neighbours`); n = 2 rows
+    take the plain punctured sums."""
+    base = np.einsum("tj,j->t", F, grid.weights)
+    if grid.n != 1:
+        return base
+    rows, lo, hi = lattice_neighbours(grid, targets)
+    corr = np.zeros(F.shape[0])
+    corr[rows] = F[rows, lo] + F[rows, hi]
+    return base - riemann_zeta(params.s) * grid.h * corr
 
 
 def circle_mass(s):
@@ -430,14 +453,15 @@ def test_raw_punctured_mass_is_much_worse():
 
 @pytest.mark.parametrize("topology", ["full-sphere", "hemisphere"])
 def test_surface_grids_take_the_plain_punctured_sums(topology):
+    # every n = 2 row reads its own, punctured column for its correction
     grid = build_grid(2, 9, topology)
     params = KernelParams(s=0.5)
     targets = np.arange(grid.size)
-    stencil = _lattice_stencil(grid, targets)
-    assert stencil == []
     K = _chord_kernel(grid, grid.n - 1 + params.s, targets)
     plain = np.einsum("tj,j->t", K, grid.weights)
-    assert np.array_equal(_corrected_sum(K, grid, stencil, params), plain)
+    assert np.array_equal(_corrected_sum(K, grid, targets, params), plain)
+    odd = targets[::-3]
+    assert np.array_equal(_corrected_sum(K[odd], grid, odd, params), plain[odd])
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
@@ -800,7 +824,7 @@ def test_batched_kernel_at_xi_zero_is_the_chord_power(name):
     params = KernelParams(s=0.5)
     p = grid.n + 1 + params.s
     _, blocks = nonlocal_ops._homotopy_blocks(rho, params, np.arange(grid.size), 2)
-    for _, tb, _, _, _, _, kernel, bufs in blocks:
+    for _, tb, _, _, _, kernel, bufs in blocks:
         K0 = kernel([0.0, 0.5], bufs[2:])[0]
         with np.errstate(divide="ignore"):
             expect = np.exp(-0.5 * p * np.log(grid.chord2(tb)))
@@ -1156,31 +1180,37 @@ def test_remainder_pass_never_reads_the_mass(name, monkeypatch):
 
 
 def test_remainder_pass_hands_punctured_rows_to_the_corrected_sums(monkeypatch):
-    """Every integrand the remainder pass and the homotopy derivative sum
-    is zero at each row's own column, as `_corrected_sum` requires: the
-    kernels there are punctured, not only multiplied by factors that vanish
-    up to rounding."""
-    stencil_, corrected_sum_ = nonlocal_ops._lattice_stencil, nonlocal_ops._corrected_sum
-    block = []  # the targets of the block whose stencil was built last
+    """Every integrand that a caller of `_corrected_sum` sums is zero at
+    each row's own column, as `_corrected_sum` requires (a row without a
+    correction reads that column): the kernels there are punctured, not
+    only multiplied by factors that vanish up to rounding."""
+    corrected_sum_ = nonlocal_ops._corrected_sum
+    seen = []  # one entry per call
 
-    def recording(grid, targets):
-        block[:] = [targets]
-        return stencil_(grid, targets)
+    def checking(F, grid, targets, params):
+        assert np.all(F[np.arange(targets.size), targets] == 0.0)
+        seen.append(targets.size)
+        return corrected_sum_(F, grid, targets, params)
 
-    def checking(F, grid, stencil, params):
-        tb = block[0]
-        assert np.all(F[np.arange(tb.size), tb] == 0.0)
-        return corrected_sum_(F, grid, stencil, params)
-
-    monkeypatch.setattr(nonlocal_ops, "_lattice_stencil", recording)
     monkeypatch.setattr(nonlocal_ops, "_corrected_sum", checking)
+    monkeypatch.setattr(diagnostics, "_corrected_sum", checking)
+
+    def calls(run):
+        before = len(seen)
+        run()
+        return len(seen) - before
+
     for rho, params, rule in REMAINDER_CASES.values():
-        remainder_R1(RadialField(rho.grid, rho.values), params, rule)
+        assert calls(lambda: remainder_R1(RadialField(rho.grid, rho.values), params, rule))
         # at t' = 0 the kernel is the round one, |y - x|^(-p), infinite at
         # the own columns unless they are punctured
-        homotopy_derivative([0.0], rho, params)
-        homotopy_derivative([0.0, 0.5, 1.0], rho, params)
-    assert block
+        assert calls(lambda: homotopy_derivative([0.0], rho, params))
+        assert calls(lambda: homotopy_derivative([0.0, 0.5, 1.0], rho, params))
+        if rho.grid.topology == "full-sphere":
+            assert calls(lambda: hs_reference(rho.grid, params))
+            # the three vector sums at the first, a middle and the last node
+            for x in (0, rho.grid.size // 2, rho.grid.size - 1):
+                assert calls(lambda: divergence_identity_residual(rho, x, params)) == 3
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_CASES))
@@ -1235,9 +1265,9 @@ def reference_frac_laplacian_matrix(grid, params):
     K = _chord_kernel(grid, grid.n + 1 + params.s, tgt)
     M = 2.0 * K * grid.weights[None, :]
     if grid.n == 1:
-        z = riemann_zeta(params.s)
-        for rows, cols in _lattice_stencil(grid, tgt):
-            M[rows, cols] += -2.0 * z * grid.h * K[rows, cols]
+        rows, lo, hi = lattice_neighbours(grid, tgt)
+        for cols in (lo, hi):
+            M[rows, cols] += -2.0 * riemann_zeta(params.s) * grid.h * K[rows, cols]
     np.fill_diagonal(M, 0.0)
     np.fill_diagonal(M, -M.sum(axis=1))
     return M
