@@ -62,6 +62,7 @@ from .nonlocal_ops import (
     InjectivityError,
     KernelParams,
     _blocks,
+    _is_integer,
     _raise_if_pinched,
     frac_laplacian_matrix,
     hs_reference,
@@ -136,6 +137,10 @@ class FlowConfig:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if not 0.0 < self.theta < np.pi:
             raise ValueError(f"theta must lie in (0,pi), got {self.theta}")
+        for key in ("resolution", "n", "save_every", "homotopy_order", "max_picard"):
+            value = getattr(self, key)
+            if not _is_integer(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         for key in ("dt", "t_end", "picard_tol", "bc_tol"):
             value = getattr(self, key)
             if value is not None and not 0.0 < value < math.inf:
@@ -382,7 +387,11 @@ class _Context:
         # dt; closing over M, not self, keeps the context out of a cycle
         @lru_cache(maxsize=LU_CACHE)
         def factor(dt: float) -> np.ndarray:
-            inverse = lu_factor(np.eye(M.shape[0]) - dt * M)
+            # I - dt M in place: the same bits as np.eye(m) - dt * M, with
+            # no m x m temporaries before the inverse
+            a = M * -dt
+            a.flat[:: m + 1] += 1.0
+            inverse = lu_factor(a)
             inverse.setflags(write=False)
             return inverse
 

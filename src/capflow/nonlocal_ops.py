@@ -98,6 +98,33 @@ class KernelParams:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools and floats are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_order, evaluated by the three-term recurrence,
+    from the cosine guesses, until a step is below 2 eps; the weights are
+    2 / ((1 - x^2) P'_order(x)^2), and both are symmetrised about 0.
+    """
+    x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    while True:
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        # P'_n from P_n = p1 and P_(n-1) = p0
+        dp = order * (p0 - x * p1) / (1.0 - x * x)
+        dx = p1 / dp
+        x = x - dx
+        if np.abs(dx).max() <= 2 * np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 @dataclass(frozen=True)
 class HomotopyRule:
     """Gauss-Legendre rule on [0, 1] for the homotopy variable.
@@ -108,7 +135,10 @@ class HomotopyRule:
     dxi, and that is int_0^1 F dxi - F(0) by parts.  One `order`-point rule
     on [0, 1] (a run takes `FlowConfig.homotopy_order`) serves the
     xi-integrals of F and plain t'-integrals.  Doubling the order changes
-    the remainder terms far below their quadrature error.
+    the remainder terms far below their quadrature error.  The nodes are
+    the roots of the Legendre polynomial by Newton's method on its
+    three-term recurrence (`_gauss_legendre`), so building a rule loads no
+    numpy submodule and makes no LAPACK call.
     """
 
     order: int
@@ -116,10 +146,11 @@ class HomotopyRule:
     _base: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.order):
+            raise ValueError(f"rule order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError("rule order must be positive")
-        x, w = np.polynomial.legendre.leggauss(self.order)
-        object.__setattr__(self, "_base", (x, w))
+        object.__setattr__(self, "_base", _gauss_legendre(self.order))
 
     def tprime(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the rule mapped to [0, 1]."""

@@ -116,3 +116,22 @@ def test_runtime_imports_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_run_loads_no_numpy_polynomial():
+    # the homotopy rule is built without numpy.polynomial (or LAPACK)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(capflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "from capflow import flow\n"
+        "from capflow.nonlocal_ops import HomotopyRule\n"
+        "flow._get_context(flow.FlowConfig(s=0.5, theta=1.0, dt=1e-3, resolution=33,"
+        " topology='hemisphere'))\n"
+        "HomotopyRule(8)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

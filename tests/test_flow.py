@@ -402,6 +402,19 @@ def test_context_arrays_are_read_only():
     assert ctx.factor(1e-3) is inverse
 
 
+@pytest.mark.parametrize(
+    "n, resolution, topology",
+    [(1, 129, "hemisphere"), (1, 256, "full-sphere"), (2, 13, "hemisphere")],
+)
+def test_context_inverse_is_bitwise_the_plain_inverse(n, resolution, topology):
+    # the in-place I - dt M must round exactly as np.eye(m) - dt * M
+    ctx = flow._Context(n, 0.5, resolution, topology, 4)
+    eye = np.eye(ctx.M.shape[0])
+    for dt in (2e-4, 1e-3, 0.19999999999999966e-3):
+        expect = np.linalg.inv(eye - dt * ctx.M)
+        assert ctx.factor(dt).tobytes() == expect.tobytes()
+
+
 def test_operator_matrix_capillary_fold_matches_reflection():
     # A hemisphere row of the folded matrix must act like the full-circle
     # operator applied to the evenly reflected field.
@@ -927,11 +940,21 @@ def test_initial_field_cosine_needs_curve():
         (dict(refresh_remainders="sometimes"), "refresh_remainders"),
         (dict(homotopy_order=0), "homotopy_order"),
         (dict(hs_ref_mode="half-ball"), "hs_ref_mode 'half-ball' was removed.*item 13"),
+        (dict(homotopy_order=2.5), "homotopy_order must be an integer"),
+        (dict(resolution=16.5), "resolution must be an integer"),
+        (dict(n=True), "n must be an integer"),
+        (dict(save_every=1.5), "save_every must be an integer"),
+        (dict(max_picard=2.5), "max_picard must be an integer"),
     ],
 )
 def test_flow_config_rejects_bad_values(kw, key):
     with pytest.raises(ValueError, match=key):
         _cfg(**kw)
+
+
+def test_flow_config_accepts_numpy_integers():
+    cfg = _cfg(resolution=np.int64(64), n=np.int32(1), homotopy_order=np.int64(4))
+    assert cfg == _cfg(resolution=64, n=1, homotopy_order=4)
 
 
 def test_flow_config_default_horizon():

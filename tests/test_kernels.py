@@ -316,6 +316,23 @@ def test_homotopy_rule_compares_and_hashes_by_order():
 def test_homotopy_rule_rejects_bad_order():
     with pytest.raises(ValueError):
         HomotopyRule(order=0)
+    # a float or bool order would give a wrong rule, so it is refused by name
+    for order in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HomotopyRule(order=order)
+    assert HomotopyRule(order=np.int64(4)) == HomotopyRule(order=4)
+
+
+@pytest.mark.parametrize("order", range(1, 41))
+def test_homotopy_rule_matches_leggauss(order):
+    # numpy's eigenvalue-based rule, an independent reference
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    x, w = nonlocal_ops._gauss_legendre(order)
+    assert np.abs(x - x_ref).max() <= 2e-16
+    assert np.abs(w - w_ref).max() <= 1e-14
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.abs(x) < 1.0)
 
 
 def test_kernel_on_round_sphere_is_chord_power():
